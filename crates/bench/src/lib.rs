@@ -6,6 +6,8 @@
 //! guard against performance regressions). The benches run on the
 //! dependency-free [`harness`] so the workspace builds fully offline.
 
+#![forbid(unsafe_code)]
+
 use coma_sim::{run_simulation, SimParams};
 use coma_stats::SimReport;
 use coma_types::{LatencyConfig, MemoryPressure};

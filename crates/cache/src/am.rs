@@ -55,12 +55,6 @@ impl AttractionMemory {
         self.array.peek(line).unwrap_or(AmState::Invalid)
     }
 
-    /// Pull `line`'s set toward the host L1 (performance hint only).
-    #[inline]
-    pub fn prefetch(&self, line: LineNum) {
-        self.array.prefetch(line);
-    }
-
     /// State of a line, marking it most-recently-used.
     pub fn touch(&mut self, line: LineNum) -> AmState {
         self.array.lookup(line).unwrap_or(AmState::Invalid)

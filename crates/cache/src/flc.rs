@@ -44,12 +44,6 @@ impl Flc {
         matches!(self.slots[self.idx(line)], Some(s) if s.line == line)
     }
 
-    /// Pull `line`'s slot toward the host L1 (performance hint only).
-    #[inline]
-    pub fn prefetch(&self, line: LineNum) {
-        coma_types::prefetch_read(&self.slots[self.idx(line)]);
-    }
-
     /// Is the line resident with write permission?
     #[inline]
     pub fn write_hit(&self, line: LineNum) -> bool {

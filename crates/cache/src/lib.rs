@@ -16,6 +16,8 @@
 //! slots — is what the paper calls the *accept-based replacement strategy*
 //! and is configurable here for ablation studies.
 
+#![forbid(unsafe_code)]
+
 pub mod am;
 pub mod flc;
 pub mod policy;

@@ -127,13 +127,6 @@ impl<S: Copy + Default> SetAssoc<S> {
         self.set_mod.reduce(line.0)
     }
 
-    /// Hint the host CPU to pull `line`'s set toward L1 ahead of a probe.
-    /// Purely a performance hint — touches no state.
-    #[inline]
-    pub fn prefetch(&self, line: LineNum) {
-        coma_types::prefetch_read(&self.slots[self.base_of(line)]);
-    }
-
     /// Stride base of the set that `line` maps to.
     #[inline]
     fn base_of(&self, line: LineNum) -> usize {

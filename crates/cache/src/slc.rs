@@ -35,12 +35,6 @@ impl Slc {
         self.array.peek(line).unwrap_or(SlcState::Invalid)
     }
 
-    /// Pull `line`'s set toward the host L1 (performance hint only).
-    #[inline]
-    pub fn prefetch(&self, line: LineNum) {
-        self.array.prefetch(line);
-    }
-
     /// Insert a line, evicting the set's LRU entry if the set is full.
     /// Returns the evicted `(line, state)` if any; a `Modified` eviction
     /// must be written back to the AM by the caller.

@@ -12,6 +12,8 @@
 //! `--latency default|2xdram|4xdram|halfbus`, `--scale paper|bench|smoke`,
 //! `--seed N`.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

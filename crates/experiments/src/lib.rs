@@ -22,6 +22,8 @@
 //! sweep as a columnar store under `<out>/store/` (see
 //! `coma_bench::columnar`) with a JSON sidecar.
 
+#![forbid(unsafe_code)]
+
 use coma_sim::{run_simulation, MemoryModel, SimParams};
 use coma_stats::{BarChart, SimReport, Table};
 use coma_types::{LatencyConfig, MemoryPressure};

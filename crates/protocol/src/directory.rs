@@ -24,6 +24,7 @@
 //! ([`OpenTable`]) because these lookups sit on the hot path of every
 //! simulated miss — see the module docs of [`crate::table`].
 
+use crate::sharers::{SharerSet, SpillTable};
 use crate::table::OpenTable;
 use coma_types::{LineNum, MachineGeometry, NodeId, NodeSet, Topology};
 
@@ -85,38 +86,25 @@ impl DirectoryLevel {
     }
 }
 
-/// Inline sharer capacity of a root-table entry. Four inline IDs keep a
-/// root slot at 16 bytes (four slots per host cache line); the benched
-/// workloads' lines rarely have more simultaneous Shared replicas than
-/// that, so the spill table stays tiny and cold.
-const INLINE_SHARERS: usize = 4;
-
-/// `RootEntry::n` marker: the sharer set lives in the spill table.
-const SPILLED: u8 = u8::MAX;
-
-/// Compact stored form of a [`LineInfo`]. A full `NodeSet` is 32 bytes —
-/// sized for 256-node machines — but the root table holds one entry per
-/// live line and is probed on every global action, so its slots are the
-/// single largest host-cache consumer in the simulator. Lines with at
-/// most [`INLINE_SHARERS`] Shared replicas (the overwhelming majority)
-/// store the sharer node IDs inline, unordered; wider lines park their
-/// `NodeSet` in a side table. Once spilled, an entry stays spilled until
-/// its sharer set is cleared — demotion would buy bytes back for a case
-/// too rare to matter at the cost of churn on every `remove_sharer`.
+/// Compact stored form of a [`LineInfo`]: the root table holds one entry
+/// per live line and is probed on every global action, so its slots are
+/// the single largest host-cache consumer in the simulator. The sharers
+/// are a [`SharerSet`], inline up to four nodes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RootEntry {
     owner: u16,
-    /// Count of valid `inline` entries, or [`SPILLED`].
-    n: u8,
-    inline: [u16; INLINE_SHARERS],
+    sharers: SharerSet,
 }
+
+// Twelve bytes keep a root-table slot (with its `u32` key) at 16.
+const _: () = assert!(std::mem::size_of::<RootEntry>() == 12);
 
 /// The machine-wide line directory (root state + level tree).
 #[derive(Clone, Debug)]
 pub struct Directory {
     map: OpenTable<RootEntry>,
-    /// Sharer sets of lines too wide for inline storage (see [`RootEntry`]).
-    spill: OpenTable<NodeSet>,
+    /// Sharer sets of lines too wide for inline storage (see [`SharerSet`]).
+    spill: SpillTable,
     topo: Topology,
     nodes_per_group: usize,
     levels: Vec<DirectoryLevel>,
@@ -192,18 +180,9 @@ impl Directory {
     /// Materialize the full [`LineInfo`] a stored entry denotes.
     #[inline]
     fn info_of(&self, line: u64, e: RootEntry) -> LineInfo {
-        let sharers = if e.n == SPILLED {
-            self.spill.get(line).expect("spilled sharer set missing")
-        } else {
-            let mut s = NodeSet::empty();
-            for &id in &e.inline[..e.n as usize] {
-                s.insert(id);
-            }
-            s
-        };
         LineInfo {
             owner: NodeId(e.owner),
-            sharers,
+            sharers: e.sharers.members(&self.spill, line),
         }
     }
 
@@ -263,13 +242,6 @@ impl Directory {
         self.map.get(line.0).map(|e| self.info_of(line.0, e))
     }
 
-    /// Pull `line`'s root-table slot toward the host L1 ahead of a probe
-    /// (performance hint only).
-    #[inline]
-    pub fn prefetch(&self, line: LineNum) {
-        self.map.prefetch(line.0);
-    }
-
     /// Is the line live anywhere in the machine?
     #[inline]
     pub fn contains(&self, line: LineNum) -> bool {
@@ -282,8 +254,7 @@ impl Directory {
             line.0,
             RootEntry {
                 owner: owner.0,
-                n: 0,
-                inline: [0; INLINE_SHARERS],
+                sharers: SharerSet::default(),
             },
         );
         debug_assert!(prev.is_none(), "line {line:?} already live");
@@ -294,59 +265,15 @@ impl Directory {
     pub fn add_sharer(&mut self, line: LineNum, node: NodeId) {
         let e = self.map.get_mut(line.0).expect("sharer of dead line");
         debug_assert_ne!(e.owner, node.0, "owner cannot also be a sharer");
-        if e.n == SPILLED {
-            self.spill
-                .get_mut(line.0)
-                .expect("spilled sharer set missing")
-                .insert(node.0);
-        } else {
-            let n = e.n as usize;
-            if !e.inline[..n].contains(&node.0) {
-                if n < INLINE_SHARERS {
-                    e.inline[n] = node.0;
-                    e.n += 1;
-                } else {
-                    let mut s = NodeSet::empty();
-                    for &id in &e.inline {
-                        s.insert(id);
-                    }
-                    s.insert(node.0);
-                    e.n = SPILLED;
-                    self.spill.insert(line.0, s);
-                }
-            }
-        }
+        e.sharers.insert(&mut self.spill, line.0, node.0);
         self.sync_presence(line);
     }
 
     /// Drop a Shared replica holder.
     pub fn remove_sharer(&mut self, line: LineNum, node: NodeId) {
         if let Some(e) = self.map.get_mut(line.0) {
-            Self::entry_remove_sharer(&mut self.spill, line, e, node);
+            e.sharers.remove(&mut self.spill, line.0, node.0);
             self.sync_presence(line);
-        }
-    }
-
-    /// Drop `node` from an entry's sharer set, wherever it is stored.
-    /// Inline removal is a swap-remove — order is immaterial, the set is
-    /// materialized through [`NodeSet`].
-    fn entry_remove_sharer(
-        spill: &mut OpenTable<NodeSet>,
-        line: LineNum,
-        e: &mut RootEntry,
-        node: NodeId,
-    ) {
-        if e.n == SPILLED {
-            spill
-                .get_mut(line.0)
-                .expect("spilled sharer set missing")
-                .remove(node.0);
-        } else {
-            let n = e.n as usize;
-            if let Some(i) = e.inline[..n].iter().position(|&id| id == node.0) {
-                e.inline[i] = e.inline[n - 1];
-                e.n -= 1;
-            }
         }
     }
 
@@ -363,35 +290,22 @@ impl Directory {
     pub fn set_owner(&mut self, line: LineNum, node: NodeId) {
         let e = self.map.get_mut(line.0).expect("owner of dead line");
         e.owner = node.0;
-        Self::entry_remove_sharer(&mut self.spill, line, e, node);
+        e.sharers.remove(&mut self.spill, line.0, node.0);
         self.sync_presence(line);
     }
 
     /// Replace the sharer set wholesale (used by write invalidations).
     pub fn clear_sharers(&mut self, line: LineNum) {
         if let Some(e) = self.map.get_mut(line.0) {
-            if e.n == SPILLED {
-                self.spill.remove(line.0);
-            }
-            e.n = 0;
+            e.sharers.clear(&mut self.spill, line.0);
             self.sync_presence(line);
         }
     }
 
     /// Remove a line entirely (page-out).
     pub fn remove(&mut self, line: LineNum) -> Option<LineInfo> {
-        let e = self.map.remove(line.0)?;
-        let sharers = if e.n == SPILLED {
-            self.spill
-                .remove(line.0)
-                .expect("spilled sharer set missing")
-        } else {
-            let mut s = NodeSet::empty();
-            for &id in &e.inline[..e.n as usize] {
-                s.insert(id);
-            }
-            s
-        };
+        let mut e = self.map.remove(line.0)?;
+        let sharers = e.sharers.take(&mut self.spill, line.0);
         self.sync_presence(line);
         Some(LineInfo {
             owner: NodeId(e.owner),

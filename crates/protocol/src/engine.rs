@@ -17,9 +17,9 @@
 //! * [`replacement`] — AM victim selection fallout: the accept-based
 //!   injection protocol, ownership migration and page-out.
 //!
-//! All statistics flow through the engine's [`EventSink`]
-//! (`coma-stats`): the protocol code reports *what happened* and the
-//! sink turns it into traffic bytes and counters.
+//! All statistics are counts of [`ProtocolEvent`]s in one array: the
+//! protocol code reports *what happened* and `coma-stats` derives the
+//! traffic bytes and counters from the counts when the report is built.
 
 mod read_path;
 mod replacement;
@@ -30,9 +30,7 @@ use crate::node::NodeState;
 use crate::outcome::Outcome;
 use crate::table::{OpenTable, PageHomes};
 use coma_cache::{AcceptPolicy, AcceptSlot, AmState, SlcState, Victim, VictimPolicy};
-use coma_stats::{
-    AuditSink, BatchedSink, EventSink, Level, ProtocolCounters, ProtocolEvent, Traffic,
-};
+use coma_stats::{derive_stats, EventCounts, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
 
 /// Lines per page (4096 / 64).
@@ -58,12 +56,13 @@ pub struct CoherenceEngine {
     /// Precomputed `proc → (node, index-in-node)` so the per-access hot
     /// path never divides (ProcId::node is a `/`, index_in_node a `%`).
     proc_map: Box<[(u16, u16)]>,
-    /// Where every protocol event lands: batched traffic + counters,
-    /// behind the audit decorator that (when armed) still sees every
-    /// event unbatched. The driver calls [`Self::flush_stats`] at sync
-    /// points; [`Self::traffic`] / [`Self::counters`] require a flush
-    /// first (debug-asserted inside `BatchedSink::sink`).
-    sink: AuditSink<BatchedSink>,
+    /// Occurrences of every protocol event: the engine's only statistics.
+    events: EventCounts,
+    /// Report views derived from `events` by [`Self::flush_stats`].
+    traffic: Traffic,
+    counters: ProtocolCounters,
+    /// Live invariant auditor armed (see [`Self::set_audit`]).
+    audit: bool,
 }
 
 impl CoherenceEngine {
@@ -116,7 +115,10 @@ impl CoherenceEngine {
             intra_node_transfers,
             inclusive_hierarchy,
             proc_map,
-            sink: AuditSink::new(BatchedSink::new()),
+            events: EventCounts::default(),
+            traffic: Traffic::default(),
+            counters: ProtocolCounters::default(),
+            audit: false,
         }
     }
 
@@ -125,86 +127,65 @@ impl CoherenceEngine {
     /// performed at least one protocol transaction.
     #[inline]
     pub fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        let out = self.read_inner(proc, line);
-        self.audit_after();
-        out
+        if self.audit {
+            return self.audited(|e| e.read_inner(proc, line));
+        }
+        self.read_inner(proc, line)
     }
 
     /// Perform a processor write of `line`; audited like [`Self::read`].
     #[inline]
     pub fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        let out = self.write_inner(proc, line);
-        self.audit_after();
-        out
+        if self.audit {
+            return self.audited(|e| e.write_inner(proc, line));
+        }
+        self.write_inner(proc, line)
     }
 
-    /// Hint the host CPU to pull the state a `proc` access of `line`
-    /// will probe — private caches, residency filter, AM set, directory
-    /// slot — toward L1. The driver calls this one operation ahead, so
-    /// the (host-cold) probes overlap the current operation's work.
-    /// Purely a performance hint: no simulated state is read or written.
-    #[inline]
-    pub fn prefetch(&self, proc: ProcId, line: LineNum) {
-        let (n, pidx) = self.proc_map[proc.as_usize()];
-        self.nodes[n as usize].prefetch_access(pidx as usize, line);
-        self.dir.prefetch(line);
-    }
-
-    /// Live invariant audit: runs after every access that emitted a
-    /// protocol event. Pure hits emit nothing and stay cheap; accesses
-    /// that changed global state pay a full [`Self::check_invariants`].
-    #[inline]
-    fn audit_after(&mut self) {
-        if self.sink.armed() && self.sink.take_pending() > 0 {
+    /// Live invariant audit: run `access`, then, if it emitted a protocol
+    /// event (the event total moved), pay a full
+    /// [`Self::check_invariants`]. Pure hits emit nothing and stay cheap.
+    #[cold]
+    fn audited(&mut self, access: impl FnOnce(&mut Self) -> Outcome) -> Outcome {
+        let before: u64 = self.events.iter().sum();
+        let out = access(self);
+        if self.events.iter().sum::<u64>() != before {
             if let Err(e) = self.check_invariants() {
                 panic!("live audit: protocol invariant violated: {e}");
             }
         }
+        out
     }
 
     /// Arm or disarm the live invariant auditor.
     pub fn set_audit(&mut self, on: bool) {
-        self.sink.arm(on);
+        self.audit = on;
     }
 
-    /// Is the live invariant auditor armed?
-    pub fn audit_enabled(&self) -> bool {
-        self.sink.armed()
-    }
-
-    /// Record one protocol event into the engine's sink.
+    /// Count one protocol event.
     #[inline]
     fn emit(&mut self, ev: ProtocolEvent) {
-        self.sink.record(ev);
+        self.events[ev.idx()] += 1;
     }
 
-    /// Apply all batched event counts to the global totals. The driver
-    /// calls this at sync points and before reading statistics; every
-    /// counter is a plain sum, so flush placement never changes totals.
-    #[inline]
+    /// Derive [`Self::traffic`] and [`Self::counters`] from the event
+    /// counts (the driver does so once, when it builds the report).
     pub fn flush_stats(&mut self) {
-        self.sink.inner.flush();
+        (self.traffic, self.counters) = derive_stats(&self.events);
     }
 
-    /// Forward every event straight to the global counters instead of
-    /// batching (reference mode for the batching differential tests).
-    #[doc(hidden)]
-    pub fn set_direct_stats(&mut self, on: bool) {
-        self.sink.inner.set_direct(on);
-    }
-
-    /// Global bus traffic, decomposed as in Figures 3–4. Requires a
-    /// preceding [`Self::flush_stats`] (debug-asserted).
+    /// Global bus traffic, decomposed as in Figures 3–4, as of the last
+    /// [`Self::flush_stats`].
     #[inline]
     pub fn traffic(&self) -> &Traffic {
-        &self.sink.inner.sink().traffic
+        &self.traffic
     }
 
-    /// Replacement / allocation event counters; same flush requirement
-    /// as [`Self::traffic`].
+    /// Replacement / allocation event counters, as of the last
+    /// [`Self::flush_stats`].
     #[inline]
     pub fn counters(&self) -> &ProtocolCounters {
-        &self.sink.inner.sink().counters
+        &self.counters
     }
 
     /// Does any private cache in `node_idx` still hold `line`? Gated on

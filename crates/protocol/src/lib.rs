@@ -23,12 +23,15 @@
 //! * Pages are allocated on demand to the first-touching node; untouched
 //!   lines of an allocated page materialize at that home node.
 
+#![forbid(unsafe_code)]
+
 pub mod directory;
 pub mod engine;
 pub mod memory;
 pub mod node;
 pub mod numa;
 pub mod outcome;
+mod sharers;
 pub mod table;
 
 pub use coma_stats::ProtocolCounters;

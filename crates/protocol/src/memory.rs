@@ -27,28 +27,21 @@ pub trait MemorySystem {
     /// Perform a processor write of `line` (ownership acquisition).
     fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome;
 
-    /// Hint that `proc` is about to access `line`: pull the host cache
-    /// lines its probe path will touch toward L1. Purely a performance
-    /// hint — implementations must not change any simulated state — so
-    /// the no-op default is always correct.
-    fn prefetch(&self, _proc: ProcId, _line: LineNum) {}
-
     /// The machine geometry this system was built for.
     fn geometry(&self) -> &MachineGeometry;
 
-    /// Apply any internally batched statistics to the global totals.
-    /// The driver calls this at sync points and before reading
-    /// [`Self::traffic`] / [`Self::counters`]; systems that count
-    /// directly need not override the no-op default. Every statistic is
-    /// a plain sum, so flush placement never changes final totals.
+    /// Derive the report views ([`Self::traffic`], [`Self::counters`])
+    /// from the system's event counts. The driver calls it once, when it
+    /// builds the report. It overwrites the views, so calling it again
+    /// is harmless; systems that keep their views current need not
+    /// override the no-op default.
     fn flush_stats(&mut self) {}
 
-    /// Global interconnect traffic accumulated so far (after a
-    /// [`Self::flush_stats`]).
+    /// Global interconnect traffic, as of the last [`Self::flush_stats`].
     fn traffic(&self) -> &Traffic;
 
-    /// Replacement / allocation event counters accumulated so far (after
-    /// a [`Self::flush_stats`]).
+    /// Replacement / allocation event counters, as of the last
+    /// [`Self::flush_stats`].
     fn counters(&self) -> &ProtocolCounters;
 
     /// Verify every internal invariant; returns a description of the
@@ -73,10 +66,6 @@ impl MemorySystem for CoherenceEngine {
 
     fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         CoherenceEngine::write(self, proc, line)
-    }
-
-    fn prefetch(&self, proc: ProcId, line: LineNum) {
-        CoherenceEngine::prefetch(self, proc, line)
     }
 
     fn geometry(&self) -> &MachineGeometry {
@@ -117,10 +106,6 @@ impl MemorySystem for BaselineEngine {
         BaselineEngine::write(self, proc, line)
     }
 
-    fn prefetch(&self, proc: ProcId, line: LineNum) {
-        BaselineEngine::prefetch(self, proc, line)
-    }
-
     fn geometry(&self) -> &MachineGeometry {
         BaselineEngine::geometry(self)
     }
@@ -153,10 +138,6 @@ impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
 
     fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         (**self).write(proc, line)
-    }
-
-    fn prefetch(&self, proc: ProcId, line: LineNum) {
-        (**self).prefetch(proc, line)
     }
 
     fn geometry(&self) -> &MachineGeometry {

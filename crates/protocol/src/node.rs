@@ -67,12 +67,6 @@ impl ResidencyFilter {
     pub fn may_hold(&self, line: LineNum) -> bool {
         self.counts[self.slot(line)] != 0
     }
-
-    /// Pull `line`'s count slot toward the host L1 (performance hint).
-    #[inline]
-    fn prefetch(&self, line: LineNum) {
-        coma_types::prefetch_read(&self.counts[self.slot(line)]);
-    }
 }
 
 /// One cluster node (Figure 1 of the paper): `procs_per_node` processors,
@@ -139,17 +133,6 @@ impl NodeState {
     #[inline]
     pub fn may_hold_private(&self, line: LineNum) -> bool {
         self.filter.may_hold(line)
-    }
-
-    /// Pull the structures processor `pidx` probes when accessing `line`
-    /// — its FLC slot, its SLC set, the residency-filter count and the
-    /// AM set — toward the host L1. Performance hint only.
-    #[inline]
-    pub fn prefetch_access(&self, pidx: usize, line: LineNum) {
-        self.flcs[pidx].prefetch(line);
-        self.slcs[pidx].prefetch(line);
-        self.filter.prefetch(line);
-        self.am.prefetch(line);
     }
 
     /// Does some SLC of this node actually hold `line` (valid state)?

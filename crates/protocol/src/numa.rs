@@ -19,37 +19,28 @@
 //! unchanged.
 
 use crate::outcome::Outcome;
+use crate::sharers::{SharerSet, SpillTable};
 use crate::table::{OpenTable, PageHomes};
 use coma_cache::{Flc, Slc, SlcState};
-use coma_stats::{BatchedSink, EventSink, Level, ProtocolCounters, ProtocolEvent, Traffic};
-use coma_types::{LineNum, MachineGeometry, NodeId, NodeSet, ProcId, LINE_SHIFT, PAGE_SHIFT};
+use coma_stats::{derive_stats, EventCounts, Level, ProtocolCounters, ProtocolEvent, Traffic};
+use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
 
 const PAGE_LINES_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
 
-/// Inline reader capacity of a directory entry (see [`DirEntry`]).
-const INLINE_READERS: usize = 4;
-
-/// `DirEntry::n` marker: the reader set lives in the spill table.
-const SPILLED: u8 = u8::MAX;
-
-/// Sharing state of one line across the private SLCs, stored compactly:
-/// a full `NodeSet` is 32 bytes sized for 256 processors, but the
-/// directory holds one entry per live line and is probed on every SLC
-/// miss, so entry bytes are host-cache reach. Lines with at most
-/// [`INLINE_READERS`] clean copies (the overwhelming majority) keep the
-/// reader processor IDs inline, unordered; wider lines park a `NodeSet`
-/// in the engine's spill table and stay spilled until their readers are
-/// cleared.
+/// Sharing state of one line across the private SLCs. The directory
+/// holds one entry per live line and is probed on every SLC miss, so the
+/// reader processors are a compact [`SharerSet`].
 #[derive(Clone, Copy, Debug, Default)]
 struct DirEntry {
     /// Processor holding the line Modified, stored as `proc + 1`
     /// (`0` = none) so the all-zero entry is the empty one.
     writer_p1: u16,
-    /// Count of valid `inline` entries, or [`SPILLED`].
-    n: u8,
     /// Processors with a (clean) SLC copy.
-    inline: [u16; INLINE_READERS],
+    readers: SharerSet,
 }
+
+// Twelve bytes keep a directory slot (with its `u32` key) at 16.
+const _: () = assert!(std::mem::size_of::<DirEntry>() == 12);
 
 impl DirEntry {
     #[inline]
@@ -87,14 +78,16 @@ pub struct BaselineEngine {
     flcs: Vec<Flc>,
     pages: PageHomes,
     dir: OpenTable<DirEntry>,
-    /// Reader sets of lines too wide for inline storage (see [`DirEntry`]).
-    spill: OpenTable<NodeSet>,
+    /// Reader sets of lines too wide for inline storage (see [`SharerSet`]).
+    spill: SpillTable,
     /// Precomputed `proc → node`, so the miss paths never divide.
     node_map: Box<[NodeId]>,
-    /// Where every protocol event lands: batched traffic + counters (the
-    /// same decomposition as the COMA bus). Flushed by the driver at
-    /// sync points and before any statistics read.
-    sink: BatchedSink,
+    /// Occurrences of every protocol event: the engine's only statistics.
+    events: EventCounts,
+    /// Report views derived from `events` by [`Self::flush_stats`] (the
+    /// same decomposition as the COMA bus).
+    traffic: Traffic,
+    counters: ProtocolCounters,
 }
 
 impl BaselineEngine {
@@ -112,7 +105,9 @@ impl BaselineEngine {
             node_map: (0..geom.n_procs)
                 .map(|p| ProcId(p as u16).node(geom.procs_per_node))
                 .collect(),
-            sink: BatchedSink::new(),
+            events: EventCounts::default(),
+            traffic: Traffic::default(),
+            counters: ProtocolCounters::default(),
         }
     }
 
@@ -122,126 +117,40 @@ impl BaselineEngine {
         self.node_map[proc.as_usize()]
     }
 
-    /// Materialize an entry's reader set, wherever it is stored.
-    fn entry_readers(spill: &OpenTable<NodeSet>, line: u64, e: &DirEntry) -> NodeSet {
-        if e.n == SPILLED {
-            spill.get(line).expect("spilled reader set missing")
-        } else {
-            let mut s = NodeSet::empty();
-            for &id in &e.inline[..e.n as usize] {
-                s.insert(id);
-            }
-            s
-        }
-    }
-
-    /// Add a reader (idempotent, set semantics), spilling on overflow.
-    fn entry_add_reader(spill: &mut OpenTable<NodeSet>, line: u64, e: &mut DirEntry, p: u16) {
-        if e.n == SPILLED {
-            spill
-                .get_mut(line)
-                .expect("spilled reader set missing")
-                .insert(p);
-            return;
-        }
-        let n = e.n as usize;
-        if e.inline[..n].contains(&p) {
-            return;
-        }
-        if n < INLINE_READERS {
-            e.inline[n] = p;
-            e.n += 1;
-        } else {
-            let mut s = NodeSet::empty();
-            for &id in &e.inline {
-                s.insert(id);
-            }
-            s.insert(p);
-            e.n = SPILLED;
-            spill.insert(line, s);
-        }
-    }
-
-    /// Drop a reader. Inline removal is a swap-remove — order is
-    /// immaterial, the set is materialized through `NodeSet`.
-    fn entry_remove_reader(spill: &mut OpenTable<NodeSet>, line: u64, e: &mut DirEntry, p: u16) {
-        if e.n == SPILLED {
-            spill
-                .get_mut(line)
-                .expect("spilled reader set missing")
-                .remove(p);
-            return;
-        }
-        let n = e.n as usize;
-        if let Some(i) = e.inline[..n].iter().position(|&id| id == p) {
-            e.inline[i] = e.inline[n - 1];
-            e.n -= 1;
-        }
-    }
-
-    /// Materialize and simultaneously clear an entry's reader set.
-    fn entry_take_readers(spill: &mut OpenTable<NodeSet>, line: u64, e: &mut DirEntry) -> NodeSet {
-        let readers = if e.n == SPILLED {
-            spill.remove(line).expect("spilled reader set missing")
-        } else {
-            let mut s = NodeSet::empty();
-            for &id in &e.inline[..e.n as usize] {
-                s.insert(id);
-            }
-            s
-        };
-        e.n = 0;
-        readers
-    }
-
-    /// Pull the structures a `proc` access of `line` will probe — its FLC
-    /// slot, its SLC set and the directory slot — toward the host L1.
-    /// Performance hint only; no simulated state changes.
-    #[inline]
-    pub fn prefetch(&self, proc: ProcId, line: LineNum) {
-        let p = proc.as_usize();
-        self.flcs[p].prefetch(line);
-        self.slcs[p].prefetch(line);
-        self.dir.prefetch(line.0);
-    }
-
     pub fn geometry(&self) -> &MachineGeometry {
         &self.geom
     }
 
-    /// Apply all batched event counts to the global totals; required
-    /// before reading [`Self::traffic`] / [`Self::counters`].
+    /// Count one protocol event.
     #[inline]
+    fn emit(&mut self, ev: ProtocolEvent) {
+        self.events[ev.idx()] += 1;
+    }
+
+    /// Derive [`Self::traffic`] and [`Self::counters`] from the event
+    /// counts (the driver does so once, when it builds the report).
     pub fn flush_stats(&mut self) {
-        self.sink.flush();
+        (self.traffic, self.counters) = derive_stats(&self.events);
     }
 
-    /// Forward every event straight to the global counters instead of
-    /// batching (reference mode for the batching differential tests).
-    #[doc(hidden)]
-    pub fn set_direct_stats(&mut self, on: bool) {
-        self.sink.set_direct(on);
-    }
-
-    /// Interconnect traffic, decomposed as on the COMA bus. Requires a
-    /// preceding [`Self::flush_stats`] (debug-asserted).
+    /// Interconnect traffic, decomposed as on the COMA bus, as of the
+    /// last [`Self::flush_stats`].
     #[inline]
     pub fn traffic(&self) -> &Traffic {
-        &self.sink.sink().traffic
+        &self.traffic
     }
 
     /// Protocol event counters (only `remote_writebacks` is ever nonzero
-    /// for the baselines); same flush requirement as [`Self::traffic`].
+    /// for the baselines), as of the last [`Self::flush_stats`].
     #[inline]
     pub fn counters(&self) -> &ProtocolCounters {
-        &self.sink.sink().counters
+        &self.counters
     }
 
     /// Dirty write-backs to a remote home (NUMA's replacement analogue).
     #[inline]
-    pub fn remote_writebacks(&mut self) -> u64 {
-        self.sink.flush();
-        self.sink.sink().counters.remote_writebacks
+    pub fn remote_writebacks(&self) -> u64 {
+        self.events[ProtocolEvent::RemoteWriteback.idx()]
     }
 
     /// Home node of a line (first touch allocates the page).
@@ -272,7 +181,7 @@ impl BaselineEngine {
             // Remove from the directory.
             let me = ProcId(p as u16);
             if let Some(e) = self.dir.get_mut(victim.0) {
-                Self::entry_remove_reader(&mut self.spill, victim.0, e, p as u16);
+                e.readers.remove(&mut self.spill, victim.0, p as u16);
                 if e.writer() == Some(me) {
                     e.set_writer(None);
                 }
@@ -282,7 +191,7 @@ impl BaselineEngine {
                 let node = self.node_of(me);
                 let home = self.home_of(victim, node);
                 if self.supply_level(home, node) == Level::Remote {
-                    self.sink.record(ProtocolEvent::RemoteWriteback);
+                    self.emit(ProtocolEvent::RemoteWriteback);
                 }
                 out.slc_writeback = true;
             }
@@ -295,7 +204,7 @@ impl BaselineEngine {
             return false;
         };
         let mut had_any = false;
-        let readers = Self::entry_take_readers(&mut self.spill, line.0, e);
+        let readers = e.readers.take(&mut self.spill, line.0);
         let writer = e.writer();
         e.set_writer(None);
         for p in readers.iter() {
@@ -338,17 +247,17 @@ impl BaselineEngine {
             self.flcs[w.as_usize()].downgrade(line);
             let e = self.dir.get_mut(line.0).expect("entry exists");
             e.set_writer(None);
-            Self::entry_add_reader(&mut self.spill, line.0, e, w.0);
+            e.readers.insert(&mut self.spill, line.0, w.0);
         }
 
         let level = self.supply_level(home, me);
         let mut out = Outcome::at(level);
         if level == Level::Remote {
             out.remote_node = Some(home);
-            self.sink.record(ProtocolEvent::ReadFill);
+            self.emit(ProtocolEvent::ReadFill);
         }
         let e = self.dir.get_mut(line.0).expect("entry exists");
-        Self::entry_add_reader(&mut self.spill, line.0, e, proc.0);
+        e.readers.insert(&mut self.spill, line.0, proc.0);
         self.fill_slc(p, line, SlcState::Shared, &mut out);
         self.flcs[p].fill(line, false);
         out
@@ -377,19 +286,19 @@ impl BaselineEngine {
             out.remote_node = Some(home);
             if had_copy {
                 out.upgrade = true;
-                self.sink.record(ProtocolEvent::Upgrade);
+                self.emit(ProtocolEvent::Upgrade);
             } else {
                 out.read_exclusive = true;
-                self.sink.record(ProtocolEvent::ReadExclusive);
+                self.emit(ProtocolEvent::ReadExclusive);
             }
         } else if had_others {
             // Local home but other caches invalidated: command traffic.
-            self.sink.record(ProtocolEvent::Upgrade);
+            self.emit(ProtocolEvent::Upgrade);
             out.upgrade = true;
         }
         let e = self.dir.get_mut(line.0).expect("entry exists");
         e.set_writer(Some(proc));
-        Self::entry_take_readers(&mut self.spill, line.0, e);
+        e.readers.clear(&mut self.spill, line.0);
         self.fill_slc(p, line, SlcState::Modified, &mut out);
         self.flcs[p].fill(line, true);
         out
@@ -399,7 +308,7 @@ impl BaselineEngine {
     pub fn check_invariants(&self) -> Result<(), String> {
         for (l, e) in self.dir.iter() {
             let line = LineNum(l);
-            let readers = Self::entry_readers(&self.spill, l, e);
+            let readers = e.readers.members(&self.spill, l);
             if let Some(w) = e.writer() {
                 if self.slcs[w.as_usize()].peek(line) != SlcState::Modified {
                     return Err(format!("{line:?}: writer {w} not Modified"));
@@ -433,7 +342,7 @@ impl BaselineEngine {
                         }
                     }
                     SlcState::Shared => {
-                        if !Self::entry_readers(&self.spill, line.0, &e).contains(p as u16) {
+                        if !e.readers.members(&self.spill, line.0).contains(p as u16) {
                             return Err(format!("{line:?}: P{p} S but not a dir reader"));
                         }
                     }

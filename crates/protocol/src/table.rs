@@ -132,14 +132,6 @@ impl<V: Copy + Default> OpenTable<V> {
         self.find(key).is_some()
     }
 
-    /// Pull `key`'s home slot toward the host L1 ahead of a probe
-    /// (performance hint only; the linear-probe tail is contiguous and
-    /// rides the hardware prefetcher).
-    #[inline]
-    pub fn prefetch(&self, key: u64) {
-        coma_types::prefetch_read(&self.slots[self.slot_of(key)]);
-    }
-
     #[inline]
     pub fn get(&self, key: u64) -> Option<V> {
         self.find(key).map(|i| self.slots[i].val)

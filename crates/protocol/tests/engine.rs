@@ -65,7 +65,7 @@ fn same_page_second_line_fetched_from_home() {
 }
 
 #[test]
-fn clustering_prefetch_effect() {
+fn clustering_serves_peer_reads_from_shared_am() {
     // Two procs in the SAME node: the second reader hits the AM.
     let mut e = engine(2, MemoryPressure::MP_50);
     e.read(ProcId(2), LineNum(64)); // proc 2 = node 1; page 1 home = node 1

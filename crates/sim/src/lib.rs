@@ -28,6 +28,8 @@
 //! assert!(report.rnm_rate() < 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod canon;
 pub mod machine;
 pub mod resources;

@@ -400,7 +400,6 @@ impl Simulation {
         self.breakdown.sync_ns[pi] += drained - t;
         self.finish[pi] = drained;
         self.n_done += 1;
-        self.mem.flush_stats();
         // If the remaining processors are all waiting at a barrier this
         // processor will never reach, complete it for them.
         if self.barrier.retire_participant() {
@@ -476,7 +475,6 @@ impl Simulation {
             }
             FlatKind::Lock => {
                 let id = rec.id() as usize;
-                self.mem.flush_stats();
                 if self.locks[id].try_acquire(p) {
                     Some(self.rmw(p, self.lock_addrs[id], now))
                 } else {
@@ -486,7 +484,6 @@ impl Simulation {
             }
             FlatKind::Unlock => {
                 let id = rec.id() as usize;
-                self.mem.flush_stats();
                 // Release consistency: drain the write buffer first.
                 let drained = self.wbs.drain(pi, now);
                 self.breakdown.sync_ns[pi] += drained - now;
@@ -502,7 +499,6 @@ impl Simulation {
             }
             FlatKind::Barrier => {
                 let id = rec.id();
-                self.mem.flush_stats();
                 let drained = self.wbs.drain(pi, now);
                 self.breakdown.sync_ns[pi] += drained - now;
                 let counted = self.rmw(p, self.barrier_counter, drained);

@@ -1,20 +1,20 @@
 //! The observability seam between the protocol engines and everything
-//! that counts: a memory system emits [`ProtocolEvent`]s, an
-//! [`EventSink`] turns them into numbers.
+//! that counts: a memory system counts [`ProtocolEvent`]s into one
+//! [`EventCounts`] array, and [`derive_stats`] turns the array into the
+//! report's numbers.
 //!
-//! Before this seam existed the engines poked `Traffic` methods and ad-hoc
-//! counter fields directly, so every new statistic meant touching the
-//! protocol code. Now the engines report *what happened* exactly once per
-//! event and the sink decides what to count; experiments, the CLI and
-//! tests all read the same [`CounterSink`] totals.
+//! The engines report *what happened* exactly once per event, as one
+//! array increment; what an event costs in bus bytes and which counter
+//! it feeds is decided here, once, at report time. Every statistic is a
+//! plain sum, so deriving them from the final counts is exact.
 
-use crate::traffic::Traffic;
+use crate::traffic::{Traffic, CMD_TXN_BYTES, DATA_TXN_BYTES};
 
 /// One protocol-level event, as emitted by a memory system.
 ///
 /// Each variant corresponds to exactly one global-interconnect transaction
 /// or bookkeeping fact; the mapping to bytes/segments (Figures 3–4) lives
-/// in the sink, not the protocol.
+/// in [`derive_stats`], not the protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolEvent {
     /// A remote read fill supplied a Shared copy (data transaction).
@@ -39,7 +39,7 @@ pub enum ProtocolEvent {
 }
 
 impl ProtocolEvent {
-    /// Number of distinct event kinds (size of batched count arrays).
+    /// Number of distinct event kinds (length of [`EventCounts`]).
     pub const COUNT: usize = 9;
 
     /// All event kinds, in [`Self::idx`] order.
@@ -55,22 +55,16 @@ impl ProtocolEvent {
         ProtocolEvent::RemoteWriteback,
     ];
 
-    /// Index into per-event count arrays.
+    /// Index into an [`EventCounts`] array.
     #[inline]
     pub fn idx(self) -> usize {
         self as usize
     }
 }
 
-/// Anything that consumes protocol events.
-///
-/// The default implementation every simulation uses is [`CounterSink`];
-/// tests can substitute recording sinks, and future backends (tracing,
-/// sampling, per-node attribution) slot in here without touching the
-/// protocol crates.
-pub trait EventSink {
-    fn record(&mut self, ev: ProtocolEvent);
-}
+/// Occurrences of each event kind, indexed by [`ProtocolEvent::idx`]:
+/// the one statistics store a memory system keeps.
+pub type EventCounts = [u64; ProtocolEvent::COUNT];
 
 /// Replacement / allocation event counters (beyond bus traffic).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,273 +83,101 @@ pub struct ProtocolCounters {
     pub remote_writebacks: u64,
 }
 
-/// The standard sink: the paper's traffic decomposition plus the
-/// replacement counters, updated exactly as the figures require.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterSink {
-    /// Global interconnect traffic, decomposed as in Figures 3–4.
-    pub traffic: Traffic,
-    /// Replacement / allocation event counters.
-    pub counters: ProtocolCounters,
-}
-
-impl EventSink for CounterSink {
-    fn record(&mut self, ev: ProtocolEvent) {
-        match ev {
-            ProtocolEvent::ReadFill => self.traffic.record_read_fill(),
-            ProtocolEvent::Upgrade => self.traffic.record_upgrade(),
-            ProtocolEvent::ReadExclusive => self.traffic.record_read_exclusive(),
-            ProtocolEvent::Injection => {
-                self.traffic.record_injection();
-                self.counters.injections += 1;
-            }
-            ProtocolEvent::OwnershipMigration => {
-                self.traffic.record_ownership_migration();
-                self.counters.ownership_migrations += 1;
-            }
-            ProtocolEvent::Pageout => {
-                self.traffic.record_pageout();
-                self.counters.pageouts += 1;
-            }
-            ProtocolEvent::SharedDrop => self.counters.shared_drops += 1,
-            ProtocolEvent::ColdAlloc => self.counters.cold_allocs += 1,
-            ProtocolEvent::RemoteWriteback => {
-                // The victim line's data crosses the interconnect to its
-                // home: replacement-segment traffic, like an injection.
-                self.traffic.record_injection();
-                self.counters.remote_writebacks += 1;
-            }
-        }
-    }
-}
-
-impl CounterSink {
-    /// Record `n` occurrences of `ev` at once. Every counter this sink
-    /// maintains is a plain sum, so bulk application is byte-identical
-    /// to `n` individual [`EventSink::record`] calls — this is what a
-    /// [`BatchedSink`] flush uses.
-    pub fn record_n(&mut self, ev: ProtocolEvent, n: u64) {
-        use crate::traffic::{CMD_TXN_BYTES, DATA_TXN_BYTES};
-        if n == 0 {
-            return;
-        }
-        match ev {
-            ProtocolEvent::ReadFill => {
-                self.traffic.read_txns += n;
-                self.traffic.read_bytes += n * DATA_TXN_BYTES;
-            }
-            ProtocolEvent::Upgrade => {
-                self.traffic.write_txns += n;
-                self.traffic.write_bytes += n * CMD_TXN_BYTES;
-            }
-            ProtocolEvent::ReadExclusive => {
-                self.traffic.write_txns += n;
-                self.traffic.write_bytes += n * DATA_TXN_BYTES;
-            }
-            ProtocolEvent::Injection => {
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * DATA_TXN_BYTES;
-                self.counters.injections += n;
-            }
-            ProtocolEvent::OwnershipMigration => {
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * CMD_TXN_BYTES;
-                self.counters.ownership_migrations += n;
-            }
-            ProtocolEvent::Pageout => {
-                self.traffic.pageouts += n;
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * DATA_TXN_BYTES;
-                self.counters.pageouts += n;
-            }
-            ProtocolEvent::SharedDrop => self.counters.shared_drops += n,
-            ProtocolEvent::ColdAlloc => self.counters.cold_allocs += n,
-            ProtocolEvent::RemoteWriteback => {
-                self.traffic.replace_txns += n;
-                self.traffic.replace_bytes += n * DATA_TXN_BYTES;
-                self.counters.remote_writebacks += n;
-            }
-        }
-    }
-}
-
-/// An [`EventSink`] that batches: the per-event cost is one increment of
-/// a small local count array; the [`CounterSink`]'s scattered traffic
-/// and counter fields are only touched when [`BatchedSink::flush`] runs
-/// (the driver flushes at synchronization points — lock, unlock,
-/// barrier, write-buffer drain — and when building the final report).
-///
-/// Because every number the inner sink maintains is a plain sum, flush
-/// placement cannot change any total: a batched run is byte-identical
-/// to a direct one (pinned by the differential tests). Code that reads
-/// [`Self::sink`] mid-run must flush first; the accessor debug-asserts
-/// that nothing is pending.
-///
-/// `direct` mode (for differential testing) bypasses batching entirely
-/// and forwards each event straight to the inner sink.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BatchedSink {
-    pending: [u64; ProtocolEvent::COUNT],
-    inner: CounterSink,
-    direct: bool,
-}
-
-impl EventSink for BatchedSink {
-    #[inline]
-    fn record(&mut self, ev: ProtocolEvent) {
-        if self.direct {
-            self.inner.record(ev);
-        } else {
-            self.pending[ev.idx()] += 1;
-        }
-    }
-}
-
-impl BatchedSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A sink that forwards every event unbatched (reference behavior
-    /// for the batching differential tests).
-    pub fn direct() -> Self {
-        BatchedSink {
-            direct: true,
-            ..Self::default()
-        }
-    }
-
-    /// Switch between batched and direct forwarding. Flushes first, so
-    /// toggling mid-run loses nothing.
-    pub fn set_direct(&mut self, on: bool) {
-        self.flush();
-        self.direct = on;
-    }
-
-    /// Apply all pending counts to the inner [`CounterSink`].
-    pub fn flush(&mut self) {
-        for ev in ProtocolEvent::ALL {
-            let n = std::mem::take(&mut self.pending[ev.idx()]);
-            self.inner.record_n(ev, n);
-        }
-    }
-
-    /// Events recorded since the last flush.
-    pub fn pending_events(&self) -> u64 {
-        self.pending.iter().sum()
-    }
-
-    /// The flushed totals. Callers must [`Self::flush`] first; reading
-    /// with events pending means the totals are stale.
-    #[inline]
-    pub fn sink(&self) -> &CounterSink {
-        debug_assert_eq!(
-            self.pending_events(),
-            0,
-            "reading batched totals with unflushed events pending"
-        );
-        &self.inner
-    }
-}
-
-/// An [`EventSink`] decorator that counts protocol transactions on top of
-/// whatever the inner sink does with them.
-///
-/// This is the seam the live invariant auditor hangs off: the engines emit
-/// events exactly once per global transaction, so "did this access perform
-/// a protocol transaction?" is answerable by polling
-/// [`AuditSink::take_pending`] after the access — without the protocol code
-/// knowing auditing exists. When disarmed (the default) the decorator adds
-/// one predictable branch per event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AuditSink<S = CounterSink> {
-    /// The decorated sink; totals keep flowing through unchanged.
-    pub inner: S,
-    armed: bool,
-    pending: u32,
-}
-
-impl<S: EventSink> EventSink for AuditSink<S> {
-    #[inline]
-    fn record(&mut self, ev: ProtocolEvent) {
-        if self.armed {
-            self.pending += 1;
-        }
-        self.inner.record(ev);
-    }
-}
-
-impl<S> AuditSink<S> {
-    pub fn new(inner: S) -> Self {
-        AuditSink {
-            inner,
-            armed: false,
-            pending: 0,
-        }
-    }
-
-    /// Enable or disable transaction counting.
-    pub fn arm(&mut self, on: bool) {
-        self.armed = on;
-        self.pending = 0;
-    }
-
-    /// Is the decorator currently counting?
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Number of events recorded since the last poll; resets the count.
-    pub fn take_pending(&mut self) -> u32 {
-        std::mem::take(&mut self.pending)
-    }
+/// The paper's traffic decomposition and the replacement counters of a
+/// run, derived from its event counts. This is the only place the
+/// events-to-bytes mapping is written.
+pub fn derive_stats(counts: &EventCounts) -> (Traffic, ProtocolCounters) {
+    let n = |ev: ProtocolEvent| counts[ev.idx()];
+    let fills = n(ProtocolEvent::ReadFill);
+    let upgrades = n(ProtocolEvent::Upgrade);
+    let read_exclusives = n(ProtocolEvent::ReadExclusive);
+    let migrations = n(ProtocolEvent::OwnershipMigration);
+    // Injections, page-outs and remote dirty write-backs all carry the
+    // victim line's data: replacement-segment data transactions.
+    let replace_data =
+        n(ProtocolEvent::Injection) + n(ProtocolEvent::Pageout) + n(ProtocolEvent::RemoteWriteback);
+    let traffic = Traffic {
+        read_bytes: fills * DATA_TXN_BYTES,
+        write_bytes: upgrades * CMD_TXN_BYTES + read_exclusives * DATA_TXN_BYTES,
+        replace_bytes: replace_data * DATA_TXN_BYTES + migrations * CMD_TXN_BYTES,
+        read_txns: fills,
+        write_txns: upgrades + read_exclusives,
+        replace_txns: replace_data + migrations,
+        pageouts: n(ProtocolEvent::Pageout),
+    };
+    let counters = ProtocolCounters {
+        injections: n(ProtocolEvent::Injection),
+        ownership_migrations: migrations,
+        shared_drops: n(ProtocolEvent::SharedDrop),
+        pageouts: n(ProtocolEvent::Pageout),
+        cold_allocs: n(ProtocolEvent::ColdAlloc),
+        remote_writebacks: n(ProtocolEvent::RemoteWriteback),
+    };
+    (traffic, counters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traffic::{CMD_TXN_BYTES, DATA_TXN_BYTES};
+
+    /// Counts with one occurrence of each listed event.
+    fn once(events: &[ProtocolEvent]) -> EventCounts {
+        let mut c = EventCounts::default();
+        for ev in events {
+            c[ev.idx()] += 1;
+        }
+        c
+    }
 
     #[test]
     fn events_map_to_traffic_segments() {
-        let mut s = CounterSink::default();
-        s.record(ProtocolEvent::ReadFill);
-        s.record(ProtocolEvent::Upgrade);
-        s.record(ProtocolEvent::ReadExclusive);
-        s.record(ProtocolEvent::Injection);
-        s.record(ProtocolEvent::OwnershipMigration);
-        assert_eq!(s.traffic.read_bytes, DATA_TXN_BYTES);
-        assert_eq!(s.traffic.write_bytes, CMD_TXN_BYTES + DATA_TXN_BYTES);
-        assert_eq!(s.traffic.replace_bytes, DATA_TXN_BYTES + CMD_TXN_BYTES);
-        assert_eq!(s.counters.injections, 1);
-        assert_eq!(s.counters.ownership_migrations, 1);
+        let (t, c) = derive_stats(&once(&[
+            ProtocolEvent::ReadFill,
+            ProtocolEvent::Upgrade,
+            ProtocolEvent::ReadExclusive,
+            ProtocolEvent::Injection,
+            ProtocolEvent::OwnershipMigration,
+        ]));
+        assert_eq!(t.read_bytes, DATA_TXN_BYTES);
+        assert_eq!(t.write_bytes, CMD_TXN_BYTES + DATA_TXN_BYTES);
+        assert_eq!(t.replace_bytes, DATA_TXN_BYTES + CMD_TXN_BYTES);
+        assert_eq!((t.read_txns, t.write_txns, t.replace_txns), (1, 2, 2));
+        assert_eq!(c.injections, 1);
+        assert_eq!(c.ownership_migrations, 1);
+    }
+
+    #[test]
+    fn read_exclusive_counts_as_write_traffic() {
+        let (t, _) = derive_stats(&once(&[ProtocolEvent::ReadExclusive]));
+        assert_eq!(t.write_bytes, DATA_TXN_BYTES);
+        assert_eq!(t.read_bytes, 0);
     }
 
     #[test]
     fn bookkeeping_events_move_no_bytes() {
-        let mut s = CounterSink::default();
-        s.record(ProtocolEvent::SharedDrop);
-        s.record(ProtocolEvent::ColdAlloc);
-        assert_eq!(s.traffic.total_bytes(), 0);
-        assert_eq!(s.counters.shared_drops, 1);
-        assert_eq!(s.counters.cold_allocs, 1);
+        let (t, c) = derive_stats(&once(&[
+            ProtocolEvent::SharedDrop,
+            ProtocolEvent::ColdAlloc,
+        ]));
+        assert_eq!(t.total_bytes(), 0);
+        assert_eq!(c.shared_drops, 1);
+        assert_eq!(c.cold_allocs, 1);
     }
 
     #[test]
     fn pageout_counts_in_both_traffic_and_counters() {
-        let mut s = CounterSink::default();
-        s.record(ProtocolEvent::Pageout);
-        assert_eq!(s.traffic.pageouts, 1);
-        assert_eq!(s.traffic.replace_txns, 1);
-        assert_eq!(s.counters.pageouts, 1);
+        let (t, c) = derive_stats(&once(&[ProtocolEvent::Pageout]));
+        assert_eq!(t.pageouts, 1);
+        assert_eq!(t.replace_txns, 1);
+        assert_eq!(t.replace_bytes, DATA_TXN_BYTES);
+        assert_eq!(c.pageouts, 1);
     }
 
     #[test]
     fn remote_writeback_is_replacement_traffic() {
-        let mut s = CounterSink::default();
-        s.record(ProtocolEvent::RemoteWriteback);
-        assert_eq!(s.traffic.replace_bytes, DATA_TXN_BYTES);
-        assert_eq!(s.counters.remote_writebacks, 1);
+        let (t, c) = derive_stats(&once(&[ProtocolEvent::RemoteWriteback]));
+        assert_eq!(t.replace_bytes, DATA_TXN_BYTES);
+        assert_eq!(c.remote_writebacks, 1);
     }
 
     #[test]
@@ -366,68 +188,31 @@ mod tests {
     }
 
     #[test]
-    fn record_n_matches_n_individual_records() {
-        for ev in ProtocolEvent::ALL {
-            for n in [0u64, 1, 2, 7] {
-                let mut bulk = CounterSink::default();
-                bulk.record_n(ev, n);
-                let mut one_by_one = CounterSink::default();
-                for _ in 0..n {
-                    one_by_one.record(ev);
-                }
-                assert_eq!(bulk, one_by_one, "{ev:?} x{n}");
-            }
+    fn derivation_is_linear_in_the_counts() {
+        // Every statistic is a plain sum: n occurrences derive exactly n
+        // times what one does, and the views of a sum are the sums of
+        // the views.
+        let scale = |t: Traffic, k: u64| Traffic {
+            read_bytes: t.read_bytes * k,
+            write_bytes: t.write_bytes * k,
+            replace_bytes: t.replace_bytes * k,
+            read_txns: t.read_txns * k,
+            write_txns: t.write_txns * k,
+            replace_txns: t.replace_txns * k,
+            pageouts: t.pageouts * k,
+        };
+        let mut total = Traffic::default();
+        let mut all = EventCounts::default();
+        for (i, ev) in ProtocolEvent::ALL.into_iter().enumerate() {
+            let k = 3 * i as u64 + 1;
+            let mut c = EventCounts::default();
+            c[ev.idx()] = k;
+            all[ev.idx()] = k;
+            let (one, _) = derive_stats(&once(&[ev]));
+            let (many, _) = derive_stats(&c);
+            assert_eq!(many, scale(one, k), "{ev:?} x{k}");
+            total.merge(&many);
         }
-    }
-
-    #[test]
-    fn batched_flush_is_byte_identical_to_direct() {
-        // A deterministic pseudo-random event sequence, replayed through a
-        // direct CounterSink and a BatchedSink with flushes interleaved at
-        // arbitrary points: totals must agree exactly.
-        let mut direct = CounterSink::default();
-        let mut batched = BatchedSink::new();
-        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
-        for i in 0..10_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let ev = ProtocolEvent::ALL[(x % ProtocolEvent::COUNT as u64) as usize];
-            direct.record(ev);
-            batched.record(ev);
-            if x.is_multiple_of(37) {
-                batched.flush();
-            }
-            if i == 5000 {
-                // Mid-run read after a flush must already match.
-                batched.flush();
-                assert_eq!(*batched.sink(), direct);
-            }
-        }
-        batched.flush();
-        assert_eq!(batched.pending_events(), 0);
-        assert_eq!(*batched.sink(), direct);
-    }
-
-    #[test]
-    fn direct_mode_bypasses_batching() {
-        let mut s = BatchedSink::direct();
-        s.record(ProtocolEvent::ReadFill);
-        assert_eq!(s.pending_events(), 0);
-        assert_eq!(s.sink().traffic.read_txns, 1);
-    }
-
-    #[test]
-    fn audit_decorator_counts_over_batched_inner() {
-        // The auditor sees every event unbatched even when the inner sink
-        // defers its counting.
-        let mut s: AuditSink<BatchedSink> = AuditSink::new(BatchedSink::new());
-        s.arm(true);
-        s.record(ProtocolEvent::Upgrade);
-        s.record(ProtocolEvent::SharedDrop);
-        assert_eq!(s.take_pending(), 2);
-        assert_eq!(s.inner.pending_events(), 2);
-        s.inner.flush();
-        assert_eq!(s.inner.sink().counters.shared_drops, 1);
+        assert_eq!(derive_stats(&all).0, total);
     }
 }

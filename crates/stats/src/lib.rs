@@ -13,6 +13,8 @@
 //! [`SimReport`] bundles one run's worth of everything, and [`table`]
 //! renders aligned ASCII tables and CSV for the experiment binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod chart;
 pub mod counts;
 pub mod events;
@@ -24,7 +26,7 @@ pub mod traffic;
 
 pub use chart::{Bar, BarChart, BarGroup};
 pub use counts::{AccessCounts, Level};
-pub use events::{AuditSink, BatchedSink, CounterSink, EventSink, ProtocolCounters, ProtocolEvent};
+pub use events::{derive_stats, EventCounts, ProtocolCounters, ProtocolEvent};
 pub use exec::ExecBreakdown;
 pub use histo::LatencyHisto;
 pub use report::SimReport;

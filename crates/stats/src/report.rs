@@ -7,8 +7,7 @@ use crate::traffic::Traffic;
 use coma_types::Nanos;
 
 /// Everything a single simulation produced. `Eq` is exact — the
-/// byte-identity differential tests (batched sinks, gap fusion) compare
-/// whole reports.
+/// byte-identity differential tests (gap fusion) compare whole reports.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimReport {
     /// Wall-clock of the simulated parallel section: the time at which the
@@ -85,6 +84,7 @@ impl SimReport {
 mod tests {
     use super::*;
     use crate::counts::Level;
+    use crate::traffic::DATA_TXN_BYTES;
 
     #[test]
     fn avg_breakdown_divides_by_procs() {
@@ -118,7 +118,7 @@ mod tests {
         let mut r = SimReport::default();
         r.counts.record_read(Level::Flc);
         r.counts.record_write(Level::Flc);
-        r.traffic.record_read_fill();
+        r.traffic.read_bytes = DATA_TXN_BYTES;
         assert!((r.bytes_per_ref() - 36.0).abs() < 1e-12);
     }
 }

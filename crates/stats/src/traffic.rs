@@ -29,43 +29,6 @@ pub struct Traffic {
 }
 
 impl Traffic {
-    /// A remote read fill.
-    pub fn record_read_fill(&mut self) {
-        self.read_txns += 1;
-        self.read_bytes += DATA_TXN_BYTES;
-    }
-
-    /// An ownership upgrade (invalidation broadcast, no data).
-    pub fn record_upgrade(&mut self) {
-        self.write_txns += 1;
-        self.write_bytes += CMD_TXN_BYTES;
-    }
-
-    /// A read-exclusive fetch (write miss bringing data + invalidating).
-    pub fn record_read_exclusive(&mut self) {
-        self.write_txns += 1;
-        self.write_bytes += DATA_TXN_BYTES;
-    }
-
-    /// An injection carrying the displaced line's data.
-    pub fn record_injection(&mut self) {
-        self.replace_txns += 1;
-        self.replace_bytes += DATA_TXN_BYTES;
-    }
-
-    /// An ownership migration to a node that already holds a replica.
-    pub fn record_ownership_migration(&mut self) {
-        self.replace_txns += 1;
-        self.replace_bytes += CMD_TXN_BYTES;
-    }
-
-    /// A failed injection: the line leaves the machine via the OS.
-    pub fn record_pageout(&mut self) {
-        self.pageouts += 1;
-        self.replace_txns += 1;
-        self.replace_bytes += DATA_TXN_BYTES;
-    }
-
     /// Total bytes moved over the global bus.
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes + self.replace_bytes
@@ -91,46 +54,36 @@ impl Traffic {
 mod tests {
     use super::*;
 
+    fn sample() -> Traffic {
+        Traffic {
+            read_bytes: 2 * DATA_TXN_BYTES,
+            write_bytes: CMD_TXN_BYTES,
+            replace_bytes: DATA_TXN_BYTES,
+            read_txns: 2,
+            write_txns: 1,
+            replace_txns: 1,
+            pageouts: 0,
+        }
+    }
+
     #[test]
-    fn segments_accumulate_independently() {
-        let mut t = Traffic::default();
-        t.record_read_fill();
-        t.record_read_fill();
-        t.record_upgrade();
-        t.record_injection();
-        assert_eq!(t.read_bytes, 2 * DATA_TXN_BYTES);
-        assert_eq!(t.write_bytes, CMD_TXN_BYTES);
-        assert_eq!(t.replace_bytes, DATA_TXN_BYTES);
+    fn totals_sum_the_segments() {
+        let t = sample();
         assert_eq!(t.total_txns(), 4);
         assert_eq!(t.total_bytes(), 3 * DATA_TXN_BYTES + CMD_TXN_BYTES);
     }
 
     #[test]
-    fn read_exclusive_counts_as_write_traffic() {
-        let mut t = Traffic::default();
-        t.record_read_exclusive();
-        assert_eq!(t.write_bytes, DATA_TXN_BYTES);
-        assert_eq!(t.read_bytes, 0);
-    }
-
-    #[test]
-    fn pageout_counts_in_replacement() {
-        let mut t = Traffic::default();
-        t.record_pageout();
-        assert_eq!(t.pageouts, 1);
-        assert_eq!(t.replace_txns, 1);
-    }
-
-    #[test]
     fn merge_sums_everything() {
-        let mut a = Traffic::default();
-        a.record_read_fill();
-        let mut b = Traffic::default();
-        b.record_injection();
-        b.record_pageout();
+        let mut a = sample();
+        let b = Traffic {
+            replace_txns: 2,
+            pageouts: 1,
+            ..Traffic::default()
+        };
         a.merge(&b);
-        assert_eq!(a.read_txns, 1);
-        assert_eq!(a.replace_txns, 2);
+        assert_eq!(a.read_txns, 2);
+        assert_eq!(a.replace_txns, 3);
         assert_eq!(a.pageouts, 1);
     }
 }

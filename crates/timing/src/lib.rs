@@ -7,14 +7,16 @@
 //! caller-visible latency. Doubling DRAM bandwidth while holding latency
 //! constant — the paper's §4.3 experiment — is just halving the occupancy.
 //!
-//! Writes retire into a per-processor [`WriteBuffer`] (10 entries, release
-//! consistency): the processor only stalls when the buffer is full or when
-//! it must drain at a synchronization release.
+//! Writes retire into per-processor write buffers ([`WriteBufferArray`],
+//! 10 entries, release consistency): the processor only stalls when the
+//! buffer is full or when it must drain at a synchronization release.
 //!
 //! The [`EventQueue`] orders processor wake-ups so the whole-machine
 //! simulation advances the globally earliest processor first, which is
 //! what couples the timing model back into the reference interleaving
 //! (program-driven simulation's essential property).
+
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod interconnect;
@@ -24,4 +26,4 @@ pub mod write_buffer;
 pub use event::EventQueue;
 pub use interconnect::{HierarchicalFabric, IdealInterconnect, Interconnect};
 pub use resource::Resource;
-pub use write_buffer::{WriteBuffer, WriteBufferArray};
+pub use write_buffer::WriteBufferArray;

@@ -11,101 +11,17 @@
 //!   buffered writes must have completed before the release is visible.
 
 use coma_types::Nanos;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// A bounded buffer of in-flight writes, identified by completion time.
-#[derive(Clone, Debug)]
-pub struct WriteBuffer {
-    capacity: usize,
-    in_flight: BinaryHeap<Reverse<Nanos>>,
-    /// Total time processors spent stalled on a full buffer.
-    full_stall_ns: Nanos,
-}
-
-impl WriteBuffer {
-    /// Create a buffer with the given entry count (10 in the paper).
-    /// A capacity of 0 means every write stalls until it completes
-    /// (processor-blocking writes; ablation configuration).
-    pub fn new(capacity: usize) -> Self {
-        WriteBuffer {
-            capacity,
-            in_flight: BinaryHeap::new(),
-            full_stall_ns: 0,
-        }
-    }
-
-    /// Drop entries that have completed by `now`.
-    fn retire(&mut self, now: Nanos) {
-        while matches!(self.in_flight.peek(), Some(&Reverse(t)) if t <= now) {
-            self.in_flight.pop();
-        }
-    }
-
-    /// Record a write that will complete at `completes_at`, issued at
-    /// `now`. Returns the time at which the *processor* may continue:
-    /// `now` if a slot was free, later if it had to wait for one (or for
-    /// the write itself when capacity is 0).
-    pub fn push(&mut self, now: Nanos, completes_at: Nanos) -> Nanos {
-        self.retire(now);
-        if self.capacity == 0 {
-            // Blocking writes: the processor waits out the whole write.
-            let resume = completes_at.max(now);
-            self.full_stall_ns += resume - now;
-            return resume;
-        }
-        let mut resume = now;
-        if self.in_flight.len() >= self.capacity {
-            let Reverse(oldest) = self.in_flight.pop().expect("buffer full implies non-empty");
-            resume = oldest.max(now);
-            self.full_stall_ns += resume - now;
-            // Entries that completed while we waited also retire.
-            self.retire(resume);
-        }
-        self.in_flight.push(Reverse(completes_at));
-        resume
-    }
-
-    /// Drain the buffer at a release point: returns the time at which all
-    /// currently buffered writes have completed (≥ `now`), and empties it.
-    pub fn drain(&mut self, now: Nanos) -> Nanos {
-        let done = self
-            .in_flight
-            .iter()
-            .map(|&Reverse(t)| t)
-            .max()
-            .unwrap_or(now)
-            .max(now);
-        self.in_flight.clear();
-        done
-    }
-
-    /// Writes currently outstanding (after retiring completions at `now`).
-    pub fn outstanding(&mut self, now: Nanos) -> usize {
-        self.retire(now);
-        self.in_flight.len()
-    }
-
-    /// Accumulated full-buffer stall time.
-    pub fn full_stall_ns(&self) -> Nanos {
-        self.full_stall_ns
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
 
 /// All processors' write buffers in one flat slab: completion times live
 /// in a single `n_procs × capacity` array walked by processor index, so
 /// the simulation driver's hot path stays on contiguous memory instead
 /// of chasing one heap allocation per processor.
 ///
-/// Semantically identical to a `Vec<WriteBuffer>` (pinned by the
-/// differential test below): the buffer is a *set* of completion times,
-/// so the unsorted fixed slab with linear min-scan — capacity is 10 in
-/// the paper, so a scan beats a heap — retires, stalls and drains at
-/// exactly the same instants.
+/// Each processor's buffer is a *set* of completion times, so the
+/// unsorted fixed slab with linear min-scan — capacity is 10 in the
+/// paper, so a scan beats a heap — retires, stalls and drains at exactly
+/// the instants a per-processor priority queue would (pinned by the
+/// differential test below).
 #[derive(Clone, Debug)]
 pub struct WriteBufferArray {
     capacity: usize,
@@ -113,16 +29,17 @@ pub struct WriteBufferArray {
     times: Box<[Nanos]>,
     /// Live entries per processor (≤ capacity).
     len: Box<[u32]>,
-    full_stall_ns: Box<[Nanos]>,
 }
 
 impl WriteBufferArray {
+    /// Buffers of `capacity` entries (10 in the paper) for `n_procs`
+    /// processors. A capacity of 0 means every write stalls until it
+    /// completes (processor-blocking writes; ablation configuration).
     pub fn new(n_procs: usize, capacity: usize) -> Self {
         WriteBufferArray {
             capacity,
             times: vec![0; n_procs * capacity].into_boxed_slice(),
             len: vec![0; n_procs].into_boxed_slice(),
-            full_stall_ns: vec![0; n_procs].into_boxed_slice(),
         }
     }
 
@@ -143,13 +60,15 @@ impl WriteBufferArray {
         self.len[p] = n as u32;
     }
 
-    /// [`WriteBuffer::push`] for processor `p`.
+    /// Record a write of processor `p` that will complete at
+    /// `completes_at`, issued at `now`. Returns the time at which the
+    /// *processor* may continue: `now` if a slot was free, later if it
+    /// had to wait for one (or for the write itself when capacity is 0).
     pub fn push(&mut self, p: usize, now: Nanos, completes_at: Nanos) -> Nanos {
         self.retire(p, now);
         if self.capacity == 0 {
-            let resume = completes_at.max(now);
-            self.full_stall_ns[p] += resume - now;
-            return resume;
+            // Blocking writes: the processor waits out the whole write.
+            return completes_at.max(now);
         }
         let base = p * self.capacity;
         let mut resume = now;
@@ -163,7 +82,6 @@ impl WriteBufferArray {
                 }
             }
             resume = self.times[base + min_i].max(now);
-            self.full_stall_ns[p] += resume - now;
             self.times.swap(base + min_i, base + n - 1);
             self.len[p] -= 1;
             self.retire(p, resume);
@@ -174,7 +92,9 @@ impl WriteBufferArray {
         resume
     }
 
-    /// [`WriteBuffer::drain`] for processor `p`.
+    /// Drain processor `p`'s buffer at a release point: returns the time
+    /// at which all its buffered writes have completed (≥ `now`), and
+    /// empties it.
     pub fn drain(&mut self, p: usize, now: Nanos) -> Nanos {
         let base = p * self.capacity;
         let n = std::mem::take(&mut self.len[p]) as usize;
@@ -184,95 +104,143 @@ impl WriteBufferArray {
             .fold(now, Nanos::max)
     }
 
-    /// [`WriteBuffer::outstanding`] for processor `p`.
+    /// Processor `p`'s writes outstanding (after retiring completions at
+    /// `now`).
     pub fn outstanding(&mut self, p: usize, now: Nanos) -> usize {
         self.retire(p, now);
         self.len[p] as usize
-    }
-
-    /// Accumulated full-buffer stall time for processor `p`.
-    pub fn full_stall_ns(&self, p: usize) -> Nanos {
-        self.full_stall_ns[p]
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Reference model: one processor's buffer as a priority queue of
+    /// completion times.
+    struct WriteBuffer {
+        capacity: usize,
+        in_flight: BinaryHeap<Reverse<Nanos>>,
+    }
+
+    impl WriteBuffer {
+        fn new(capacity: usize) -> Self {
+            WriteBuffer {
+                capacity,
+                in_flight: BinaryHeap::new(),
+            }
+        }
+
+        fn retire(&mut self, now: Nanos) {
+            while matches!(self.in_flight.peek(), Some(&Reverse(t)) if t <= now) {
+                self.in_flight.pop();
+            }
+        }
+
+        fn push(&mut self, now: Nanos, completes_at: Nanos) -> Nanos {
+            self.retire(now);
+            if self.capacity == 0 {
+                return completes_at.max(now);
+            }
+            let mut resume = now;
+            if self.in_flight.len() >= self.capacity {
+                let Reverse(oldest) = self.in_flight.pop().expect("full implies non-empty");
+                resume = oldest.max(now);
+                self.retire(resume);
+            }
+            self.in_flight.push(Reverse(completes_at));
+            resume
+        }
+
+        fn drain(&mut self, now: Nanos) -> Nanos {
+            let done = self
+                .in_flight
+                .iter()
+                .map(|&Reverse(t)| t)
+                .fold(now, Nanos::max);
+            self.in_flight.clear();
+            done
+        }
+
+        fn outstanding(&mut self, now: Nanos) -> usize {
+            self.retire(now);
+            self.in_flight.len()
+        }
+    }
+
+    /// A one-processor array.
+    fn single(capacity: usize) -> WriteBufferArray {
+        WriteBufferArray::new(1, capacity)
+    }
 
     #[test]
     fn non_full_buffer_never_stalls() {
-        let mut wb = WriteBuffer::new(4);
+        let mut wb = single(4);
         for i in 0..4 {
-            assert_eq!(wb.push(i, i + 1000), i);
+            assert_eq!(wb.push(0, i, i + 1000), i);
         }
-        assert_eq!(wb.full_stall_ns(), 0);
     }
 
     #[test]
     fn full_buffer_stalls_until_oldest_completes() {
-        let mut wb = WriteBuffer::new(2);
-        wb.push(0, 100);
-        wb.push(0, 200);
+        let mut wb = single(2);
+        wb.push(0, 0, 100);
+        wb.push(0, 0, 200);
         // Buffer full; oldest completes at 100.
-        assert_eq!(wb.push(10, 300), 100);
-        assert_eq!(wb.full_stall_ns(), 90);
+        assert_eq!(wb.push(0, 10, 300), 100);
     }
 
     #[test]
     fn completed_writes_free_slots() {
-        let mut wb = WriteBuffer::new(2);
-        wb.push(0, 50);
-        wb.push(0, 60);
+        let mut wb = single(2);
+        wb.push(0, 0, 50);
+        wb.push(0, 0, 60);
         // At t=70 both completed; no stall.
-        assert_eq!(wb.push(70, 500), 70);
-        assert_eq!(wb.outstanding(70), 1);
+        assert_eq!(wb.push(0, 70, 500), 70);
+        assert_eq!(wb.outstanding(0, 70), 1);
     }
 
     #[test]
     fn drain_waits_for_slowest() {
-        let mut wb = WriteBuffer::new(4);
-        wb.push(0, 100);
-        wb.push(0, 400);
-        wb.push(0, 250);
-        assert_eq!(wb.drain(50), 400);
-        assert_eq!(wb.outstanding(50), 0);
+        let mut wb = single(4);
+        wb.push(0, 0, 100);
+        wb.push(0, 0, 400);
+        wb.push(0, 0, 250);
+        assert_eq!(wb.drain(0, 50), 400);
+        assert_eq!(wb.outstanding(0, 50), 0);
     }
 
     #[test]
     fn drain_empty_returns_now() {
-        let mut wb = WriteBuffer::new(4);
-        assert_eq!(wb.drain(123), 123);
+        let mut wb = single(4);
+        assert_eq!(wb.drain(0, 123), 123);
     }
 
     #[test]
     fn drain_never_travels_back_in_time() {
-        let mut wb = WriteBuffer::new(4);
-        wb.push(0, 100);
-        assert_eq!(wb.drain(500), 500);
+        let mut wb = single(4);
+        wb.push(0, 0, 100);
+        assert_eq!(wb.drain(0, 500), 500);
     }
 
     #[test]
     fn zero_capacity_blocks_every_write() {
-        let mut wb = WriteBuffer::new(0);
-        assert_eq!(wb.push(10, 300), 300);
-        assert_eq!(wb.full_stall_ns(), 290);
-        assert_eq!(wb.outstanding(300), 0);
+        let mut wb = single(0);
+        assert_eq!(wb.push(0, 10, 300), 300);
+        assert_eq!(wb.outstanding(0, 300), 0);
     }
 
     #[test]
     fn outstanding_counts_in_flight_only() {
-        let mut wb = WriteBuffer::new(8);
-        wb.push(0, 100);
-        wb.push(0, 200);
-        wb.push(0, 300);
-        assert_eq!(wb.outstanding(150), 2);
-        assert_eq!(wb.outstanding(250), 1);
-        assert_eq!(wb.outstanding(350), 0);
+        let mut wb = single(8);
+        wb.push(0, 0, 100);
+        wb.push(0, 0, 200);
+        wb.push(0, 0, 300);
+        assert_eq!(wb.outstanding(0, 150), 2);
+        assert_eq!(wb.outstanding(0, 250), 1);
+        assert_eq!(wb.outstanding(0, 350), 0);
     }
 
     /// Minimal xorshift so the differential test needs no dev-dependency.
@@ -286,8 +254,8 @@ mod tests {
         }
     }
 
-    /// The flat-slab array must agree with a `Vec<WriteBuffer>` on every
-    /// operation's return value and every stall total, under a random
+    /// The flat-slab array must agree with per-processor reference
+    /// buffers on every operation's return value, under a random
     /// interleaving of pushes, drains and outstanding queries across
     /// several processors and capacities (including 0 and 1).
     #[test]
@@ -322,7 +290,6 @@ mod tests {
                 }
             }
             for p in 0..n_procs {
-                assert_eq!(reference[p].full_stall_ns(), array.full_stall_ns(p));
                 assert_eq!(reference[p].drain(clock[p]), array.drain(p, clock[p]));
             }
         }

@@ -2,7 +2,7 @@
 //! in-repo deterministic RNG so the workspace builds with no external
 //! test dependencies.
 
-use coma_timing::{EventQueue, Resource, WriteBuffer};
+use coma_timing::{EventQueue, Resource, WriteBufferArray};
 use coma_types::{ProcId, Rng64};
 
 /// Resource: service starts are FIFO-monotone, never precede the
@@ -49,33 +49,40 @@ fn resource_serve_adds_latency() {
     }
 }
 
-/// WriteBuffer: the processor never resumes before issue time, never
-/// later than the completion of all outstanding writes, and
-/// outstanding count never exceeds capacity.
+/// WriteBufferArray, with several processors interleaved: a processor
+/// never resumes before issue time, never later than the completion of
+/// all its own outstanding writes, and its outstanding count never
+/// exceeds capacity.
 #[test]
 fn write_buffer_bounds() {
     let mut rng = Rng64::new(0xB0FF);
     for _case in 0..128 {
         let cap = rng.range(1, 16) as usize;
-        let n = rng.range(1, 100);
-        let mut wb = WriteBuffer::new(cap);
-        let mut now = 0u64;
-        let mut max_completion = 0u64;
+        let n_procs = rng.range(1, 9) as usize;
+        let n = rng.range(1, 400);
+        let mut wbs = WriteBufferArray::new(n_procs, cap);
+        let mut now = vec![0u64; n_procs];
+        let mut max_completion = vec![0u64; n_procs];
         for _ in 0..n {
-            now += rng.below(10_000);
-            let completes = now + rng.below(2_000);
-            let resume = wb.push(now, completes);
-            max_completion = max_completion.max(completes);
-            assert!(resume >= now);
-            // Worst case: waited for an earlier outstanding write, which
-            // completes no later than the latest completion seen so far.
-            assert!(resume <= max_completion.max(now));
-            now = resume;
-            assert!(wb.outstanding(now) <= cap);
+            let p = rng.below(n_procs as u64) as usize;
+            now[p] += rng.below(10_000);
+            let completes = now[p] + rng.below(2_000);
+            let resume = wbs.push(p, now[p], completes);
+            max_completion[p] = max_completion[p].max(completes);
+            assert!(resume >= now[p]);
+            // Worst case: waited for an earlier outstanding write of the
+            // same processor, which completes no later than the latest
+            // completion it has seen so far.
+            assert!(resume <= max_completion[p].max(now[p]));
+            now[p] = resume;
+            assert!(wbs.outstanding(p, now[p]) <= cap);
         }
-        let drained = wb.drain(now);
-        assert!(drained >= now);
-        assert_eq!(wb.outstanding(drained), 0);
+        for p in 0..n_procs {
+            let drained = wbs.drain(p, now[p]);
+            assert!(drained >= now[p]);
+            assert!(drained <= max_completion[p].max(now[p]));
+            assert_eq!(wbs.outstanding(p, drained), 0);
+        }
     }
 }
 

@@ -12,12 +12,13 @@
 //! each node holding one *attraction memory* (AM) shared by its processors,
 //! with a global snooping bus connecting the nodes.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod config;
 pub mod fastmod;
 pub mod ids;
 pub mod nodeset;
-pub mod prefetch;
 pub mod pressure;
 pub mod rng;
 pub mod time;
@@ -28,7 +29,6 @@ pub use config::{ConfigError, LatencyConfig, MachineConfig, MachineGeometry};
 pub use fastmod::FastMod;
 pub use ids::{NodeId, ProcId};
 pub use nodeset::NodeSet;
-pub use prefetch::prefetch_read;
 pub use pressure::{full_replication_threshold, MemoryPressure};
 pub use rng::{Rng64, ZipfSampler};
 pub use time::Nanos;

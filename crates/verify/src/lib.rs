@@ -25,6 +25,8 @@
 //! real coherence bugs — a verification tool that has never seen its
 //! quarry is untrustworthy.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod checker;
 pub mod fuzz;

@@ -14,6 +14,8 @@
 //! reproducer — if any invariant is violated, or if a seeded mutation
 //! goes *undetected*.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -22,6 +22,8 @@
 //! assert!(wl.ws_bytes > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod catalog;
 pub mod compiled;

@@ -11,9 +11,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate)"
 cargo build --release --offline
 cargo test -q --offline
+
+echo "==> simbench self-tests: the benchmark still builds against the crates"
+# simbench implements MemorySystem and destructures SimReport, so this
+# is the step that catches an API change that breaks the benchmark; it
+# also checks every cell's pinned report digest.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
 
 echo "==> sweep smoke: parallel sweep must be byte-identical to serial"
 COMA_SCALE=smoke COMA_THREADS=4 cargo test -q --offline -p coma --test sweep_determinism

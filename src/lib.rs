@@ -27,6 +27,8 @@
 //! println!("RNMr = {:.3}%", report.rnm_rate() * 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use coma_cache as cache;
 pub use coma_protocol as protocol;
 pub use coma_sim as sim;
