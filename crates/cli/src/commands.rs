@@ -69,18 +69,6 @@ fn parse_latency(s: &str) -> Result<LatencyConfig, String> {
     }
 }
 
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "paper" => Ok(Scale::PAPER),
-        "bench" => Ok(Scale::BENCH),
-        "smoke" => Ok(Scale::SMOKE),
-        _ => s
-            .parse::<f64>()
-            .map(Scale)
-            .map_err(|_| format!("unknown scale '{s}'")),
-    }
-}
-
 fn parse_model(s: &str) -> Result<MemoryModel, String> {
     match s {
         "coma" => Ok(MemoryModel::Coma),
@@ -124,7 +112,7 @@ fn common(args: &Args) -> Result<Common, String> {
     Ok(Common {
         app,
         params,
-        scale: parse_scale(args.get("scale").unwrap_or("bench"))?,
+        scale: args.get("scale").unwrap_or("bench").parse()?,
         seed: args.get_or("seed", 42u64)?,
     })
 }
@@ -355,9 +343,15 @@ mod tests {
 
     #[test]
     fn scale_parsing_accepts_floats() {
-        assert_eq!(parse_scale("smoke").unwrap(), Scale::SMOKE);
-        assert_eq!(parse_scale("0.5").unwrap(), Scale(0.5));
-        assert!(parse_scale("big").is_err());
+        let scale = |s: &str| {
+            let args = crate::args::Args::parse(["run", "--scale", s].map(String::from)).unwrap();
+            common(&args).map(|c| c.scale)
+        };
+        assert_eq!(scale("smoke"), Ok(Scale::SMOKE));
+        assert_eq!(scale("0.5"), Ok(Scale(0.5)));
+        for bad in ["big", "nan", "inf"] {
+            assert!(scale(bad).is_err(), "accepted --scale {bad}");
+        }
     }
 
     #[test]

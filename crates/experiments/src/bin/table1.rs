@@ -6,7 +6,7 @@
 //! experiment (written to `<out>/store/table1.cols`, then read back), so
 //! external tooling can consume the catalog without parsing the CSV.
 
-use coma_bench::columnar::{ColBuilder, ColFile};
+use coma_experiments::columnar::{ColBuilder, ColFile};
 use coma_experiments::ExpCtx;
 use coma_stats::Table;
 use coma_workloads::{catalog::WS_SCALE_DIV, AppId};

@@ -4,13 +4,17 @@
 //! come from the environment so `cargo run --release -p coma-experiments
 //! --bin fig3` just works:
 //!
-//! * `COMA_SCALE` — `paper` (default), `bench`, or `smoke`: trace length.
+//! * `COMA_SCALE` — `paper` (default), `bench`, `smoke` or a positive
+//!   factor: trace length.
 //! * `COMA_SEED` — experiment seed (default 42).
 //! * `COMA_OUT` — directory for CSV/store output (default `results/`).
 //! * `COMA_THREADS` — sweep worker threads (default: available
 //!   parallelism; an invalid value warns and falls back to the default).
 //! * `COMA_NO_CACHE` — set non-empty (and not `0`) to bypass the result
 //!   cache.
+//!
+//! An invalid `COMA_SCALE`, `COMA_SEED` or `COMA_THREADS` warns and falls
+//! back to the default rather than aborting a sweep.
 //!
 //! The same knobs are accepted as command-line flags on every binary:
 //! `--jobs N` overrides `COMA_THREADS`, `--no-cache` overrides
@@ -19,8 +23,8 @@
 //! Experiment grids run on the work-stealing sweep scheduler in [`sweep`]:
 //! cells are sharded across `COMA_THREADS` workers, deduplicated through a
 //! config-hash result cache under `<out>/cache/`, and persisted once per
-//! sweep as a columnar store under `<out>/store/` (see
-//! `coma_bench::columnar`) with a JSON sidecar.
+//! sweep as a [`columnar`] store under `<out>/store/` with a [`json`]
+//! sidecar.
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +34,8 @@ use coma_types::{LatencyConfig, MemoryPressure};
 use coma_workloads::{AppId, Scale};
 use std::path::PathBuf;
 
+pub mod columnar;
+pub mod json;
 pub mod sweep;
 
 pub use sweep::{cached_sim, report_sweep_stats, run_sweep, Sweep};
@@ -50,18 +56,13 @@ impl ExpCtx {
     /// Build from the environment and the process arguments (see the
     /// module docs for the variables and flags).
     pub fn from_env() -> Self {
-        let scale = match std::env::var("COMA_SCALE").as_deref() {
-            Ok("bench") => Scale::BENCH,
-            Ok("smoke") => Scale::SMOKE,
-            Ok(other) if !other.is_empty() && other != "paper" => {
-                other.parse::<f64>().map(Scale).unwrap_or(Scale::PAPER)
-            }
-            _ => Scale::PAPER,
-        };
-        let seed = std::env::var("COMA_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42);
+        let scale = env_or(
+            "COMA_SCALE",
+            "paper, bench, smoke or a positive number",
+            Scale::PAPER,
+            "paper",
+        );
+        let seed = env_or("COMA_SEED", "an unsigned integer", 42, "42");
         let out_dir = std::env::var("COMA_OUT")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
@@ -134,6 +135,18 @@ impl ExpCtx {
         let path = self.out_dir.join(format!("{name}.csv"));
         std::fs::write(&path, table.to_csv()).expect("write CSV");
         println!("[csv] {}", path.display());
+    }
+}
+
+/// The value of environment variable `var`, parsed. Unset gives
+/// `default`; a value that does not parse warns and gives `default`.
+fn env_or<T: std::str::FromStr>(var: &str, expected: &str, default: T, default_name: &str) -> T {
+    match std::env::var(var) {
+        Err(_) => default,
+        Ok(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("warning: {var}='{s}' is not {expected}; falling back to {default_name}");
+            default
+        }),
     }
 }
 

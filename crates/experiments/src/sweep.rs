@@ -17,7 +17,7 @@
 //!    `<out>/cache/` with a version stamp and payload checksum; a stale
 //!    or corrupt entry is detected and recomputed, never served.
 //! 3. **Columnar store** — [`run_sweep`] writes one
-//!    `coma_bench::columnar` file per sweep under `<out>/store/` (plus a
+//!    [`crate::columnar`] file per sweep under `<out>/store/` (plus a
 //!    human-readable JSON sidecar) and hands the binaries a [`Sweep`]
 //!    whose accessors read *from the store*, so every figure is derived
 //!    from the same bytes external tooling sees.
@@ -27,9 +27,9 @@
 //! and deterministic — so a parallel sweep is byte-identical to a serial
 //! one (pinned by `tests/sweep_determinism.rs`).
 
+use crate::columnar::{ColBuilder, ColFile};
+use crate::json::Value;
 use crate::{ExpCtx, RunSpec};
-use coma_bench::columnar::{ColBuilder, ColFile};
-use coma_bench::json::{self, Value};
 use coma_sim::canon::{config_hash, fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use coma_sim::{run_simulation, MemoryModel, SimParams};
 use coma_stats::{LatencyHisto, SimReport};
@@ -533,9 +533,7 @@ fn sidecar_json(
         ),
         ("rows".to_string(), Value::Arr(rows)),
     ]);
-    let text = doc.to_json();
-    debug_assert!(json::validate(&text).is_ok());
-    text
+    doc.to_json()
 }
 
 /// Print one sweep's cache accounting and append it to the stats log that
@@ -663,4 +661,72 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::{parse, Value};
+    use coma_types::MemoryPressure;
+    use coma_workloads::{AppId, Scale};
+
+    /// A sidecar's `rows`, after checking through the test-only parser
+    /// that it is JSON with the `coma-sweep/1` schema.
+    fn sidecar_rows(text: &str, what: &str) -> Vec<Value> {
+        let doc = parse(text).unwrap_or_else(|at| panic!("{what}: bad JSON at byte {at}"));
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("coma-sweep/1"),
+            "{what}"
+        );
+        match doc.get("rows") {
+            Some(Value::Arr(rows)) => rows.clone(),
+            other => panic!("{what}: rows is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn committed_sidecars_parse_and_match_their_stores() {
+        let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/store");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&store).expect("read results/store") {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            let what = path.display().to_string();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let cols = ColFile::open(&path.with_extension("cols")).expect(&what);
+            assert_eq!(sidecar_rows(&text, &what).len(), cols.n_rows(), "{what}");
+            checked += 1;
+        }
+        assert!(checked > 0, "no sidecars under {}", store.display());
+    }
+
+    #[test]
+    fn fresh_sidecar_with_a_failed_cell_parses() {
+        let ctx = ExpCtx {
+            scale: Scale::SMOKE,
+            seed: 7,
+            out_dir: std::env::temp_dir().join("coma-sidecar-test"),
+            threads: 1,
+            no_cache: true,
+        };
+        let specs = [
+            RunSpec::new(AppId::Fft, 2, MemoryPressure::MP_50),
+            RunSpec::new(AppId::WaterN2, 4, MemoryPressure::MP_87),
+        ];
+        let cells = [
+            Ok(SimReport::default()),
+            Err("cell panicked: \"deadlock\"\n\tat step 3".to_string()),
+        ];
+        let rows = sidecar_rows(&sidecar_json(&ctx, "unit", &specs, &cells), "fresh");
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(rows[1].get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(
+            rows[1].get("error").and_then(Value::as_str),
+            Some("cell panicked: \"deadlock\"\n\tat step 3")
+        );
+    }
 }

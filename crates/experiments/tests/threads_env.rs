@@ -2,7 +2,7 @@
 //! (it was historically parsed but easy to leave dead when the pool is
 //! rewritten), an invalid value must fall back to available parallelism
 //! with a warning rather than abort, and thread count must never change
-//! results.
+//! results. `COMA_SCALE` and `COMA_SEED` fall back the same way.
 //!
 //! Environment mutation is process-global, so every test here serializes
 //! on one mutex and restores the prior state before releasing it.
@@ -14,19 +14,19 @@ use std::sync::Mutex;
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` with `COMA_THREADS` set to `val` (or unset for `None`),
-/// restoring the previous value afterwards.
-fn with_threads_env<T>(val: Option<&str>, f: impl FnOnce() -> T) -> T {
+/// Run `f` with `var` set to `val` (or unset for `None`), restoring the
+/// previous value afterwards.
+fn with_env<T>(var: &str, val: Option<&str>, f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().unwrap();
-    let prior = std::env::var("COMA_THREADS").ok();
+    let prior = std::env::var(var).ok();
     match val {
-        Some(v) => std::env::set_var("COMA_THREADS", v),
-        None => std::env::remove_var("COMA_THREADS"),
+        Some(v) => std::env::set_var(var, v),
+        None => std::env::remove_var(var),
     }
     let out = f();
     match prior {
-        Some(v) => std::env::set_var("COMA_THREADS", v),
-        None => std::env::remove_var("COMA_THREADS"),
+        Some(v) => std::env::set_var(var, v),
+        None => std::env::remove_var(var),
     }
     out
 }
@@ -40,11 +40,11 @@ fn default_threads() -> usize {
 #[test]
 fn threads_env_is_honored() {
     assert_eq!(
-        with_threads_env(Some("1"), || ExpCtx::from_env().threads),
+        with_env("COMA_THREADS", Some("1"), || ExpCtx::from_env().threads),
         1
     );
     assert_eq!(
-        with_threads_env(Some("4"), || ExpCtx::from_env().threads),
+        with_env("COMA_THREADS", Some("4"), || ExpCtx::from_env().threads),
         4
     );
 }
@@ -53,15 +53,36 @@ fn threads_env_is_honored() {
 fn invalid_threads_value_falls_back_to_available_parallelism() {
     for bad in ["zap", "0", "-3", "1.5", ""] {
         assert_eq!(
-            with_threads_env(Some(bad), || ExpCtx::from_env().threads),
+            with_env("COMA_THREADS", Some(bad), || ExpCtx::from_env().threads),
             default_threads(),
             "COMA_THREADS='{bad}' must fall back"
         );
     }
     assert_eq!(
-        with_threads_env(None, || ExpCtx::from_env().threads),
+        with_env("COMA_THREADS", None, || ExpCtx::from_env().threads),
         default_threads()
     );
+}
+
+#[test]
+fn invalid_scale_and_seed_fall_back_to_defaults() {
+    for bad in ["nan", "inf", "-1", "0", "smok", ""] {
+        assert_eq!(
+            with_env("COMA_SCALE", Some(bad), || ExpCtx::from_env().scale),
+            Scale::PAPER,
+            "COMA_SCALE='{bad}' must fall back"
+        );
+    }
+    assert_eq!(
+        with_env("COMA_SCALE", Some("0.5"), || ExpCtx::from_env().scale),
+        Scale(0.5)
+    );
+    for bad in ["x", "-1", "4.2"] {
+        assert_eq!(
+            with_env("COMA_SEED", Some(bad), || ExpCtx::from_env().seed),
+            42
+        );
+    }
 }
 
 /// The knob is live end to end: a grid scheduled at COMA_THREADS=1 and at

@@ -23,7 +23,7 @@ pub struct Scale(pub f64);
 impl Scale {
     /// Full-length runs used for the paper-reproduction experiments.
     pub const PAPER: Scale = Scale(1.0);
-    /// Reduced runs for Criterion benches.
+    /// Reduced runs: the CLI's default trace length.
     pub const BENCH: Scale = Scale(0.25);
     /// Minimal runs for integration tests.
     pub const SMOKE: Scale = Scale(0.08);
@@ -36,6 +36,27 @@ impl Scale {
     /// Scale a reference count, keeping at least one reference.
     pub fn refs(self, base: u64) -> u64 {
         ((base as f64 * self.0).round() as u64).max(1)
+    }
+}
+
+/// Parse `paper`, `bench`, `smoke` or a finite positive factor. Anything
+/// else is an error: NaN, infinities, zero and negatives would all scale
+/// an iteration count to nonsense.
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "paper" => Ok(Scale::PAPER),
+            "bench" => Ok(Scale::BENCH),
+            "smoke" => Ok(Scale::SMOKE),
+            _ => match s.parse::<f64>() {
+                Ok(x) if x.is_finite() && x > 0.0 => Ok(Scale(x)),
+                _ => Err(format!(
+                    "unknown scale '{s}' (expected paper, bench, smoke or a positive number)"
+                )),
+            },
+        }
     }
 }
 
@@ -251,6 +272,15 @@ mod tests {
         fn gen_iter(&mut self, iter: u32, buf: &mut OpBuf) {
             buf.read(Addr(iter as u64 * 64));
             buf.barrier();
+        }
+    }
+
+    #[test]
+    fn scale_parse_rejects_non_positive_and_non_finite() {
+        assert_eq!("smoke".parse(), Ok(Scale::SMOKE));
+        assert_eq!("0.5".parse(), Ok(Scale(0.5)));
+        for bad in ["nan", "inf", "-1", "0", "smok"] {
+            assert!(bad.parse::<Scale>().is_err(), "accepted {bad}");
         }
     }
 

@@ -42,20 +42,4 @@ echo "==> traffic smoke: both production-traffic families through the sweep"
 COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
   cargo run --release --offline -p coma-experiments --bin traffic -- --smoke
 
-echo "==> bench + perf guard: 3 iterations per case, minima vs baseline"
-# The bench overwrites the tracked baseline, so park it first. Three
-# iterations give a usable per-case minimum (the least noise-contaminated
-# estimate of a deterministic simulation's cost); the guard then fails
-# the gate if any tracked case's fresh min_ns regressed more than 10%
-# past the committed BENCH_sim.json. Override the tolerance with
-# PERF_TOLERANCE_PCT for known-noisy machines.
-baseline=$(mktemp)
-cp BENCH_sim.json "$baseline"
-cargo bench -p coma-bench --bench perf --offline -- --iters 3
-grep -q '"schema": "coma-bench-sim/1"' BENCH_sim.json
-grep -q '"cases": \[' BENCH_sim.json
-cargo run --release --offline -p coma-bench --bin perf_guard -- \
-  "$baseline" BENCH_sim.json --tolerance-pct "${PERF_TOLERANCE_PCT:-10}"
-mv "$baseline" BENCH_sim.json
-
 echo "OK: all checks passed"
