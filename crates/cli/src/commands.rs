@@ -1,9 +1,9 @@
 //! The `coma` subcommands.
 
 use crate::args::Args;
-use coma_sim::{run_simulation, MemoryModel, SimParams};
+use coma_sim::{run_simulation, MemoryModel, SimParams, Simulation};
 use coma_stats::{SimReport, Table};
-use coma_types::{LatencyConfig, MemoryPressure};
+use coma_types::{LatencyConfig, MemoryPressure, Topology};
 use coma_workloads::{AppId, Scale};
 
 pub const USAGE: &str = "\
@@ -101,7 +101,7 @@ fn common(args: &Args) -> Result<Common, String> {
     // Default the level count to the shallowest legal tree for the
     // requested group count; --levels overrides for deeper fan-out.
     let levels = args.get_or("levels", usize::from(n_groups > 1))?;
-    params.machine.topology = coma_types::Topology { n_groups, levels };
+    params.machine.topology = Topology { n_groups, levels };
     params.machine.memory_pressure = parse_mp(args.get("mp").unwrap_or("50"))?;
     params.machine.am_assoc = args.get_or("assoc", 4usize)?;
     params.memory_model = parse_model(args.get("model").unwrap_or("coma"))?;
@@ -115,6 +115,17 @@ fn common(args: &Args) -> Result<Common, String> {
         scale: args.get("scale").unwrap_or("bench").parse()?,
         seed: args.get_or("seed", 42u64)?,
     })
+}
+
+/// What [`SimReport::bus_utilization`] measures on `topology`: the one
+/// bus's utilization on the flat machine, but on a tree the busy time of
+/// every group bus and link summed, which can exceed 100 %.
+fn bus_busy_label(topology: Topology) -> &'static str {
+    if topology.is_flat() {
+        "bus utilization"
+    } else {
+        "fabric occupancy (summed over all buses and links)"
+    }
 }
 
 fn simulate(c: &Common) -> SimReport {
@@ -185,7 +196,11 @@ pub fn run(args: &Args) -> Result<(), String> {
         r.traffic.write_bytes,
         r.traffic.replace_bytes
     );
-    println!("bus utilization  {:>11.1} %", r.bus_utilization() * 100.0);
+    println!(
+        "{:<16} {:>11.1} %",
+        bus_busy_label(c.params.machine.topology),
+        r.bus_utilization() * 100.0
+    );
     println!(
         "replacements     {:>12} injections, {} migrations, {} drops",
         r.injections, r.ownership_migrations, r.shared_drops
@@ -306,7 +321,9 @@ pub fn replay(args: &Args) -> Result<(), String> {
     let path = args.get("trace").ok_or("replay needs --trace <file>")?;
     let wl = coma_workloads::replay_from_file(std::path::Path::new(path))
         .map_err(|e| format!("cannot read trace: {e}"))?;
-    let r = run_simulation(wl, &c.params);
+    let r = Simulation::new(wl, &c.params)
+        .map_err(|e| format!("cannot replay {path}: {e}"))?
+        .run();
     println!(
         "exec {:.3} ms | RNMr {:.3}% | bus {} B | injections {}",
         r.exec_time_ns as f64 / 1e6,
@@ -382,6 +399,17 @@ mod tests {
             crate::args::Args::parse(["run", "--groups", "4", "--levels", "5"].map(String::from))
                 .unwrap();
         assert!(common(&args).is_err());
+    }
+
+    #[test]
+    fn bus_line_is_labelled_by_topology() {
+        assert_eq!(bus_busy_label(Topology::flat()), "bus utilization");
+        for tree in [Topology::two_level(4), Topology::tree(64, 3)] {
+            assert_eq!(
+                bus_busy_label(tree),
+                "fabric occupancy (summed over all buses and links)"
+            );
+        }
     }
 
     #[test]

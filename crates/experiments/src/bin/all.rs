@@ -1,5 +1,6 @@
 //! Run every experiment in sequence (Table 1, Figures 2–5, sensitivity,
-//! thresholds, ablations) by invoking the sibling binaries.
+//! thresholds, ablations, traffic, seed robustness) by invoking the
+//! sibling binaries.
 //!
 //! The siblings are looked up next to this executable, so they exist iff
 //! the whole package was built (`cargo build --release -p
@@ -21,7 +22,7 @@
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-const BINS: [&str; 11] = [
+const BINS: [&str; 12] = [
     "table1",
     "fig2",
     "fig3",
@@ -33,6 +34,7 @@ const BINS: [&str; 11] = [
     "inclusion",
     "ablation",
     "traffic",
+    "seeds",
 ];
 
 /// The knobs every experiment binary reads (see `coma_experiments` docs).

@@ -210,22 +210,6 @@ impl RunSpec {
     }
 }
 
-/// Run every spec through the sweep scheduler (work stealing across
-/// `ctx.threads` workers, result-cache dedup), preserving order. Panics
-/// if any cell fails; use [`run_sweep`] for per-cell fault isolation plus
-/// the persistent columnar store.
-pub fn run_grid(ctx: &ExpCtx, specs: &[RunSpec]) -> Vec<SimReport> {
-    sweep::run_matrix(ctx, specs)
-        .cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, cell)| match cell {
-            Ok(r) => r,
-            Err(e) => panic!("sweep cell {i} ({:?}) failed: {e}", specs[i].app),
-        })
-        .collect()
-}
-
 /// The Figure 5 / §4.3 execution-time latency configuration.
 pub fn fig5_latency() -> LatencyConfig {
     LatencyConfig::paper_double_dram()
@@ -291,6 +275,8 @@ mod tests {
         }
     }
 
+    /// Running a grid of specs through the sweep scheduler keeps the
+    /// specs' order and is deterministic.
     #[test]
     fn run_grid_preserves_order_and_determinism() {
         let ctx = smoke_ctx();
@@ -298,8 +284,14 @@ mod tests {
             RunSpec::new(AppId::WaterN2, 1, MemoryPressure::MP_50),
             RunSpec::new(AppId::WaterN2, 4, MemoryPressure::MP_50),
         ];
-        let a = run_grid(&ctx, &specs);
-        let b = run_grid(&ctx, &specs);
+        let run = || -> Vec<SimReport> {
+            sweep::run_matrix(&ctx, &specs)
+                .cells
+                .into_iter()
+                .map(Result::unwrap)
+                .collect()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.len(), 2);
         assert_eq!(a[0].exec_time_ns, b[0].exec_time_ns);
         assert_eq!(a[1].exec_time_ns, b[1].exec_time_ns);

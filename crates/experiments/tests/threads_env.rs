@@ -7,7 +7,8 @@
 //! Environment mutation is process-global, so every test here serializes
 //! on one mutex and restores the prior state before releasing it.
 
-use coma_experiments::{run_grid, ExpCtx, RunSpec};
+use coma_experiments::sweep::run_matrix;
+use coma_experiments::{ExpCtx, RunSpec};
 use coma_types::MemoryPressure;
 use coma_workloads::{AppId, Scale};
 use std::sync::Mutex;
@@ -102,7 +103,11 @@ fn thread_count_does_not_change_results() {
             threads,
             no_cache: true,
         };
-        run_grid(&ctx, &specs)
+        run_matrix(&ctx, &specs)
+            .cells
+            .into_iter()
+            .map(Result::unwrap)
+            .collect::<Vec<_>>()
     };
     let serial = run_at(1);
     let parallel = run_at(4);

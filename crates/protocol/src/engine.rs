@@ -10,11 +10,11 @@
 //! accessors and the invariant checker. The protocol logic proper is
 //! split by concern into the child modules:
 //!
-//! * [`read_path`] — processor reads, from FLC hit down to the global
+//! * `read_path` — processor reads, from FLC hit down to the global
 //!   bus read;
-//! * [`write_path`] — ownership acquisition: upgrades and
+//! * `write_path` — ownership acquisition: upgrades and
 //!   read-exclusive fetches;
-//! * [`replacement`] — AM victim selection fallout: the accept-based
+//! * `replacement` — AM victim selection fallout: the accept-based
 //!   injection protocol, ownership migration and page-out.
 //!
 //! All statistics are counts of [`ProtocolEvent`]s in one array: the

@@ -18,7 +18,7 @@
 //! sorts the named fields before hashing, giving order independence, and
 //! uses FNV-1a over the name and the value's little-endian bytes.
 
-use crate::machine::{InterconnectKind, MemoryModel, SimParams};
+use crate::machine::{MemoryModel, SimParams};
 use coma_cache::{AcceptPolicy, VictimPolicy};
 use coma_types::{LatencyConfig, MachineConfig, MemoryPressure, Topology};
 
@@ -117,13 +117,6 @@ fn model_code(m: MemoryModel) -> u64 {
     }
 }
 
-fn interconnect_code(i: InterconnectKind) -> u64 {
-    match i {
-        InterconnectKind::SnoopingBus => 0,
-        InterconnectKind::Ideal => 1,
-    }
-}
-
 /// Walk every field of `SimParams` into a [`FieldWalk`].
 ///
 /// The destructuring patterns are exhaustive on purpose: a new field in
@@ -136,15 +129,12 @@ pub fn walk_params(p: &SimParams) -> FieldWalk {
         victim_policy,
         accept_policy,
         memory_model,
-        interconnect,
         audit,
     } = p;
     let MachineConfig {
         n_procs,
         procs_per_node,
-        flc_bytes,
         slc_ws_ratio,
-        slc_assoc,
         am_assoc,
         memory_pressure,
         write_buffer_entries,
@@ -172,9 +162,7 @@ pub fn walk_params(p: &SimParams) -> FieldWalk {
     let mut w = FieldWalk::new();
     w.field("machine.n_procs", *n_procs as u64);
     w.field("machine.procs_per_node", *procs_per_node as u64);
-    w.field("machine.flc_bytes", *flc_bytes);
     w.field("machine.slc_ws_ratio", *slc_ws_ratio);
-    w.field("machine.slc_assoc", *slc_assoc as u64);
     w.field("machine.am_assoc", *am_assoc as u64);
     w.field("machine.memory_pressure.num", *num as u64);
     w.field("machine.memory_pressure.den", *den as u64);
@@ -198,7 +186,6 @@ pub fn walk_params(p: &SimParams) -> FieldWalk {
     w.field("victim_policy", victim_code(*victim_policy));
     w.field("accept_policy", accept_code(*accept_policy));
     w.field("memory_model", model_code(*memory_model));
-    w.field("interconnect", interconnect_code(*interconnect));
     w.field("audit", *audit as u64);
     w
 }
@@ -263,9 +250,7 @@ mod tests {
         let mutations: &[Mutation] = &[
             ("machine.n_procs", |p| p.machine.n_procs = 8),
             ("machine.procs_per_node", |p| p.machine.procs_per_node = 4),
-            ("machine.flc_bytes", |p| p.machine.flc_bytes = 8192),
             ("machine.slc_ws_ratio", |p| p.machine.slc_ws_ratio = 64),
-            ("machine.slc_assoc", |p| p.machine.slc_assoc = 8),
             ("machine.am_assoc", |p| p.machine.am_assoc = 8),
             ("machine.memory_pressure.num", |p| {
                 p.machine.memory_pressure = MemoryPressure::new(14, 16)
@@ -312,7 +297,6 @@ mod tests {
                 p.accept_policy = AcceptPolicy::FirstFit
             }),
             ("memory_model", |p| p.memory_model = MemoryModel::Numa),
-            ("interconnect", |p| p.interconnect = InterconnectKind::Ideal),
             ("audit", |p| p.audit = true),
         ];
 

@@ -35,5 +35,5 @@ pub mod machine;
 pub mod resources;
 pub mod sync;
 
-pub use machine::{run_simulation, InterconnectKind, MemoryModel, SimParams, Simulation};
+pub use machine::{run_simulation, MemoryModel, SimParams, Simulation};
 pub use resources::MachineResources;

@@ -14,10 +14,8 @@ use crate::sync::{BarrierState, LockState};
 use coma_cache::{AcceptPolicy, VictimPolicy};
 use coma_protocol::{BaselineEngine, BaselineKind, CoherenceEngine, MemorySystem};
 use coma_stats::{AccessCounts, ExecBreakdown, Level, SimReport};
-use coma_timing::{
-    EventQueue, HierarchicalFabric, IdealInterconnect, Interconnect, WriteBufferArray,
-};
-use coma_types::{Addr, ConfigError, LatencyConfig, MachineConfig, MachineGeometry, Nanos, ProcId};
+use coma_timing::{EventQueue, WriteBufferArray};
+use coma_types::{Addr, ConfigError, LatencyConfig, MachineConfig, Nanos, ProcId};
 use coma_workloads::{FlatKind, OpArena, Workload};
 
 /// Which memory architecture the machine implements.
@@ -30,35 +28,6 @@ pub enum MemoryModel {
     Numa,
     /// UMA baseline: dancehall memory, every SLC miss is remote.
     Uma,
-}
-
-/// Which global interconnect backend the machine uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum InterconnectKind {
-    /// The arbitrated fabric shaped by the machine's [`coma_types::Topology`]:
-    /// the paper's single snooping bus when flat, a directory tree of
-    /// group buses and inter-level links otherwise.
-    #[default]
-    SnoopingBus,
-    /// A contention-free medium: same routed latency, infinite bandwidth.
-    Ideal,
-}
-
-impl InterconnectKind {
-    fn build(self, geom: &MachineGeometry, lat: &LatencyConfig) -> Box<dyn Interconnect> {
-        match self {
-            InterconnectKind::SnoopingBus => Box::new(HierarchicalFabric::new(
-                geom.topology,
-                lat.link_ns,
-                lat.link_occ_ns,
-            )),
-            InterconnectKind::Ideal => Box::new(IdealInterconnect::new(
-                geom.topology,
-                lat.link_ns,
-                lat.link_occ_ns,
-            )),
-        }
-    }
 }
 
 /// The memory systems the driver knows statically, plus a trait-object
@@ -159,7 +128,6 @@ pub struct SimParams {
     pub victim_policy: VictimPolicy,
     pub accept_policy: AcceptPolicy,
     pub memory_model: MemoryModel,
-    pub interconnect: InterconnectKind,
     /// Arm the live invariant auditor: the COMA engine re-verifies every
     /// machine-wide protocol invariant after each access that performed a
     /// protocol transaction (panicking on violation). Expensive — meant
@@ -175,7 +143,6 @@ impl Default for SimParams {
             victim_policy: VictimPolicy::SharedFirst,
             accept_policy: AcceptPolicy::InvalidThenShared,
             memory_model: MemoryModel::Coma,
-            interconnect: InterconnectKind::SnoopingBus,
             audit: false,
         }
     }
@@ -266,7 +233,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Assemble a machine for `workload` under `params`.
+    /// Assemble a machine for `workload` under `params`. Fails if the
+    /// machine configuration is invalid or the workload does not supply
+    /// one stream per processor ([`ConfigError::StreamCount`]).
     pub fn new(workload: Workload, params: &SimParams) -> Result<Self, ConfigError> {
         let geom = params.machine.geometry(workload.ws_bytes)?;
         let mem = match params.memory_model {
@@ -284,30 +253,28 @@ impl Simulation {
             MemoryModel::Numa => Engine::Baseline(BaselineEngine::new(geom, BaselineKind::Numa)),
             MemoryModel::Uma => Engine::Baseline(BaselineEngine::new(geom, BaselineKind::Uma)),
         };
-        Ok(Self::assemble(workload, params, mem))
+        Self::assemble(workload, params, mem)
     }
 
     /// Assemble a machine around an externally constructed memory
     /// system. This is how a new architecture (or an instrumented
     /// engine) runs under the standard driver without touching it.
+    /// Panics with [`ConfigError::StreamCount`]'s message if the workload
+    /// does not have one stream per processor of `mem`'s geometry.
     pub fn with_memory(workload: Workload, params: &SimParams, mem: Box<dyn MemorySystem>) -> Self {
-        Self::assemble(workload, params, Engine::Custom(mem))
+        Self::assemble(workload, params, Engine::Custom(mem)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn assemble(workload: Workload, params: &SimParams, mem: Engine) -> Self {
+    fn assemble(workload: Workload, params: &SimParams, mem: Engine) -> Result<Self, ConfigError> {
         let geom = *mem.geometry();
-        assert_eq!(
-            workload.streams.len(),
-            geom.n_procs,
-            "workload has {} streams for {} processors",
-            workload.streams.len(),
-            geom.n_procs
-        );
         let n_procs = geom.n_procs;
-        let res = MachineResources::with_interconnect(
-            &geom,
-            params.interconnect.build(&geom, &params.latency),
-        );
+        if workload.streams.len() != n_procs {
+            return Err(ConfigError::StreamCount {
+                streams: workload.streams.len(),
+                procs: n_procs,
+            });
+        }
+        let res = MachineResources::new(&geom, &params.latency);
         let mut queue = EventQueue::new();
         for p in 0..n_procs {
             queue.push(0, ProcId(p as u16));
@@ -322,7 +289,7 @@ impl Simulation {
         let ops = OpArena::compile(workload.streams);
         let pos = (0..n_procs).map(|p| ops.span(p).0).collect();
         let end = (0..n_procs).map(|p| ops.span(p).1).collect();
-        Simulation {
+        Ok(Simulation {
             mem,
             res,
             lat: params.latency.clone(),
@@ -344,7 +311,7 @@ impl Simulation {
             finish: vec![0; n_procs].into_boxed_slice(),
             n_done: 0,
             n_procs,
-        }
+        })
     }
 
     /// Disable the fused compute-gap fast path, restoring the reference
@@ -574,11 +541,6 @@ impl Simulation {
         }
     }
 
-    /// The memory system under simulation, for post-run inspection.
-    pub fn memory(&self) -> &dyn MemorySystem {
-        &self.mem
-    }
-
     /// The COMA engine, for post-run inspection in tests (None when a
     /// baseline memory model is configured).
     pub fn engine(&self) -> Option<&CoherenceEngine> {
@@ -706,12 +668,27 @@ mod tests {
 
     #[test]
     fn mismatched_stream_count_panics() {
-        let wl = AppId::Fft.build(8, 1, Scale::SMOKE); // 8 streams
+        // `new` reports the mismatch as a typed error; `with_memory`,
+        // which has no error channel, panics with the same message.
         let p = params(1, MemoryPressure::MP_50); // 16-proc machine
-        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Simulation::new(wl, &p).unwrap()
-        }))
-        .is_err());
+        let stream_error = ConfigError::StreamCount {
+            streams: 8,
+            procs: 16,
+        };
+        let wl = AppId::Fft.build(8, 1, Scale::SMOKE); // 8 streams
+        assert_eq!(Simulation::new(wl, &p).err(), Some(stream_error.clone()));
+        let wl = AppId::Fft.build(8, 1, Scale::SMOKE);
+        let geom = p.machine.geometry(wl.ws_bytes).unwrap();
+        let mem = Box::new(BaselineEngine::new(geom, BaselineKind::Numa));
+        let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Simulation::with_memory(wl, &p, mem)
+        })) else {
+            panic!("with_memory accepted a mismatched workload");
+        };
+        assert_eq!(
+            panic.downcast_ref::<String>(),
+            Some(&stream_error.to_string())
+        );
     }
 
     #[test]

@@ -12,14 +12,14 @@
 
 use coma_protocol::Outcome;
 use coma_stats::Level;
-use coma_timing::{HierarchicalFabric, Interconnect, Resource};
+use coma_timing::{HierarchicalFabric, Resource};
 use coma_types::{LatencyConfig, MachineGeometry, Nanos, ProcId};
 
 /// All contended hardware of the machine.
 pub struct MachineResources {
     /// The interconnect fabric (the paper's snooping bus is the
     /// degenerate flat instance).
-    pub bus: Box<dyn Interconnect>,
+    pub bus: HierarchicalFabric,
     /// Node controller / AM state+tag pipeline, per node.
     pub ctrl: Vec<Resource>,
     /// Attraction-memory DRAM, per node.
@@ -34,21 +34,8 @@ pub struct MachineResources {
 
 impl MachineResources {
     pub fn new(geom: &MachineGeometry, lat: &LatencyConfig) -> Self {
-        Self::with_interconnect(
-            geom,
-            Box::new(HierarchicalFabric::new(
-                geom.topology,
-                lat.link_ns,
-                lat.link_occ_ns,
-            )),
-        )
-    }
-
-    /// Assemble the machine's resources around a specific interconnect
-    /// backend (arbitrated fabric, ideal network, …).
-    pub fn with_interconnect(geom: &MachineGeometry, bus: Box<dyn Interconnect>) -> Self {
         MachineResources {
-            bus,
+            bus: HierarchicalFabric::new(geom.topology, lat.link_ns, lat.link_occ_ns),
             ctrl: (0..geom.n_nodes).map(|_| Resource::new()).collect(),
             dram: (0..geom.n_nodes).map(|_| Resource::new()).collect(),
             slc: (0..geom.n_procs).map(|_| Resource::new()).collect(),

@@ -27,7 +27,8 @@ pub struct SimReport {
     pub shared_drops: u64,
     /// Lines first materialized by on-demand page allocation.
     pub cold_allocs: u64,
-    /// Global-bus busy time (for utilization).
+    /// Interconnect busy time: the global bus's on the flat machine; on
+    /// a tree, summed over every group bus and link.
     pub bus_busy_ns: Nanos,
     /// Sum of AM DRAM busy time across nodes.
     pub dram_busy_ns: Nanos,
@@ -60,7 +61,9 @@ impl SimReport {
         self.counts.rnm_rate()
     }
 
-    /// Global-bus utilization over the run.
+    /// `bus_busy_ns` over the execution time. On the flat machine this is
+    /// the global bus's utilization; on a tree it is the fabric occupancy
+    /// summed over every group bus and link, which can exceed 1.
     pub fn bus_utilization(&self) -> f64 {
         if self.exec_time_ns == 0 {
             0.0

@@ -1,57 +1,31 @@
-//! The interconnect fabric abstraction.
+//! The interconnect fabric.
 //!
 //! The paper's machine has exactly one global medium: a snooping bus all
 //! inter-node transactions arbitrate for. The hierarchical configurations
 //! replace it with a tree: one local bus per cluster group and a layer of
 //! inter-level links above them, so a transaction only occupies the media
-//! on the path between its endpoints. The simulator talks to the fabric
-//! through the [`Interconnect`] trait, routing by *group index*: the
-//! timing walk passes the source and destination groups and the fabric
-//! decides which media the transaction crosses.
+//! on the path between its endpoints. [`HierarchicalFabric`] models both,
+//! routing by *group index*: the timing walk passes the source and
+//! destination groups and the fabric decides which media the transaction
+//! crosses.
 //!
 //! Two operations cover everything the protocol generates:
 //!
-//! * [`transfer`](Interconnect::transfer) — a critical-path transaction:
-//!   the requester stalls until arbitration *and* the transfer latency
-//!   complete on every medium crossed (read fills, upgrades,
-//!   read-exclusives).
-//! * [`post`](Interconnect::post) — a buffered transaction that consumes
-//!   bandwidth along the path but does not stall the poster (injections,
-//!   ownership migrations: replacements are buffered, §3.1).
+//! * [`transfer`](HierarchicalFabric::transfer) — a critical-path
+//!   transaction: the requester stalls until arbitration *and* the
+//!   transfer latency complete on every medium crossed (read fills,
+//!   upgrades, read-exclusives).
+//! * [`post`](HierarchicalFabric::post) — a buffered transaction that
+//!   consumes bandwidth along the path but does not stall the poster
+//!   (injections, ownership migrations: replacements are buffered, §3.1).
 //!
-//! The paper's flat bus is the degenerate [`HierarchicalFabric`] with one
-//! group and zero levels: both endpoints always map to group 0, so every
-//! operation is a single arbitration on the single leaf [`Resource`] —
+//! The paper's flat bus is the degenerate fabric with one group and zero
+//! levels: both endpoints always map to group 0, so every operation is a
+//! single arbitration on the single leaf [`Resource`] —
 //! operation-for-operation identical to a bare snooping bus.
 
 use crate::resource::Resource;
 use coma_types::{Nanos, Topology};
-
-/// A transfer fabric with per-medium arbitration and busy-time accounting.
-///
-/// `src` and `dst` are *cluster group* indices; a flat machine passes
-/// `0, 0` everywhere.
-pub trait Interconnect {
-    /// Arbitrate along the `src → dst` path starting at `now`, occupying
-    /// each medium crossed, and return the completion time of a
-    /// critical-path transfer whose per-bus latency is `lat_ns`.
-    fn transfer(
-        &mut self,
-        now: Nanos,
-        src: usize,
-        dst: usize,
-        occ_ns: Nanos,
-        lat_ns: Nanos,
-    ) -> Nanos;
-
-    /// Consume bandwidth along the `src → dst` path starting no earlier
-    /// than `now` for a buffered (off-critical-path) transaction; the
-    /// caller does not wait.
-    fn post(&mut self, now: Nanos, src: usize, dst: usize, occ_ns: Nanos);
-
-    /// Total time all media have been occupied (utilization numerator).
-    fn busy_ns(&self) -> Nanos;
-}
 
 /// A directory-tree fabric: one FIFO-arbitrated bus per cluster group and
 /// one link [`Resource`] per directory unit and level above them.
@@ -95,10 +69,14 @@ impl HierarchicalFabric {
     pub fn flat() -> Self {
         Self::new(Topology::flat(), 0, 0)
     }
-}
 
-impl Interconnect for HierarchicalFabric {
-    fn transfer(
+    /// Arbitrate along the `src → dst` path starting at `now`, occupying
+    /// each medium crossed, and return the completion time of a
+    /// critical-path transfer whose per-bus latency is `lat_ns`.
+    ///
+    /// `src` and `dst` are *cluster group* indices; a flat machine passes
+    /// `0, 0` everywhere.
+    pub fn transfer(
         &mut self,
         now: Nanos,
         src: usize,
@@ -122,7 +100,10 @@ impl Interconnect for HierarchicalFabric {
         t
     }
 
-    fn post(&mut self, now: Nanos, src: usize, dst: usize, occ_ns: Nanos) {
+    /// Consume bandwidth along the `src → dst` path starting no earlier
+    /// than `now` for a buffered (off-critical-path) transaction; the
+    /// caller does not wait.
+    pub fn post(&mut self, now: Nanos, src: usize, dst: usize, occ_ns: Nanos) {
         self.leaves[src].acquire(now, occ_ns);
         if src != dst {
             let h = self.topo.lca_height(src, dst);
@@ -138,85 +119,14 @@ impl Interconnect for HierarchicalFabric {
         }
     }
 
-    fn busy_ns(&self) -> Nanos {
+    /// Total time all media have been occupied, summed over every group
+    /// bus and link (on the flat machine: the one bus's busy time).
+    pub fn busy_ns(&self) -> Nanos {
         self.leaves
             .iter()
             .chain(self.links.iter().flatten())
             .map(Resource::busy_ns)
             .sum()
-    }
-}
-
-/// A contention-free interconnect: transfers take the configured latency
-/// of the path they cross but never queue (infinite bandwidth, e.g. an
-/// idealized point-to-point network). Running the same workload on
-/// [`HierarchicalFabric`] and on this gives an upper bound on what
-/// arbitration costs.
-#[derive(Debug)]
-pub struct IdealInterconnect {
-    topo: Topology,
-    link_ns: Nanos,
-    link_occ_ns: Nanos,
-    busy: Nanos,
-}
-
-impl Default for IdealInterconnect {
-    fn default() -> Self {
-        Self::flat()
-    }
-}
-
-impl IdealInterconnect {
-    pub fn new(topo: Topology, link_ns: Nanos, link_occ_ns: Nanos) -> Self {
-        IdealInterconnect {
-            topo,
-            link_ns,
-            link_occ_ns,
-            busy: 0,
-        }
-    }
-
-    /// Flat single-group instance (the pre-hierarchy behaviour).
-    pub fn flat() -> Self {
-        Self::new(Topology::flat(), 0, 0)
-    }
-
-    /// Latency and bandwidth charged for one `src → dst` crossing on top
-    /// of a single bus phase.
-    #[inline]
-    fn route(&self, src: usize, dst: usize, occ_ns: Nanos, lat_ns: Nanos) -> (Nanos, Nanos) {
-        if src == dst {
-            return (lat_ns, occ_ns);
-        }
-        let hops = 2 * self.topo.lca_height(src, dst) as Nanos;
-        (
-            2 * lat_ns + hops * self.link_ns,
-            2 * occ_ns + hops * self.link_occ_ns,
-        )
-    }
-}
-
-impl Interconnect for IdealInterconnect {
-    fn transfer(
-        &mut self,
-        now: Nanos,
-        src: usize,
-        dst: usize,
-        occ_ns: Nanos,
-        lat_ns: Nanos,
-    ) -> Nanos {
-        let (lat, occ) = self.route(src, dst, occ_ns, lat_ns);
-        self.busy += occ;
-        now + lat
-    }
-
-    fn post(&mut self, _now: Nanos, src: usize, dst: usize, occ_ns: Nanos) {
-        let (_, occ) = self.route(src, dst, occ_ns, 0);
-        self.busy += occ;
-    }
-
-    fn busy_ns(&self) -> Nanos {
-        self.busy
     }
 }
 
@@ -313,71 +223,5 @@ mod tests {
         assert_eq!(f.busy_ns(), 30 + 30 + 20 + 20);
         // A transfer out of group 1 queues behind the posted occupancy.
         assert_eq!(f.transfer(0, 1, 1, 20, 20), 50);
-    }
-
-    #[test]
-    fn ideal_interconnect_never_queues() {
-        let mut net = IdealInterconnect::flat();
-        assert_eq!(net.transfer(0, 0, 0, 28, 28), 28);
-        assert_eq!(net.transfer(0, 0, 0, 28, 28), 28);
-        net.post(0, 0, 0, 28);
-        assert_eq!(net.transfer(0, 0, 0, 28, 28), 28);
-        // Bandwidth is still accounted for utilization reporting.
-        assert_eq!(net.busy_ns(), 112);
-    }
-
-    #[test]
-    fn ideal_posts_never_move_the_critical_path() {
-        // Satellite pin: buffered posts on the ideal fabric must be
-        // invisible to later transfers, no matter how they interleave.
-        let mut net = IdealInterconnect::flat();
-        assert_eq!(net.transfer(100, 0, 0, 28, 28), 128);
-        net.post(100, 0, 0, 500);
-        net.post(110, 0, 0, 500);
-        assert_eq!(net.transfer(120, 0, 0, 28, 28), 148);
-        let mut hier = IdealInterconnect::new(Topology::two_level(2), 20, 20);
-        hier.post(0, 0, 1, 300);
-        assert_eq!(hier.transfer(0, 0, 1, 20, 20), 2 * 20 + 2 * 20);
-        assert_eq!(hier.transfer(0, 0, 0, 20, 20), 20);
-    }
-
-    #[test]
-    fn ideal_busy_sums_under_interleaved_transfer_and_post() {
-        // Satellite pin: busy_ns is the plain sum of all occupancies.
-        let mut net = IdealInterconnect::flat();
-        net.transfer(0, 0, 0, 20, 20); // +20
-        net.post(5, 0, 0, 32); // +32
-        net.transfer(7, 0, 0, 40, 20); // +40
-        net.post(9, 0, 0, 8); // +8
-        assert_eq!(net.busy_ns(), 100);
-        // Cross-group charges both buses and the two link crossings.
-        let mut hier = IdealInterconnect::new(Topology::two_level(2), 20, 15);
-        hier.transfer(0, 0, 1, 20, 20); // 2×20 + 2×15 = 70
-        hier.post(0, 1, 0, 10); // 2×10 + 2×15 = 50
-        assert_eq!(hier.busy_ns(), 120);
-    }
-
-    #[test]
-    fn ideal_routes_latency_by_lca_height() {
-        let mut net = IdealInterconnect::new(Topology::tree(16, 2), 10, 10);
-        // Same group: one phase.
-        assert_eq!(net.transfer(0, 5, 5, 20, 20), 20);
-        // Sibling groups: two phases + 2 links.
-        assert_eq!(net.transfer(0, 0, 3, 20, 20), 60);
-        // Across the root: two phases + 4 links.
-        assert_eq!(net.transfer(0, 0, 15, 20, 20), 80);
-    }
-
-    #[test]
-    fn trait_objects_are_swappable() {
-        let media: Vec<Box<dyn Interconnect>> = vec![
-            Box::new(HierarchicalFabric::flat()),
-            Box::new(IdealInterconnect::flat()),
-        ];
-        for mut m in media {
-            let t = m.transfer(10, 0, 0, 28, 28);
-            assert_eq!(t, 38);
-            assert_eq!(m.busy_ns(), 28);
-        }
     }
 }

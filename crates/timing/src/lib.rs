@@ -24,6 +24,6 @@ pub mod resource;
 pub mod write_buffer;
 
 pub use event::EventQueue;
-pub use interconnect::{HierarchicalFabric, IdealInterconnect, Interconnect};
+pub use interconnect::HierarchicalFabric;
 pub use resource::Resource;
 pub use write_buffer::WriteBufferArray;

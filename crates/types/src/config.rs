@@ -2,8 +2,11 @@
 //!
 //! [`MachineConfig`] describes the structural parameters that the paper
 //! varies (processors per node, AM associativity, memory pressure) plus
-//! the ones it holds fixed (16 processors, 64-byte lines, 4 KB FLC,
-//! SLC = working-set/128, 10-entry write buffer).
+//! the ones it holds fixed but the ablations still turn (16 processors,
+//! SLC = working-set/128, 10-entry write buffer). The parameters nothing
+//! varies are constants: 64-byte lines ([`LINE_BYTES`]), the 4 KB
+//! direct-mapped FLC ([`FLC_BYTES`]) and the SLC associativity
+//! ([`SLC_ASSOC`]).
 //!
 //! [`LatencyConfig`] carries the §3.2 timing model, with *occupancy*
 //! (bandwidth) separated from *latency* so the paper's bandwidth
@@ -18,6 +21,12 @@ use crate::time::Nanos;
 use crate::topology::Topology;
 use std::fmt;
 
+/// First-level cache size per processor in bytes (4 KB, direct-mapped).
+pub const FLC_BYTES: u64 = 4096;
+
+/// Second-level cache associativity.
+pub const SLC_ASSOC: usize = 4;
+
 /// Structural machine parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
@@ -25,12 +34,8 @@ pub struct MachineConfig {
     pub n_procs: usize,
     /// Processors sharing each node / attraction memory (1, 2 or 4).
     pub procs_per_node: usize,
-    /// First-level cache size per processor in bytes (4 KB, direct-mapped).
-    pub flc_bytes: u64,
     /// The second-level cache is `working_set / slc_ws_ratio` (128).
     pub slc_ws_ratio: u64,
-    /// SLC associativity.
-    pub slc_assoc: usize,
     /// Attraction-memory associativity (4 default, 8 in the Fig. 4 variant).
     pub am_assoc: usize,
     /// Target memory pressure; the AM size is derived from it.
@@ -54,9 +59,7 @@ impl Default for MachineConfig {
         MachineConfig {
             n_procs: 16,
             procs_per_node: 1,
-            flc_bytes: 4096,
             slc_ws_ratio: 128,
-            slc_assoc: 4,
             am_assoc: 4,
             memory_pressure: MemoryPressure::MP_50,
             write_buffer_entries: 10,
@@ -93,6 +96,8 @@ pub enum ConfigError {
     /// Level count inconsistent with the group count (flat needs 0 levels,
     /// multiple groups need 1 ≤ levels ≤ ⌈log₂ n_groups⌉).
     LevelsOutOfRange { n_groups: usize, levels: usize },
+    /// A workload must supply exactly one reference stream per processor.
+    StreamCount { streams: usize, procs: usize },
     /// A workload generator was configured with an empty object universe
     /// (zero keys, zero vertices, …).
     EmptyWorkload {
@@ -132,6 +137,9 @@ impl fmt::Display for ConfigError {
                 "{levels} directory levels inconsistent with {n_groups} groups \
                  (flat needs 0; multiple groups need 1..=ceil(log2 n_groups))"
             ),
+            ConfigError::StreamCount { streams, procs } => {
+                write!(f, "workload has {streams} streams for {procs} processors")
+            }
             ConfigError::EmptyWorkload { family, what } => {
                 write!(f, "{family}: {what} must be non-zero")
             }
@@ -162,15 +170,11 @@ impl MachineConfig {
         for (name, v) in [
             ("n_procs", self.n_procs),
             ("procs_per_node", self.procs_per_node),
-            ("slc_assoc", self.slc_assoc),
             ("am_assoc", self.am_assoc),
         ] {
             if v == 0 {
                 return Err(ConfigError::ZeroParameter(name));
             }
-        }
-        if self.flc_bytes == 0 {
-            return Err(ConfigError::ZeroParameter("flc_bytes"));
         }
         if self.slc_ws_ratio == 0 {
             return Err(ConfigError::ZeroParameter("slc_ws_ratio"));
@@ -221,11 +225,11 @@ impl MachineConfig {
     /// Derive the concrete cache geometry for a given working-set size.
     pub fn geometry(&self, ws_bytes: u64) -> Result<MachineGeometry, ConfigError> {
         self.validate()?;
-        let flc_sets = (self.flc_bytes / LINE_BYTES).max(1);
+        let flc_sets = FLC_BYTES / LINE_BYTES;
 
         let slc_bytes = ws_bytes / self.slc_ws_ratio;
         let slc_lines = slc_bytes / LINE_BYTES;
-        let slc_sets = (slc_lines / self.slc_assoc as u64).max(1);
+        let slc_sets = (slc_lines / SLC_ASSOC as u64).max(1);
         if slc_lines == 0 {
             return Err(ConfigError::DegenerateCache {
                 which: "SLC",
@@ -253,7 +257,7 @@ impl MachineConfig {
             procs_per_node: self.procs_per_node,
             flc_sets,
             slc_sets,
-            slc_assoc: self.slc_assoc,
+            slc_assoc: SLC_ASSOC,
             am_sets,
             am_assoc: self.am_assoc,
             topology: self.topology,
@@ -434,7 +438,6 @@ mod tests {
         let c = MachineConfig::default();
         assert_eq!(c.n_procs, 16);
         assert_eq!(c.n_nodes(), 16);
-        assert_eq!(c.flc_bytes, 4096);
         assert_eq!(c.write_buffer_entries, 10);
         c.validate().unwrap();
     }

@@ -6,10 +6,11 @@
 //! physical copy the protocol can serve a read from (a processor's
 //! private caches, a node's AM, the paged-out "disk" image), which
 //! version that copy currently holds. The serving copy for each read is
-//! identified from the [`Outcome`]; since the harness applies ops one at
-//! a time, sequential consistency demands that every read observe the
-//! line's latest version. A protocol bug that leaves a stale copy behind
-//! — and later serves from it — surfaces as a version mismatch.
+//! identified from the [`Outcome`](coma_protocol::Outcome); since the
+//! harness applies ops one at a time, sequential consistency demands
+//! that every read observe the line's latest version. A protocol bug
+//! that leaves a stale copy behind — and later serves from it —
+//! surfaces as a version mismatch.
 //!
 //! Data movement the `Outcome` does not name (injection of a *different*
 //! victim line, ownership migration) is reconstructed after every op by

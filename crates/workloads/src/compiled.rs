@@ -1,6 +1,6 @@
 //! Precompiled operation streams: flat, arena-allocated op buffers.
 //!
-//! The lazy [`OpStream`](crate::OpStream) path re-interprets generator
+//! The lazy [`OpStream`] path re-interprets generator
 //! state per `next_op()` call: a virtual dispatch, a `VecDeque` pop and
 //! an `Op` enum match for every operation — including the compute gap
 //! preceding every memory reference, which doubles the op count without

@@ -11,6 +11,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> rustdoc (workspace, -D warnings)"
+# Catches intra-doc links left dangling by a deleted or renamed item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate)"
 cargo build --release --offline
 cargo test -q --offline

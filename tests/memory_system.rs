@@ -4,7 +4,7 @@
 //! traffic totals captured before the engines moved behind the trait.
 
 use coma::protocol::{BaselineEngine, BaselineKind, CoherenceEngine, MemorySystem};
-use coma::sim::{run_simulation, InterconnectKind, MemoryModel, SimParams, Simulation};
+use coma::sim::{run_simulation, MemoryModel, SimParams, Simulation};
 use coma::types::{LineNum, MachineConfig, MemoryPressure, ProcId, Rng64};
 use coma::workloads::{AppId, Scale};
 
@@ -83,37 +83,6 @@ fn simulation_accepts_external_memory_system() {
     let r = sim.run_checked().expect("invariants hold");
     assert!(r.exec_time_ns > 0);
     assert_eq!(r.injections, 0, "baselines never inject");
-}
-
-/// The ideal (contention-free) interconnect can only make execution
-/// faster, and leaves the protocol-side numbers untouched.
-#[test]
-fn ideal_interconnect_is_a_lower_bound() {
-    let run = |kind| {
-        let mut params = SimParams::default();
-        params.machine.procs_per_node = 2;
-        params.machine.memory_pressure = MemoryPressure::MP_81;
-        params.interconnect = kind;
-        run_simulation(AppId::Fft.build(16, 42, Scale::SMOKE), &params)
-    };
-    let bus = run(InterconnectKind::SnoopingBus);
-    let ideal = run(InterconnectKind::Ideal);
-    assert!(
-        ideal.exec_time_ns <= bus.exec_time_ns,
-        "removing contention slowed execution: {} > {}",
-        ideal.exec_time_ns,
-        bus.exec_time_ns
-    );
-    // The simulation is timing-coupled, so removing contention perturbs
-    // the interleaving slightly — but the protocol work is the same to
-    // within a fraction of a percent.
-    let (a, b) = (ideal.traffic.total_bytes(), bus.traffic.total_bytes());
-    assert!(
-        (a as f64 - b as f64).abs() / (b as f64) < 0.01,
-        "interconnect changed protocol traffic: {a} vs {b}"
-    );
-    assert_eq!(ideal.counts.total_reads(), bus.counts.total_reads());
-    assert_eq!(ideal.counts.total_writes(), bus.counts.total_writes());
 }
 
 fn golden_params() -> SimParams {
