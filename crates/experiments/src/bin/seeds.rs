@@ -1,75 +1,3 @@
-//! Seed robustness — are the headline numbers artifacts of one workload
-//! seed? This re-measures the Figure 2 clustering gain and the Figure 5
-//! clustering speedup across several seeds and reports mean ± stddev.
-//! Small coefficients of variation mean the single-seed figures are
-//! representative.
-
-use coma_experiments::{across_seeds, fig5_latency, ExpCtx, RunSpec};
-use coma_stats::Table;
-use coma_types::MemoryPressure;
-use coma_workloads::AppId;
-
-const SEEDS: usize = 5;
-const APPS: [AppId; 5] = [
-    AppId::Fft,
-    AppId::OceanNon,
-    AppId::Barnes,
-    AppId::Radix,
-    AppId::WaterN2,
-];
-
 fn main() {
-    let ctx = ExpCtx::from_env();
-    let mut t = Table::new(vec![
-        "Application",
-        "rel RNMr 4p (mean)",
-        "cv",
-        "exec 4p/1p @81% (mean)",
-        "cv ",
-    ]);
-    for app in APPS {
-        // Figure 2 metric: relative RNMr, 4-way vs 1-way at 6.25% MP.
-        let rnm1 = across_seeds(
-            &ctx,
-            &RunSpec::new(app, 1, MemoryPressure::MP_6),
-            SEEDS,
-            |r| r.rnm_rate(),
-        );
-        let rnm4 = across_seeds(
-            &ctx,
-            &RunSpec::new(app, 4, MemoryPressure::MP_6),
-            SEEDS,
-            |r| r.rnm_rate(),
-        );
-        let rel = rnm4.mean / rnm1.mean;
-        let rel_cv = (rnm4.cv().powi(2) + rnm1.cv().powi(2)).sqrt();
-
-        // Figure 5 metric: execution-time ratio at 81.25% MP.
-        let t1 = across_seeds(
-            &ctx,
-            &RunSpec::new(app, 1, MemoryPressure::MP_81).with_latency(fig5_latency()),
-            SEEDS,
-            |r| r.exec_time_ns as f64,
-        );
-        let t4 = across_seeds(
-            &ctx,
-            &RunSpec::new(app, 4, MemoryPressure::MP_81).with_latency(fig5_latency()),
-            SEEDS,
-            |r| r.exec_time_ns as f64,
-        );
-        let speed = t4.mean / t1.mean;
-        let speed_cv = (t4.cv().powi(2) + t1.cv().powi(2)).sqrt();
-
-        t.row(vec![
-            app.name().to_string(),
-            format!("{:.1}%", rel * 100.0),
-            format!("{:.1}%", rel_cv * 100.0),
-            format!("{:.1}%", speed * 100.0),
-            format!("{:.1}%", speed_cv * 100.0),
-        ]);
-    }
-    println!("Seed robustness over {SEEDS} seeds (cv = combined coefficient of variation)\n");
-    println!("{}", t.render());
-    println!("small cv ⇒ the single-seed figures elsewhere are representative");
-    ctx.write_csv("seeds", &t);
+    coma_experiments::exp::seeds::run(&coma_experiments::ExpCtx::from_env());
 }

@@ -1,0 +1,191 @@
+//! Traffic — the paper's clustering/pressure questions re-asked for
+//! production-shaped traffic instead of HPC sharing patterns.
+//!
+//! Sweeps both traffic families (`kv_zipf`: Zipf-skewed key-value
+//! serving, the favourable case for attraction-memory replication;
+//! `graph_bfs`: irregular graph analysis, the adversarial case) across
+//! the standard memory pressures, {1,2,4}-processor clusters and
+//! {4,8}-way AMs, against a CC-NUMA baseline at every clustering degree.
+//! NUMA is pressure- and AM-associativity-independent, so its three
+//! cells (one per clustering degree) anchor the comparison at 100 %.
+//!
+//! All cells run through the cached work-stealing sweep engine and
+//! persist to the `traffic` columnar store; the table, chart and the
+//! printed findings are derived from the stored rows.
+//!
+//! `smoke` (the binary's `--smoke` flag) restricts the matrix to
+//! a two-pressure, two-cluster corner (the CI traffic-smoke gate).
+
+use crate::{fig5_latency, run_sweep, ExpCtx, RunSpec};
+use coma_sim::MemoryModel;
+use coma_stats::{Bar, BarChart, Table};
+use coma_types::MemoryPressure;
+use coma_workloads::AppId;
+
+#[derive(Clone, Copy, PartialEq)]
+struct Cell {
+    app: AppId,
+    model: MemoryModel,
+    mp: MemoryPressure,
+    ppn: usize,
+    assoc: usize,
+}
+
+pub fn run(ctx: &ExpCtx, smoke: bool) {
+    let mps: &[MemoryPressure] = if smoke {
+        &[MemoryPressure::MP_50, MemoryPressure::MP_87]
+    } else {
+        &MemoryPressure::PAPER_SWEEP
+    };
+    let ppns: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4] };
+    let assocs: &[usize] = if smoke { &[4] } else { &[4, 8] };
+
+    let mut specs: Vec<RunSpec> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::new();
+    for app in AppId::TRAFFIC {
+        for &ppn in ppns {
+            // The NUMA anchor: memory pressure only sizes the AM, which a
+            // NUMA machine does not have, so one cell per clustering degree.
+            specs.push(
+                RunSpec::new(app, ppn, MemoryPressure::MP_50)
+                    .with_latency(fig5_latency())
+                    .with_model(MemoryModel::Numa),
+            );
+            cells.push(Cell {
+                app,
+                model: MemoryModel::Numa,
+                mp: MemoryPressure::MP_50,
+                ppn,
+                assoc: 4,
+            });
+            for &assoc in assocs {
+                for &mp in mps {
+                    specs.push(
+                        RunSpec::new(app, ppn, mp)
+                            .with_latency(fig5_latency())
+                            .with_assoc(assoc),
+                    );
+                    cells.push(Cell {
+                        app,
+                        model: MemoryModel::Coma,
+                        mp,
+                        ppn,
+                        assoc,
+                    });
+                }
+            }
+        }
+    }
+    let sweep = run_sweep(ctx, "traffic", &specs);
+
+    // NUMA anchor per (family, clustering degree).
+    let numa_ns = |app: AppId, ppn: usize| {
+        cells
+            .iter()
+            .position(|c| c.app == app && c.ppn == ppn && c.model == MemoryModel::Numa)
+            .map(|row| sweep.u64("exec_time_ns", row))
+            .unwrap_or(1)
+            .max(1)
+    };
+
+    let mut t = Table::new(vec![
+        "Family",
+        "model",
+        "MP",
+        "ppn",
+        "AM assoc",
+        "exec (ms)",
+        "vs NUMA",
+        "RNMr",
+        "read (KB)",
+        "replace (KB)",
+        "injections",
+    ]);
+    for (row, c) in cells.iter().enumerate() {
+        let exec = sweep.u64("exec_time_ns", row);
+        let base = numa_ns(c.app, c.ppn);
+        t.row(vec![
+            c.app.name().to_string(),
+            match c.model {
+                MemoryModel::Numa => "NUMA".to_string(),
+                _ => "COMA".to_string(),
+            },
+            c.mp.to_string(),
+            c.ppn.to_string(),
+            c.assoc.to_string(),
+            format!("{:.3}", exec as f64 / 1e6),
+            format!("{:.1}%", exec as f64 / base as f64 * 100.0),
+            format!("{:.3}%", sweep.f64("rnm_rate", row) * 100.0),
+            (sweep.u64("read_bytes", row) / 1024).to_string(),
+            (sweep.u64("replace_bytes", row) / 1024).to_string(),
+            sweep.u64("injections", row).to_string(),
+        ]);
+    }
+
+    // Chart: per family and clustering degree, COMA exec across the
+    // pressure sweep (4-way AM) against the NUMA = 100 anchor.
+    let mut chart = BarChart::new(
+        "Traffic families: COMA execution time across memory pressure (NUMA = 100%)",
+        vec!["exec".into()],
+        "% of NUMA at same clustering degree",
+    );
+    for app in AppId::TRAFFIC {
+        for &ppn in ppns {
+            let base = numa_ns(app, ppn) as f64;
+            let g = chart.group(format!("{} {ppn}ppn", app.name()));
+            g.bars.push(Bar {
+                label: "NUMA".to_string(),
+                segments: vec![100.0],
+            });
+            for (row, c) in cells.iter().enumerate() {
+                if c.app == app
+                    && c.ppn == ppn
+                    && c.assoc == assocs[0]
+                    && c.model == MemoryModel::Coma
+                {
+                    g.bars.push(Bar {
+                        label: format!("{}", c.mp),
+                        segments: vec![sweep.u64("exec_time_ns", row) as f64 / base * 100.0],
+                    });
+                }
+            }
+        }
+    }
+
+    // Where attraction behavior helps most / least, from the stored rows.
+    for app in AppId::TRAFFIC {
+        let mut best: Option<(f64, &Cell)> = None;
+        let mut worst: Option<(f64, &Cell)> = None;
+        for (row, c) in cells.iter().enumerate() {
+            if c.app != app || c.model != MemoryModel::Coma {
+                continue;
+            }
+            let rel = sweep.u64("exec_time_ns", row) as f64 / numa_ns(app, c.ppn) as f64;
+            if best.as_ref().is_none_or(|(b, _)| rel < *b) {
+                best = Some((rel, c));
+            }
+            if worst.as_ref().is_none_or(|(w, _)| rel > *w) {
+                worst = Some((rel, c));
+            }
+        }
+        if let (Some((b, bc)), Some((w, wc))) = (best, worst) {
+            println!(
+                "{}: COMA best {:.1}% of NUMA ({} {}ppn {}-way), worst {:.1}% ({} {}ppn {}-way)",
+                app.name(),
+                b * 100.0,
+                bc.mp,
+                bc.ppn,
+                bc.assoc,
+                w * 100.0,
+                wc.mp,
+                wc.ppn,
+                wc.assoc
+            );
+        }
+    }
+
+    println!("\nTraffic: production-shaped workloads, COMA vs NUMA\n");
+    println!("{}", t.render());
+    ctx.write_csv("traffic", &t);
+    ctx.write_svg("traffic", &chart);
+}

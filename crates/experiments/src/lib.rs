@@ -1,8 +1,9 @@
-//! Shared infrastructure for the experiment binaries.
+//! The experiments and their shared infrastructure.
 //!
-//! Every binary reproduces one table or figure of the paper. Common knobs
-//! come from the environment so `cargo run --release -p coma-experiments
-//! --bin fig3` just works:
+//! Every experiment in [`exp`] reproduces one table or figure of the
+//! paper, and the binary of the same name runs it. Common knobs come from
+//! the environment so `cargo run --release -p coma-experiments --bin fig3`
+//! just works:
 //!
 //! * `COMA_SCALE` — `paper` (default), `bench`, `smoke` or a positive
 //!   factor: trace length.
@@ -35,6 +36,7 @@ use coma_workloads::{AppId, Scale};
 use std::path::PathBuf;
 
 pub mod columnar;
+pub mod exp;
 pub mod json;
 pub mod sweep;
 
@@ -159,6 +161,9 @@ fn env_or<T: std::str::FromStr>(var: &str, expected: &str, default: T, default_n
 pub struct RunSpec {
     pub app: AppId,
     pub params: SimParams,
+    /// Added to the experiment seed to give this cell's workload seed
+    /// (0 unless the grid varies the seed, as `seeds` does).
+    pub seed_offset: u64,
 }
 
 impl RunSpec {
@@ -166,7 +171,16 @@ impl RunSpec {
         let mut params = SimParams::default();
         params.machine.procs_per_node = ppn;
         params.machine.memory_pressure = mp;
-        RunSpec { app, params }
+        RunSpec {
+            app,
+            params,
+            seed_offset: 0,
+        }
+    }
+
+    pub fn with_seed_offset(mut self, offset: u64) -> Self {
+        self.seed_offset = offset;
+        self
     }
 
     pub fn with_assoc(mut self, assoc: usize) -> Self {
@@ -202,10 +216,15 @@ impl RunSpec {
         self.params.machine.am_assoc
     }
 
+    /// The workload seed this cell runs at.
+    pub fn seed(&self, ctx: &ExpCtx) -> u64 {
+        ctx.seed.wrapping_add(self.seed_offset)
+    }
+
     /// Execute this point (uncached; the scheduler wraps this).
     pub fn run(&self, ctx: &ExpCtx) -> SimReport {
         let n_procs = self.params.machine.n_procs;
-        let wl = self.app.build(n_procs, ctx.seed, ctx.scale);
+        let wl = self.app.build(n_procs, self.seed(ctx), ctx.scale);
         run_simulation(wl, &self.params)
     }
 }
@@ -215,50 +234,16 @@ pub fn fig5_latency() -> LatencyConfig {
     LatencyConfig::paper_double_dram()
 }
 
-/// Mean / standard deviation of a metric across workload seeds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SeedStats {
-    pub mean: f64,
-    pub stddev: f64,
-    pub n: usize,
-}
-
-impl SeedStats {
-    /// Relative spread (coefficient of variation).
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
-}
-
-/// Run `spec` under `n_seeds` different workload seeds (ctx.seed,
-/// ctx.seed+1, …) and summarize `metric` across them. Reviewers of
-/// simulation studies rightly ask for this; a small CV means a single
-/// seed's figures are representative. The per-seed runs go through the
-/// scheduler (parallel, cached).
-pub fn across_seeds(
-    ctx: &ExpCtx,
-    spec: &RunSpec,
-    n_seeds: usize,
-    metric: impl Fn(&SimReport) -> f64 + Sync,
-) -> SeedStats {
-    assert!(n_seeds >= 1);
-    let values: Vec<f64> = sweep::run_pool(ctx.threads, n_seeds, |k| {
-        let mut c = ctx.clone();
-        c.seed = ctx.seed + k as u64;
-        metric(&sweep::run_spec_cached(&c, spec).unwrap_or_else(|e| panic!("seed run failed: {e}")))
-    });
-    let mean = values.iter().sum::<f64>() / n_seeds as f64;
+/// Mean and coefficient of variation (sample stddev / mean; 0 for a zero
+/// mean or a single value) of one metric across a cell's seeds.
+pub fn mean_cv(values: &[f64]) -> (f64, f64) {
+    assert!(!values.is_empty());
+    let n = values.len();
+    let mean = values.iter().sum::<f64>() / n as f64;
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
-        / n_seeds.max(2).saturating_sub(1) as f64;
-    SeedStats {
-        mean,
-        stddev: var.sqrt(),
-        n: n_seeds,
-    }
+        / n.max(2).saturating_sub(1) as f64;
+    let cv = if mean == 0.0 { 0.0 } else { var.sqrt() / mean };
+    (mean, cv)
 }
 
 #[cfg(test)]
@@ -308,24 +293,56 @@ mod tests {
         assert_eq!(content, "a\n1\n");
     }
 
+    /// One metric of `spec` at seed offsets `0..n`, in seed order.
+    fn across_offsets(spec: &RunSpec, n: u64, metric: fn(&SimReport) -> f64) -> Vec<f64> {
+        let specs: Vec<RunSpec> = (0..n).map(|k| spec.clone().with_seed_offset(k)).collect();
+        sweep::run_matrix(&smoke_ctx(), &specs)
+            .cells
+            .into_iter()
+            .map(|c| metric(&c.unwrap()))
+            .collect()
+    }
+
     #[test]
     fn seed_stats_are_sane() {
-        let ctx = smoke_ctx();
         let spec = RunSpec::new(AppId::WaterN2, 2, MemoryPressure::MP_50);
-        let s = across_seeds(&ctx, &spec, 3, |r| r.rnm_rate());
-        assert_eq!(s.n, 3);
-        assert!(s.mean > 0.0 && s.mean < 1.0);
-        assert!(s.stddev >= 0.0);
+        let values = across_offsets(&spec, 3, |r| r.rnm_rate());
+        assert_eq!(values.len(), 3);
+        // Distinct offsets are distinct workloads.
+        assert_ne!(values[0], values[1]);
+        let (mean, cv) = mean_cv(&values);
+        assert!(mean > 0.0 && mean < 1.0);
         // Across-seed noise on the RNMr should be small.
-        assert!(s.cv() < 0.5, "cv = {}", s.cv());
+        assert!((0.0..0.5).contains(&cv), "cv = {cv}");
     }
 
     #[test]
     fn single_seed_stats_degenerate_cleanly() {
-        let ctx = smoke_ctx();
         let spec = RunSpec::new(AppId::WaterN2, 1, MemoryPressure::MP_50);
-        let s = across_seeds(&ctx, &spec, 1, |r| r.exec_time_ns as f64);
-        assert_eq!(s.stddev, 0.0);
+        let values = across_offsets(&spec, 1, |r| r.exec_time_ns as f64);
+        let (mean, cv) = mean_cv(&values);
+        assert_eq!(mean, values[0]);
+        assert_eq!(cv, 0.0);
+        assert_eq!(mean_cv(&[0.0, 0.0]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn seed_offset_shifts_the_workload_seed_and_key() {
+        let ctx = smoke_ctx();
+        let spec = RunSpec::new(AppId::Fft, 4, MemoryPressure::MP_81);
+        let shifted = spec.clone().with_seed_offset(3);
+        let mut reseeded = ctx.clone();
+        reseeded.seed = ctx.seed + 3;
+        // An offset cell is keyed exactly like the base cell under a
+        // context seeded that much higher.
+        assert_eq!(
+            sweep::spec_key(&ctx, &shifted),
+            sweep::spec_key(&reseeded, &spec)
+        );
+        assert_ne!(
+            sweep::spec_key(&ctx, &shifted),
+            sweep::spec_key(&ctx, &spec)
+        );
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!    the sweep.
 //! 2. **Result cache** — every cell is keyed by a canonical 64-bit hash
 //!    (`coma_sim::canon`) over the full `SimParams`, the application, the
-//!    workload seed and scale, plus [`CODE_SALT`]. Entries persist under
-//!    `<out>/cache/` with a version stamp and payload checksum; a stale
-//!    or corrupt entry is detected and recomputed, never served.
+//!    cell's workload seed and the scale, plus [`CODE_SALT`]. Entries
+//!    persist under `<out>/cache/` with a version stamp and payload
+//!    checksum; a stale or corrupt entry is detected and recomputed,
+//!    never served.
 //! 3. **Columnar store** — [`run_sweep`] writes one
 //!    [`crate::columnar`] file per sweep under `<out>/store/` (plus a
-//!    human-readable JSON sidecar) and hands the binaries a [`Sweep`]
+//!    human-readable JSON sidecar) and hands the experiment a [`Sweep`]
 //!    whose accessors read *from the store*, so every figure is derived
 //!    from the same bytes external tooling sees.
 //!
@@ -117,13 +118,14 @@ const CACHE_MAGIC: [u8; 8] = *b"COMACEL1";
 /// versions the simulator's semantics.
 const CACHE_VERSION: u32 = 1;
 
-/// The cache key of one sweep cell: code salt, application, workload seed
-/// and scale, and the canonical hash of the complete `SimParams`.
+/// The cache key of one sweep cell: code salt, application, the cell's
+/// workload seed ([`RunSpec::seed`]) and scale, and the canonical hash of
+/// the complete `SimParams`.
 pub fn spec_key(ctx: &ExpCtx, spec: &RunSpec) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv1a_u64(h, CODE_SALT);
     h = fnv1a_bytes(h, spec.app.name().as_bytes());
-    h = fnv1a_u64(h, ctx.seed);
+    h = fnv1a_u64(h, spec.seed(ctx));
     h = fnv1a_u64(h, ctx.scale.0.to_bits());
     fnv1a_u64(h, config_hash(&spec.params))
 }
@@ -279,10 +281,10 @@ impl Cache {
         if stored_key != key {
             return None;
         }
-        let payload_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-        if bytes.len() != 32 + payload_len + 8 {
-            return None;
-        }
+        // The length word is untrusted: a huge value must not wrap the sum.
+        let payload_len = usize::try_from(u64::from_le_bytes(bytes[24..32].try_into().unwrap()))
+            .ok()
+            .filter(|len| len.checked_add(40) == Some(bytes.len()))?;
         let payload = &bytes[32..32 + payload_len];
         let checksum = u64::from_le_bytes(bytes[32 + payload_len..].try_into().unwrap());
         if fnv1a_bytes(FNV_OFFSET, payload) != checksum {
@@ -324,15 +326,23 @@ struct SweepCounters {
     failed: AtomicUsize,
 }
 
-/// Run one spec through the cache: serve a valid entry, otherwise compute
-/// (with panic isolation) and persist. Used by the scheduler for every
-/// cell and by [`across_seeds`](crate::across_seeds) for per-seed runs.
-pub fn run_spec_cached(ctx: &ExpCtx, spec: &RunSpec) -> Result<SimReport, String> {
-    let cache = Cache::for_ctx(ctx);
-    let counters = SweepCounters::default();
-    run_cell(ctx, spec, cache.as_ref(), &counters)
+/// Every sweep [`report_sweep_stats`] has reported in this process.
+static PROCESS_TOTALS: SweepCounters = SweepCounters {
+    hits: AtomicUsize::new(0),
+    misses: AtomicUsize::new(0),
+    failed: AtomicUsize::new(0),
+};
+
+/// `(hits, misses, failed)` summed over every sweep reported so far in
+/// this process (what `--bin all` prints at the end).
+pub fn process_totals() -> (usize, usize, usize) {
+    let t = &PROCESS_TOTALS;
+    let get = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+    (get(&t.hits), get(&t.misses), get(&t.failed))
 }
 
+/// Serve one cell from the cache if it holds a valid entry, otherwise
+/// compute it (with panic isolation) and persist it.
 fn run_cell(
     ctx: &ExpCtx,
     spec: &RunSpec,
@@ -498,6 +508,9 @@ fn sidecar_json(
                     Value::Str(format!("{:016x}", spec_key(ctx, spec))),
                 ),
             ];
+            if spec.seed_offset != 0 {
+                row.push(("seed_offset".to_string(), Value::int(spec.seed_offset)));
+            }
             match cell {
                 Ok(r) => {
                     row.push(("ok".to_string(), Value::Bool(true)));
@@ -536,8 +549,7 @@ fn sidecar_json(
     doc.to_json()
 }
 
-/// Print one sweep's cache accounting and append it to the stats log that
-/// `experiments --bin all` aggregates (`<out>/cache/stats.log`).
+/// Print one sweep's cache accounting and add it to [`process_totals`].
 pub fn report_sweep_stats(ctx: &ExpCtx, name: &str, hits: usize, misses: usize, failed: usize) {
     let failed_txt = if failed > 0 {
         format!(", {failed} FAILED")
@@ -549,19 +561,10 @@ pub fn report_sweep_stats(ctx: &ExpCtx, name: &str, hits: usize, misses: usize, 
         hits + misses + failed,
         ctx.threads
     );
-    if !ctx.no_cache {
-        let dir = ctx.out_dir.join("cache");
-        if std::fs::create_dir_all(&dir).is_ok() {
-            use std::io::Write as _;
-            if let Ok(mut f) = std::fs::OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(dir.join("stats.log"))
-            {
-                let _ = writeln!(f, "{name} {hits} {misses} {failed}");
-            }
-        }
-    }
+    let t = &PROCESS_TOTALS;
+    t.hits.fetch_add(hits, Ordering::Relaxed);
+    t.misses.fetch_add(misses, Ordering::Relaxed);
+    t.failed.fetch_add(failed, Ordering::Relaxed);
 }
 
 /// A completed sweep: the matrix specs plus the persisted columnar store,
@@ -595,7 +598,7 @@ impl Sweep {
         self.errors[row].as_deref()
     }
 
-    /// A `u64` metric; panics if the cell failed (figure binaries treat a
+    /// A `u64` metric; panics if the cell failed (experiments treat a
     /// failed cell in their matrix as fatal — the figure would be wrong).
     pub fn u64(&self, col: &str, row: usize) -> u64 {
         self.file.get_u64(col, row).unwrap_or_else(|| {

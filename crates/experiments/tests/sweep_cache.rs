@@ -84,6 +84,16 @@ fn poisoned_entries_are_detected_and_recomputed() {
     let warm = run_matrix(&c, &m);
     assert_eq!((warm.hits, warm.misses), (m.len() - 2, 2));
 
+    // A 39-byte entry whose length word is u64::MAX: `32 + len + 8` would
+    // wrap to 39 and pass a naive length check. A miss, not a panic.
+    let entries = cache_entries(&c);
+    let mut bytes = std::fs::read(&entries[0]).unwrap();
+    bytes.truncate(39);
+    bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&entries[0], &bytes).unwrap();
+    let warm = run_matrix(&c, &m);
+    assert_eq!((warm.hits, warm.misses, warm.failed), (m.len() - 1, 1, 0));
+
     // Every recompute matches the original result exactly.
     let final_run = run_matrix(&c, &m);
     assert_eq!(final_run.hits, m.len());

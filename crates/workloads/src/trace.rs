@@ -158,11 +158,14 @@ pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
     r.read_exact(&mut u32b)?;
     let n_locks = u32::from_le_bytes(u32b);
 
-    let mut streams: Vec<Box<dyn OpStream>> = Vec::with_capacity(n_procs);
+    // The header counts are untrusted, so nothing is pre-sized from them:
+    // a lying count ends in a read error at end of file, not a huge
+    // allocation.
+    let mut streams: Vec<Box<dyn OpStream>> = Vec::new();
     for _ in 0..n_procs {
         r.read_exact(&mut u64b)?;
-        let count = u64::from_le_bytes(u64b) as usize;
-        let mut ops = Vec::with_capacity(count);
+        let count = u64::from_le_bytes(u64b);
+        let mut ops = Vec::new();
         let mut last_addr = 0i64;
         for _ in 0..count {
             let mut code = [0u8];
@@ -300,6 +303,30 @@ mod tests {
         let mut buf = Vec::new();
         record(AppId::WaterN2.build(2, 1, Scale::SMOKE), &mut buf).unwrap();
         buf.truncate(buf.len() / 2);
+        assert!(replay(buf.as_slice()).is_err());
+    }
+
+    /// A header: magic, `n_procs`, `ws_bytes` = 0, `n_locks` = 0.
+    fn header(n_procs: u32) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&n_procs.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn huge_op_count_is_an_error_not_a_capacity_overflow() {
+        let mut buf = header(1);
+        buf.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        assert_eq!(buf.len(), 32);
+        assert!(replay(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn huge_processor_count_is_an_error_not_a_huge_allocation() {
+        let buf = header(u32::MAX);
+        assert_eq!(buf.len(), 24);
         assert!(replay(buf.as_slice()).is_err());
     }
 

@@ -46,4 +46,10 @@ echo "==> traffic smoke: both production-traffic families through the sweep"
 COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
   cargo run --release --offline -p coma-experiments --bin traffic -- --smoke
 
+echo "==> all smoke: every experiment but hierarchy, in one process"
+# The in-process runner end to end: each experiment's library function
+# under one ExpCtx, ending in the whole-run cache tally.
+COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
+  cargo run --release --offline -p coma-experiments --bin all -- --jobs 2
+
 echo "OK: all checks passed"
