@@ -349,36 +349,6 @@ impl CoherenceEngine {
                 return Err(format!("{line:?} both paged out and live"));
             }
         }
-        // Directory-level presence masks agree with the root sets: every
-        // live line's stored mask at each level equals the fold of the
-        // owner+sharer groups, and no dead line lingers at any level.
-        for (line, info) in self.dir.iter() {
-            for lvl in self.dir.levels() {
-                let h = lvl.height();
-                let expect = self.dir.expected_presence(h, info);
-                match lvl.presence(line) {
-                    Some(mask) if mask == expect => {}
-                    Some(mask) => {
-                        return Err(format!(
-                            "{line:?}: level-{h} presence {mask:#b} but copies span {expect:#b}"
-                        ));
-                    }
-                    None => {
-                        return Err(format!("{line:?}: live but untracked at level {h}"));
-                    }
-                }
-            }
-        }
-        for lvl in self.dir.levels() {
-            for (line, _) in lvl.iter() {
-                if !self.dir.contains(line) {
-                    return Err(format!(
-                        "{line:?}: dead but still present at level {}",
-                        lvl.height()
-                    ));
-                }
-            }
-        }
         // Each node's SLC residency filter matches its SLC contents
         // (the filter gates private-cache probes; a stale count could
         // silently skip a required invalidation or downgrade).

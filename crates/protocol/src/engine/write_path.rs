@@ -50,13 +50,12 @@ impl CoherenceEngine {
     fn global_upgrade(&mut self, n: usize, line: LineNum) -> Outcome {
         let mut out = Outcome::at(Level::Remote);
         let info = self.dir.get(line).expect("valid AM line not in directory");
-        // Ask the directory levels how far the invalidation must climb
-        // (the stored presence masks, not the root sets, answer this —
-        // they are the modeled snoop filter). Flat machines have no
-        // levels and broadcast to everyone.
+        // How far the invalidation must climb: to the group holding the
+        // copy farthest from the writer, derived from the root entry.
+        // Flat machines broadcast to everyone and get no scope.
         out.inval_scope = self
             .dir
-            .farthest_present(line, self.dir.group_of(NodeId(n as u16)))
+            .farthest_present(info, self.dir.group_of(NodeId(n as u16)))
             .map(|g| NodeId((g * self.geom.nodes_per_group()) as u16));
         for sh in info.sharer_nodes() {
             let s = sh.as_usize();

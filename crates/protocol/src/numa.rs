@@ -88,6 +88,8 @@ pub struct BaselineEngine {
     /// same decomposition as the COMA bus).
     traffic: Traffic,
     counters: ProtocolCounters,
+    /// Live invariant auditor armed (see [`Self::set_audit`]).
+    audit: bool,
 }
 
 impl BaselineEngine {
@@ -108,7 +110,28 @@ impl BaselineEngine {
             events: EventCounts::default(),
             traffic: Traffic::default(),
             counters: ProtocolCounters::default(),
+            audit: false,
         }
+    }
+
+    /// Arm or disarm the live invariant auditor: when armed, every
+    /// access that missed the private caches is followed by
+    /// [`Self::check_invariants`], and a violation panics. Hits move
+    /// only recency, which the check does not read, so skipping them
+    /// loses nothing.
+    pub fn set_audit(&mut self, on: bool) {
+        self.audit = on;
+    }
+
+    /// The live audit after `out`; a no-op for private-cache hits.
+    #[cold]
+    fn audit(&self, out: Outcome) -> Outcome {
+        if !matches!(out.level, Level::Flc | Level::Slc) {
+            if let Err(e) = self.check_invariants() {
+                panic!("live audit: baseline invariant violated: {e}");
+            }
+        }
+        out
     }
 
     /// The processor's node (precomputed, no division).
@@ -224,8 +247,28 @@ impl BaselineEngine {
         had_any
     }
 
-    /// Processor read.
+    /// Processor read, then the live audit if armed.
+    #[inline]
     pub fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
+        let out = self.read_inner(proc, line);
+        if self.audit {
+            return self.audit(out);
+        }
+        out
+    }
+
+    /// Processor write (ownership acquisition), then the live audit if
+    /// armed.
+    #[inline]
+    pub fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
+        let out = self.write_inner(proc, line);
+        if self.audit {
+            return self.audit(out);
+        }
+        out
+    }
+
+    fn read_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let p = proc.as_usize();
         if self.flcs[p].read_hit(line) {
             return Outcome::at(Level::Flc);
@@ -263,8 +306,7 @@ impl BaselineEngine {
         out
     }
 
-    /// Processor write (ownership acquisition).
-    pub fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
+    fn write_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let p = proc.as_usize();
         if self.flcs[p].write_hit(line) {
             return Outcome::at(Level::Flc);
@@ -304,7 +346,7 @@ impl BaselineEngine {
         out
     }
 
-    /// Directory ↔ SLC consistency check (tests).
+    /// Directory ↔ SLC consistency check (tests and the live auditor).
     pub fn check_invariants(&self) -> Result<(), String> {
         for (l, e) in self.dir.iter() {
             let line = LineNum(l);
@@ -444,6 +486,25 @@ mod tests {
         e.check_invariants().unwrap();
         if slc_lines < 64 {
             assert!(e.remote_writebacks() > 0);
+        }
+    }
+
+    #[test]
+    fn live_auditor_catches_a_corrupted_directory_entry() {
+        for kind in [BaselineKind::Numa, BaselineKind::Uma] {
+            let mut e = engine(kind);
+            e.set_audit(true);
+            e.read(ProcId(0), LineNum(5));
+            e.read(ProcId(2), LineNum(5));
+            // Corrupt: the directory forgets P2's copy.
+            let entry = e.dir.get_mut(5).unwrap();
+            entry.readers.remove(&mut e.spill, 5, 2);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.read(ProcId(1), LineNum(9));
+            }));
+            let err = caught.expect_err("live auditor missed the corrupted entry");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("live audit"), "unexpected panic: {msg}");
         }
     }
 

@@ -17,9 +17,11 @@ pub struct Outcome {
     /// A global invalidation broadcast happened (write upgrade).
     pub upgrade: bool,
     /// Farthest node (by tree distance) whose copy an upgrade
-    /// invalidated, answered from the directory-level presence masks:
-    /// the invalidation must climb to the LCA of writer and this node.
-    /// `None` on flat machines (the broadcast reaches everyone anyway).
+    /// invalidated: the first node of the group that
+    /// [`crate::Directory::farthest_present`] picks from the line's root
+    /// entry. The invalidation must climb to the LCA of writer and this
+    /// node. `None` on flat machines (the broadcast reaches everyone
+    /// anyway).
     pub inval_scope: Option<NodeId>,
     /// A read-exclusive data fetch happened (write miss).
     pub read_exclusive: bool,

@@ -128,10 +128,12 @@ pub struct SimParams {
     pub victim_policy: VictimPolicy,
     pub accept_policy: AcceptPolicy,
     pub memory_model: MemoryModel,
-    /// Arm the live invariant auditor: the COMA engine re-verifies every
-    /// machine-wide protocol invariant after each access that performed a
-    /// protocol transaction (panicking on violation). Expensive — meant
-    /// for tests and debugging, not measurement runs.
+    /// Arm the live invariant auditor, panicking on a violation. The
+    /// COMA engine re-verifies every machine-wide protocol invariant
+    /// after each access that performed a protocol transaction; the
+    /// NUMA/UMA engine checks its directory against the SLCs after each
+    /// access that missed the private caches. Expensive — meant for
+    /// tests and debugging, not measurement runs.
     pub audit: bool,
 }
 
@@ -238,6 +240,11 @@ impl Simulation {
     /// one stream per processor ([`ConfigError::StreamCount`]).
     pub fn new(workload: Workload, params: &SimParams) -> Result<Self, ConfigError> {
         let geom = params.machine.geometry(workload.ws_bytes)?;
+        let baseline = |kind| {
+            let mut e = BaselineEngine::new(geom, kind);
+            e.set_audit(params.audit);
+            Engine::Baseline(e)
+        };
         let mem = match params.memory_model {
             MemoryModel::Coma => {
                 let mut e = CoherenceEngine::with_inclusion(
@@ -250,8 +257,8 @@ impl Simulation {
                 e.set_audit(params.audit);
                 Engine::Coma(e)
             }
-            MemoryModel::Numa => Engine::Baseline(BaselineEngine::new(geom, BaselineKind::Numa)),
-            MemoryModel::Uma => Engine::Baseline(BaselineEngine::new(geom, BaselineKind::Uma)),
+            MemoryModel::Numa => baseline(BaselineKind::Numa),
+            MemoryModel::Uma => baseline(BaselineKind::Uma),
         };
         Self::assemble(workload, params, mem)
     }
@@ -655,6 +662,22 @@ mod tests {
         p.audit = true;
         let r = run_simulation(wl, &p);
         assert!(r.injections > 0, "run too tame to exercise the auditor");
+    }
+
+    #[test]
+    fn audited_baseline_runs_match_unaudited() {
+        // The baseline auditor checks after every SLC miss, so the run
+        // is a light one; it still exercises remote reads and writes.
+        for model in [MemoryModel::Numa, MemoryModel::Uma] {
+            let run = |audit| {
+                let wl = AppId::WaterN2.build(16, 11, Scale::SMOKE);
+                let mut p = params(4, MemoryPressure::MP_50);
+                p.memory_model = model;
+                p.audit = audit;
+                run_simulation(wl, &p)
+            };
+            assert_eq!(run(true), run(false), "{model:?}");
+        }
     }
 
     #[test]

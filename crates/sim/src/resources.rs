@@ -96,8 +96,8 @@ impl MachineResources {
                 self.slc[p].acquire(now, lat.slc_occ_ns);
                 let g = self.group(n);
                 if out.upgrade && !out.read_exclusive {
-                    // Invalidation: climbs only as high as the directory
-                    // levels say copies reach (flat: the one broadcast).
+                    // Invalidation: climbs only as high as the farthest
+                    // copy's group (flat: the one broadcast).
                     let scope = out
                         .inval_scope
                         .map(|k| self.group(k.as_usize()))

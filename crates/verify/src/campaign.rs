@@ -1,5 +1,5 @@
-//! Canned verification campaigns: what `coma-verify --smoke`, the full
-//! binary run and `coma verify` all execute.
+//! Canned verification campaigns: what `coma verify --mode smoke|full`
+//! executes.
 
 use crate::checker::{check, explore, CheckConfig};
 use crate::fuzz::{fuzz, FuzzConfig};
@@ -61,16 +61,8 @@ fn run_mutants_inner() -> bool {
     for (mutation, name) in [
         (Mutation::SkipInvalidate, "skip-invalidate"),
         (Mutation::ForgetDirectoryUpdate, "forget-directory-update"),
-        (Mutation::ForgetSubtreePresence, "forget-subtree-presence"),
     ] {
-        // Each mutation runs on a machine where it can fire at all:
-        // presence corruption needs directory levels, so the subtree
-        // mutant gets the two-level config; the flat machine has no
-        // masks to forget and would let it pass silently.
-        let cfg = match mutation {
-            Mutation::ForgetSubtreePresence => CheckConfig::two_level(),
-            _ => CheckConfig::two_node_one_line(),
-        };
+        let cfg = CheckConfig::two_node_one_line();
         let r = explore(&cfg, MutantEngine::new(cfg.build_engine(), mutation));
         match r.violation {
             Some(v) => println!(
@@ -83,10 +75,7 @@ fn run_mutants_inner() -> bool {
             }
         }
 
-        let fcfg = match mutation {
-            Mutation::ForgetSubtreePresence => FuzzConfig::pressured_two_level(20_000, 0xBAD_5EED),
-            _ => FuzzConfig::pressured(20_000, 0xBAD_5EED),
-        };
+        let fcfg = FuzzConfig::pressured(20_000, 0xBAD_5EED);
         let fr = fuzz(&fcfg, &|| MutantEngine::new(fcfg.build_engine(), mutation));
         match fr.failure {
             Some(f) => println!(
@@ -124,7 +113,7 @@ pub fn run(smoke: bool, seed: u64) -> bool {
     } else {
         let mut two_line = CheckConfig::two_node_one_line();
         two_line.n_lines = 2;
-        two_line.am_assoc = 2;
+        two_line.geom.am_assoc = 2;
         ok &= run_check("2n×1p×2line (closure)", &two_line);
         ok &= run_check("2n×1p×3line depth 6 (pressured)", &{
             let mut c = CheckConfig::pressured(2, 1, 3);

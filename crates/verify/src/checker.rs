@@ -18,7 +18,6 @@
 
 use crate::snapshot::Snapshot;
 use crate::ProtocolModel;
-use coma_cache::{AcceptPolicy, VictimPolicy};
 use coma_protocol::CoherenceEngine;
 use coma_types::{LineNum, MachineGeometry, ProcId, Topology};
 use std::collections::{HashSet, VecDeque};
@@ -72,19 +71,10 @@ impl fmt::Display for Violation {
 /// op universe to close over.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
-    pub n_nodes: usize,
-    pub procs_per_node: usize,
-    /// Cluster groups the nodes split into (1 = the paper's flat bus).
-    pub n_groups: usize,
-    /// Directory levels above the group buses (0 iff flat).
-    pub levels: usize,
+    /// The machine's shape: nodes, processors, cache sizes, topology.
+    pub geom: MachineGeometry,
     /// Lines `0..n_lines` form the op universe.
     pub n_lines: u64,
-    pub am_sets: u64,
-    pub am_assoc: usize,
-    pub slc_sets: u64,
-    pub slc_assoc: usize,
-    pub flc_sets: u64,
     /// Maximum op depth; `None` runs until the frontier drains (full
     /// reachable-space closure — finite, but use small universes).
     pub depth: Option<usize>,
@@ -94,97 +84,70 @@ pub struct CheckConfig {
 }
 
 impl CheckConfig {
-    /// The smallest interesting machine: 2 nodes × 1 processor, 1 line.
-    pub fn two_node_one_line() -> Self {
+    /// A one-line closure over `n_nodes` single-processor nodes with one
+    /// slot per cache.
+    fn one_line(n_nodes: usize, topology: Topology) -> Self {
         CheckConfig {
-            n_nodes: 2,
-            procs_per_node: 1,
-            n_groups: 1,
-            levels: 0,
+            geom: MachineGeometry {
+                n_procs: n_nodes,
+                n_nodes,
+                procs_per_node: 1,
+                flc_sets: 1,
+                slc_sets: 1,
+                slc_assoc: 1,
+                am_sets: 1,
+                am_assoc: 1,
+                topology,
+            },
             n_lines: 1,
-            am_sets: 1,
-            am_assoc: 1,
-            slc_sets: 1,
-            slc_assoc: 1,
-            flc_sets: 1,
             depth: None,
             inclusive: true,
             max_states: 1 << 20,
         }
     }
 
+    /// The smallest interesting machine: 2 nodes × 1 processor, 1 line.
+    pub fn two_node_one_line() -> Self {
+        Self::one_line(2, Topology::flat())
+    }
+
     /// The smallest hierarchical machine: 2 groups × 2 nodes × 1
     /// processor with one directory level above the group buses, over a
     /// single line — small enough to close the reachable space while
-    /// exercising cross-group presence tracking.
+    /// exercising cross-group invalidation.
     pub fn two_level() -> Self {
-        CheckConfig {
-            n_nodes: 4,
-            procs_per_node: 1,
-            n_groups: 2,
-            levels: 1,
-            n_lines: 1,
-            am_sets: 1,
-            am_assoc: 1,
-            slc_sets: 1,
-            slc_assoc: 1,
-            flc_sets: 1,
-            depth: None,
-            inclusive: true,
-            max_states: 1 << 20,
-        }
+        Self::one_line(4, Topology::two_level(2))
     }
 
     /// A pressured configuration: more lines than AM slots per node, so
     /// replacement, injection and page-out are all reachable.
     pub fn pressured(n_nodes: usize, procs_per_node: usize, n_lines: u64) -> Self {
         CheckConfig {
-            n_nodes,
-            procs_per_node,
-            n_groups: 1,
-            levels: 0,
+            geom: MachineGeometry {
+                n_procs: n_nodes * procs_per_node,
+                n_nodes,
+                procs_per_node,
+                flc_sets: 2,
+                slc_sets: 1,
+                slc_assoc: 2,
+                am_sets: 1,
+                am_assoc: 2,
+                topology: Topology::flat(),
+            },
             n_lines,
-            am_sets: 1,
-            am_assoc: 2,
-            slc_sets: 1,
-            slc_assoc: 2,
-            flc_sets: 2,
             depth: Some(5),
             inclusive: true,
             max_states: 1 << 20,
         }
     }
 
-    pub fn geometry(&self) -> MachineGeometry {
-        MachineGeometry {
-            n_procs: self.n_nodes * self.procs_per_node,
-            n_nodes: self.n_nodes,
-            procs_per_node: self.procs_per_node,
-            flc_sets: self.flc_sets,
-            slc_sets: self.slc_sets,
-            slc_assoc: self.slc_assoc,
-            am_sets: self.am_sets,
-            am_assoc: self.am_assoc,
-            topology: Topology {
-                n_groups: self.n_groups,
-                levels: self.levels,
-            },
-        }
-    }
-
     /// Build the clean engine for this configuration.
     pub fn build_engine(&self) -> CoherenceEngine {
-        CoherenceEngine::with_inclusion(
-            self.geometry(),
-            VictimPolicy::SharedFirst,
-            AcceptPolicy::InvalidThenShared,
-            true,
-            self.inclusive,
-        )
+        crate::clean_engine(self.geom, self.inclusive)
     }
 
     fn ops(&self) -> Vec<OpLabel> {
-        let n_procs = self.n_nodes * self.procs_per_node;
+        let n_procs = self.geom.n_procs;
         let mut ops = Vec::with_capacity(n_procs * self.n_lines as usize * 2);
         for p in 0..n_procs {
             for l in 0..self.n_lines {

@@ -30,7 +30,6 @@
 use crate::checker::OpLabel;
 use crate::snapshot::Snapshot;
 use crate::ProtocolModel;
-use coma_cache::{AcceptPolicy, VictimPolicy};
 use coma_protocol::CoherenceEngine;
 use coma_stats::Level;
 use coma_types::{LineNum, MachineGeometry, ProcId, Rng64, Topology};
@@ -40,20 +39,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// The fuzzing configuration: machine shape, op universe and stream.
 #[derive(Clone, Copy, Debug)]
 pub struct FuzzConfig {
-    pub n_nodes: usize,
-    pub procs_per_node: usize,
-    /// Cluster groups the nodes split into (1 = the paper's flat bus).
-    pub n_groups: usize,
-    /// Directory levels above the group buses (0 iff flat).
-    pub levels: usize,
+    /// The machine's shape: nodes, processors, cache sizes, topology.
+    pub geom: MachineGeometry,
     /// Lines `0..n_lines` form the op universe. Keep it a small multiple
     /// of the total AM capacity so replacement and page-out stay hot.
     pub n_lines: u64,
-    pub am_sets: u64,
-    pub am_assoc: usize,
-    pub slc_sets: u64,
-    pub slc_assoc: usize,
-    pub flc_sets: u64,
     pub n_ops: u64,
     pub seed: u64,
     /// Percentage of ops that are writes.
@@ -65,16 +55,18 @@ impl FuzzConfig {
     /// replacement, injection, migration and page-out all fire steadily.
     pub fn pressured(n_ops: u64, seed: u64) -> Self {
         FuzzConfig {
-            n_nodes: 2,
-            procs_per_node: 2,
-            n_groups: 1,
-            levels: 0,
+            geom: MachineGeometry {
+                n_procs: 4,
+                n_nodes: 2,
+                procs_per_node: 2,
+                flc_sets: 4,
+                slc_sets: 2,
+                slc_assoc: 2,
+                am_sets: 4,
+                am_assoc: 2,
+                topology: Topology::flat(),
+            },
             n_lines: 32,
-            am_sets: 4,
-            am_assoc: 2,
-            slc_sets: 2,
-            slc_assoc: 2,
-            flc_sets: 4,
             n_ops,
             seed,
             write_pct: 35,
@@ -83,55 +75,28 @@ impl FuzzConfig {
 
     /// A pressured hierarchical machine: 2 groups × 2 nodes with one
     /// directory level, 32 lines over 16 AM slots — cross-group
-    /// invalidation, injection and presence tracking all stay hot.
+    /// invalidation, injection and migration all stay hot.
     pub fn pressured_two_level(n_ops: u64, seed: u64) -> Self {
-        FuzzConfig {
+        let mut cfg = Self::pressured(n_ops, seed);
+        cfg.geom = MachineGeometry {
+            n_procs: 4,
             n_nodes: 4,
             procs_per_node: 1,
-            n_groups: 2,
-            levels: 1,
-            n_lines: 32,
             am_sets: 2,
-            am_assoc: 2,
-            slc_sets: 2,
-            slc_assoc: 2,
-            flc_sets: 4,
-            n_ops,
-            seed,
-            write_pct: 35,
-        }
-    }
-
-    pub fn geometry(&self) -> MachineGeometry {
-        MachineGeometry {
-            n_procs: self.n_nodes * self.procs_per_node,
-            n_nodes: self.n_nodes,
-            procs_per_node: self.procs_per_node,
-            flc_sets: self.flc_sets,
-            slc_sets: self.slc_sets,
-            slc_assoc: self.slc_assoc,
-            am_sets: self.am_sets,
-            am_assoc: self.am_assoc,
-            topology: Topology {
-                n_groups: self.n_groups,
-                levels: self.levels,
-            },
-        }
+            topology: Topology::two_level(2),
+            ..cfg.geom
+        };
+        cfg
     }
 
     /// Build the clean engine for this configuration.
     pub fn build_engine(&self) -> CoherenceEngine {
-        CoherenceEngine::new(
-            self.geometry(),
-            VictimPolicy::SharedFirst,
-            AcceptPolicy::InvalidThenShared,
-            true,
-        )
+        crate::clean_engine(self.geom, true)
     }
 
     fn gen_op(&self, rng: &mut Rng64) -> OpLabel {
         OpLabel {
-            proc: ProcId(rng.below(self.n_nodes as u64 * self.procs_per_node as u64) as u16),
+            proc: ProcId(rng.below(self.geom.n_procs as u64) as u16),
             line: LineNum(rng.below(self.n_lines)),
             is_write: rng.below(100) < self.write_pct,
         }
@@ -191,10 +156,10 @@ impl Oracle {
         let n = cfg.n_lines as usize;
         Oracle {
             n_lines: n,
-            procs_per_node: cfg.procs_per_node,
+            procs_per_node: cfg.geom.procs_per_node,
             version: vec![0; n],
-            am: vec![vec![0; n]; cfg.n_nodes],
-            private: vec![vec![0; n]; cfg.n_nodes * cfg.procs_per_node],
+            am: vec![vec![0; n]; cfg.geom.n_nodes],
+            private: vec![vec![0; n]; cfg.geom.n_procs],
             disk: vec![0; n],
             owner_of: vec![None; n],
         }

@@ -5,11 +5,12 @@
 //! crate attacks that from three independent directions:
 //!
 //! * [`checker`] — an **exhaustive model checker**: BFS over every
-//!   reachable machine state of a small configuration (2–4 nodes, a
-//!   handful of lines, bounded op depth), with canonicalized state dedup
-//!   and a counterexample trace printer. The invariants it asserts are
-//!   re-implemented here from the protocol definition (not borrowed from
-//!   the engine), so an engine bug cannot hide in a shared checker.
+//!   reachable machine state of a small configuration (2–4 nodes, flat
+//!   or in two cluster groups, a handful of lines, bounded op depth),
+//!   with canonicalized state dedup and a counterexample trace printer.
+//!   The invariants it asserts are re-implemented here from the protocol
+//!   definition (not borrowed from the engine), so an engine bug cannot
+//!   hide in a shared checker.
 //! * [`fuzz`] — a **differential fuzzer**: seeded random op streams run
 //!   through the full engine against a flat sequentially-consistent
 //!   oracle that tracks, per physical copy, *which version of the data*
@@ -24,6 +25,11 @@
 //! invalidation) to demonstrate that all three layers actually catch
 //! real coherence bugs — a verification tool that has never seen its
 //! quarry is untrustworthy.
+//!
+//! Every configuration shares one machine shape type
+//! ([`MachineGeometry`]) and one engine constructor ([`clean_engine`]).
+//! [`campaign::run`] is the canned campaign; `coma verify --mode
+//! smoke|full` is its command-line entry point.
 
 #![forbid(unsafe_code)]
 
@@ -33,8 +39,9 @@ pub mod fuzz;
 pub mod mutant;
 pub mod snapshot;
 
+use coma_cache::{AcceptPolicy, VictimPolicy};
 use coma_protocol::{CoherenceEngine, Outcome};
-use coma_types::{LineNum, ProcId};
+use coma_types::{LineNum, MachineGeometry, ProcId};
 
 /// Extract a printable message from a caught panic payload.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -43,6 +50,19 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .cloned()
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_else(|| "engine panicked".into())
+}
+
+/// The clean engine every verification configuration builds: the
+/// paper's default victim and accept policies with intra-node transfers
+/// on; `inclusive` selects SLC ⊆ AM inclusion.
+pub fn clean_engine(geom: MachineGeometry, inclusive: bool) -> CoherenceEngine {
+    CoherenceEngine::with_inclusion(
+        geom,
+        VictimPolicy::SharedFirst,
+        AcceptPolicy::InvalidThenShared,
+        true,
+        inclusive,
+    )
 }
 
 pub use checker::{CheckConfig, CheckReport, OpLabel, Violation};

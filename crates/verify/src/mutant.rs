@@ -25,12 +25,6 @@ pub enum Mutation {
     /// sharer set is restored in the directory even though the copies
     /// were invalidated (directory claims holders that do not exist).
     ForgetDirectoryUpdate,
-    /// The level-1 directory "forgets" which subtrees hold the written
-    /// line (as if the presence update message was lost): its stored
-    /// mask is zeroed while the root entry and the copies stay intact.
-    /// Only meaningful on hierarchical topologies — flat machines have
-    /// no directory levels to corrupt.
-    ForgetSubtreePresence,
 }
 
 /// The clean engine plus one seeded [`Mutation`].
@@ -50,12 +44,6 @@ impl MutantEngine {
     }
 
     fn corrupt_after_write(&mut self, writer_node: usize, line: LineNum, pre_sharers: NodeSet) {
-        if self.mutation == Mutation::ForgetSubtreePresence {
-            if let Some(mask) = self.inner.directory_mut().presence_mut(1, line) {
-                *mask = 0;
-            }
-            return;
-        }
         // Only trigger off genuine invalidations: some other node held a
         // Shared replica before this write.
         let victim = pre_sharers.iter().find(|&n| n as usize != writer_node);
@@ -77,7 +65,6 @@ impl MutantEngine {
                     self.inner.directory_mut().add_sharer(line, NodeId(victim));
                 }
             }
-            Mutation::ForgetSubtreePresence => unreachable!("handled above"),
         }
     }
 }
@@ -126,31 +113,5 @@ mod tests {
         m.write(ProcId(1), LineNum(0)); // upgrade "loses" node 0's inval
         let snap = Snapshot::capture(m.engine());
         assert!(snap.check(true).is_err(), "mutation produced a legal state");
-    }
-
-    #[test]
-    fn forget_subtree_presence_leaves_an_illegal_mask() {
-        let cfg = CheckConfig::two_level();
-        let mut m = MutantEngine::new(cfg.build_engine(), Mutation::ForgetSubtreePresence);
-        m.write(ProcId(0), LineNum(0)); // presence update "lost"
-        let snap = Snapshot::capture(m.engine());
-        assert!(snap.check(true).is_err(), "mutation produced a legal state");
-    }
-
-    #[test]
-    fn forget_subtree_presence_trips_the_live_auditor() {
-        // The corruption lands after the write's own audit; the *next*
-        // audited transaction (a cold allocation of a different line, so
-        // line 0's masks are not re-synced first) must expose it.
-        let mut cfg = CheckConfig::two_level();
-        cfg.am_sets = 2; // room for a second line without evicting line 0
-        let mut engine = cfg.build_engine();
-        engine.set_audit(true);
-        let mut m = MutantEngine::new(engine, Mutation::ForgetSubtreePresence);
-        m.write(ProcId(0), LineNum(0));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.write(ProcId(3), LineNum(1))
-        }));
-        assert!(caught.is_err(), "live auditor missed the corrupted mask");
     }
 }

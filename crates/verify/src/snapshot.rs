@@ -16,7 +16,7 @@
 
 use coma_cache::{AmState, SlcState};
 use coma_protocol::CoherenceEngine;
-use coma_types::{LineNum, NodeSet, Topology};
+use coma_types::{LineNum, NodeSet};
 
 /// One node's cache contents. AM and SLC vectors are in the caches'
 /// iteration order, which encodes recency (most-recent first within a
@@ -35,15 +35,6 @@ pub struct Snapshot {
     /// Directory entries `(line, owner, sharer set)`, sorted by line
     /// (the directory hashes, so its iteration order is not canonical).
     pub dir: Vec<(u64, u16, NodeSet)>,
-    /// The directory levels' stored presence masks `(line, mask)`, one
-    /// vec per level bottom-up (height 1 first), each sorted by line.
-    /// Flat machines have no levels and this is empty.
-    pub presence: Vec<Vec<(u64, u64)>>,
-    /// The machine's topology and group width — constant across a
-    /// search, carried so [`Snapshot::check`] can re-derive expected
-    /// presence masks without asking the directory's own sync logic.
-    pub topo: Topology,
-    pub nodes_per_group: usize,
     /// Lines currently paged out to the OS, sorted.
     pub paged_out: Vec<u64>,
 }
@@ -76,24 +67,11 @@ impl Snapshot {
             .map(|(l, info)| (l.0, info.owner.0, info.sharers))
             .collect();
         dir.sort_unstable();
-        let presence = e
-            .directory()
-            .levels()
-            .iter()
-            .map(|lvl| {
-                let mut v: Vec<(u64, u64)> = lvl.iter().map(|(l, m)| (l.0, m)).collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
         let mut paged_out: Vec<u64> = e.paged_out_lines().map(|l| l.0).collect();
         paged_out.sort_unstable();
         Snapshot {
             nodes,
             dir,
-            presence,
-            topo: geom.topology,
-            nodes_per_group: geom.nodes_per_group(),
             paged_out,
         }
     }
@@ -220,43 +198,6 @@ impl Snapshot {
             }
         }
 
-        // Directory-level presence masks must exactly mirror where
-        // copies are. Re-derive each level's expected mask from the root
-        // owner/sharer sets using only the topology arithmetic —
-        // independent of `Directory::sync_presence` — and demand the
-        // stored masks match, cover every live line, and name no dead
-        // ones.
-        for (li, lvl) in self.presence.iter().enumerate() {
-            let height = li + 1;
-            for &(line, mask) in lvl {
-                let Some(&(_, owner, sharers)) = self.dir.iter().find(|&&(l, ..)| l == line) else {
-                    return Err(format!(
-                        "{:?}: dead but still present at level {height}",
-                        LineNum(line)
-                    ));
-                };
-                let unit = |n: usize| self.topo.unit_of(n / self.nodes_per_group, height - 1);
-                let mut expect = 1u64 << unit(owner as usize);
-                for s in sharers.iter() {
-                    expect |= 1 << unit(s as usize);
-                }
-                if mask != expect {
-                    return Err(format!(
-                        "{:?}: level-{height} presence {mask:#b} but copies span {expect:#b}",
-                        LineNum(line)
-                    ));
-                }
-            }
-            for &(line, ..) in &self.dir {
-                if lvl.binary_search_by_key(&line, |&(l, _)| l).is_err() {
-                    return Err(format!(
-                        "{:?}: live but untracked at level {height}",
-                        LineNum(line)
-                    ));
-                }
-            }
-        }
-
         // Paged-out lines are dead everywhere.
         for &line in &self.paged_out {
             if self.dir.iter().any(|&(l, ..)| l == line) {
@@ -335,31 +276,23 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coma_cache::{AcceptPolicy, VictimPolicy};
-    use coma_types::{MachineGeometry, ProcId};
-
-    fn engine_with(n_nodes: usize, topology: Topology) -> CoherenceEngine {
-        let geom = MachineGeometry {
-            n_procs: n_nodes,
-            n_nodes,
-            procs_per_node: 1,
-            flc_sets: 4,
-            slc_sets: 2,
-            slc_assoc: 2,
-            am_sets: 2,
-            am_assoc: 2,
-            topology,
-        };
-        CoherenceEngine::new(
-            geom,
-            VictimPolicy::SharedFirst,
-            AcceptPolicy::InvalidThenShared,
-            true,
-        )
-    }
+    use coma_types::{MachineGeometry, ProcId, Topology};
 
     fn tiny_engine() -> CoherenceEngine {
-        engine_with(2, Topology::flat())
+        crate::clean_engine(
+            MachineGeometry {
+                n_procs: 2,
+                n_nodes: 2,
+                procs_per_node: 1,
+                flc_sets: 4,
+                slc_sets: 2,
+                slc_assoc: 2,
+                am_sets: 2,
+                am_assoc: 2,
+                topology: Topology::flat(),
+            },
+            true,
+        )
     }
 
     #[test]
@@ -396,6 +329,14 @@ mod tests {
     }
 
     #[test]
+    fn hierarchical_states_pass_independent_checks() {
+        let mut e = crate::CheckConfig::two_level().build_engine();
+        e.write(ProcId(0), LineNum(0));
+        e.read(ProcId(3), LineNum(0)); // cross-group replica
+        Snapshot::capture(&e).check(true).unwrap();
+    }
+
+    #[test]
     fn seeded_double_owner_is_caught() {
         let mut e = tiny_engine();
         e.write(ProcId(0), LineNum(1));
@@ -403,27 +344,5 @@ mod tests {
         e.node_mut(1).am.insert(LineNum(1), AmState::Owner);
         let err = Snapshot::capture(&e).check(true).unwrap_err();
         assert!(err.contains("responsible"), "unexpected message: {err}");
-    }
-
-    #[test]
-    fn hierarchical_states_pass_and_expose_presence() {
-        let mut e = engine_with(4, Topology::two_level(2));
-        e.write(ProcId(0), LineNum(1));
-        e.read(ProcId(3), LineNum(1)); // cross-group replica
-        let snap = Snapshot::capture(&e);
-        assert_eq!(snap.presence.len(), 1);
-        assert_eq!(snap.presence[0], vec![(1, 0b11)]);
-        snap.check(true).unwrap();
-    }
-
-    #[test]
-    fn seeded_presence_corruption_is_caught() {
-        let mut e = engine_with(4, Topology::two_level(2));
-        e.write(ProcId(0), LineNum(1));
-        e.read(ProcId(3), LineNum(1));
-        // Corrupt: the level-1 directory forgets group 1 holds a copy.
-        *e.directory_mut().presence_mut(1, LineNum(1)).unwrap() = 0b01;
-        let err = Snapshot::capture(&e).check(true).unwrap_err();
-        assert!(err.contains("presence"), "unexpected message: {err}");
     }
 }

@@ -19,21 +19,9 @@ use coma_types::{full_replication_threshold, LineNum, ProcId};
 use coma_verify::{CheckConfig, Snapshot};
 
 fn config(n_nodes: usize, assoc: usize) -> CheckConfig {
-    CheckConfig {
-        n_nodes,
-        procs_per_node: 1,
-        n_groups: 1,
-        levels: 0,
-        n_lines: (n_nodes * assoc + 2) as u64, // unused: no search here
-        am_sets: 1,                            // every line conflicts
-        am_assoc: assoc,
-        slc_sets: 1,
-        slc_assoc: 2,
-        flc_sets: 2,
-        depth: None,
-        inclusive: true,
-        max_states: 1,
-    }
+    let mut cfg = CheckConfig::pressured(n_nodes, 1, 0); // no search here
+    cfg.geom.am_assoc = assoc; // one AM set: every line conflicts
+    cfg
 }
 
 /// Run the hot-line workload with `extra` unique lines beyond the

@@ -92,7 +92,7 @@ fn live_auditor_catches_seeded_mutation() {
     // and verify the next protocol transaction trips the auditor.
     let mut cfg = CheckConfig::two_node_one_line();
     cfg.n_lines = 2;
-    cfg.am_assoc = 2; // room for the stale copy and a second line
+    cfg.geom.am_assoc = 2; // room for the stale copy and a second line
     let mut engine = cfg.build_engine();
     engine.set_audit(true);
     let mut m = MutantEngine::new(engine, Mutation::SkipInvalidate);
@@ -115,7 +115,7 @@ fn live_auditor_catches_seeded_mutation() {
 fn live_auditor_is_silent_on_the_clean_protocol() {
     let mut cfg = CheckConfig::two_node_one_line();
     cfg.n_lines = 2;
-    cfg.am_assoc = 2;
+    cfg.geom.am_assoc = 2;
     let mut engine = cfg.build_engine();
     engine.set_audit(true);
     engine.read(ProcId(1), LineNum(0));

@@ -29,7 +29,7 @@ echo "==> sweep smoke: parallel sweep must be byte-identical to serial"
 COMA_SCALE=smoke COMA_THREADS=4 cargo test -q --offline -p coma --test sweep_determinism
 
 echo "==> protocol verification smoke: bounded model check + 10k fuzz ops"
-cargo run --release --offline -p coma-verify -- --smoke
+cargo run --release --offline -p coma-cli --bin coma -- verify --mode smoke
 
 echo "==> hierarchy smoke: 64-proc 2-level machine end to end"
 # A hierarchical config through the CLI (validate + route-aware timing
