@@ -15,7 +15,7 @@ use std::rc::Rc;
 use coma_protocol::{CoherenceEngine, MemorySystem, Outcome};
 use coma_sim::{SimParams, Simulation};
 use coma_stats::{ProtocolCounters, SimReport, Traffic};
-use coma_types::{LineNum, MachineGeometry, MemoryPressure, ProcId};
+use coma_types::{LineNum, MachineGeometry, MemoryPressure, ProcId, Topology};
 use coma_workloads::{AppId, Scale};
 
 /// One protocol access: `(is_write, proc, line)`.
@@ -81,7 +81,7 @@ fn params(ppn: usize, mp: MemoryPressure) -> SimParams {
 /// Run `app` with fusion on or off, returning the report and the full
 /// ordered access log.
 fn run_recorded(app: AppId, params: &SimParams, fuse: bool) -> (SimReport, Vec<Access>) {
-    let wl = app.build(16, 3, Scale::SMOKE);
+    let wl = app.build(params.machine.n_procs, 3, Scale::SMOKE);
     let geom = params.machine.geometry(wl.ws_bytes).unwrap();
     let log = Rc::new(RefCell::new(Vec::new()));
     let rec = Recorder {
@@ -154,4 +154,18 @@ fn ocean_high_pressure_contention() {
 #[test]
 fn barnes_irregular_sharing() {
     assert_fusion_invisible(AppId::Barnes, &params(2, MemoryPressure::MP_50));
+}
+
+#[test]
+fn fft_64p_tree_wide_queue() {
+    // simbench's `tree64` shape: 64 processors in 4 groups, where the
+    // wake-up queue is widest and follow-through is decided by
+    // `precedes` against the most competing processors.
+    let mut p = params(4, MemoryPressure::MP_50);
+    p.machine.n_procs = 64;
+    p.machine.topology = Topology {
+        n_groups: 4,
+        levels: 1,
+    };
+    assert_fusion_invisible(AppId::Fft, &p);
 }

@@ -6,40 +6,57 @@
 //!
 //! The driver maintains at most **one** pending wake-up per processor (a
 //! processor is either running or parked at exactly one resume time), so
-//! the queue is a fixed array of per-processor wake-up times rather than a
-//! binary heap, with the current minimum cached:
+//! the queue is a **winner (tournament) tree** over a fixed set of
+//! per-processor slots rather than a binary heap:
 //!
-//! * `push` is a store plus one compare against the cached minimum;
+//! * the leaves are the slots, `(time, proc)` with `IDLE` for "nothing
+//!   pending", padded with `IDLE` leaves to a power-of-two width; every
+//!   inner node holds the lexicographic minimum of its two children, so
+//!   the root is the earliest wake-up, cached in `min`;
+//! * `push` and `pop` each change one leaf and replay its leaf-to-root
+//!   path: log2 of the width steps (4 at 16 processors, 8 at 256);
 //! * `precedes` — the driver's *follow-through* test, "would this wake-up
-//!   be popped next anyway?" — is a single compare, letting the driver
-//!   keep stepping a processor without any queue traffic while it stays
-//!   the earliest;
-//! * only a real `pop` rescans the ≤ 64 slots (one or two cache lines) to
-//!   re-establish the cached minimum.
+//!   be popped next anyway?" — is a single compare against `min`, letting
+//!   the driver keep stepping a processor without any queue traffic while
+//!   it stays the earliest.
 //!
-//! The cached minimum is the *first* slot holding the minimal time, which
-//! is exactly the heap's `(time, proc)` lexicographic order, so replacing
-//! the heap changes nothing observable.
+//! Every node compares `(time, proc)` lexicographically, which is exactly
+//! the heap's order, so replacing the heap changes nothing observable.
 
 use coma_types::{Nanos, ProcId};
 
 /// Slot value marking "no pending wake-up".
 const IDLE: Nanos = Nanos::MAX;
 
+/// A wake-up `(time, proc)`, ordered lexicographically.
+type Key = (Nanos, u16);
+
 /// Pending wake-up times, indexed by processor id.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct EventQueue {
-    slots: Vec<Nanos>,
+    /// Winner tree in heap layout: node `n`'s children are `2n` and
+    /// `2n + 1`, the root is node 1 and processor `p`'s leaf is node
+    /// `width + p`. Node 0 is unused. Empty until the first push.
+    tree: Vec<Key>,
+    /// Number of leaves: a power of two, or 0 before the first push.
+    width: usize,
     len: usize,
-    /// `(time, proc)` of the earliest pending wake-up; `(IDLE, 0)` when
-    /// the queue is empty. Maintained on every mutation.
-    min: (Nanos, u16),
+    /// `(time, proc)` of the earliest pending wake-up, the tree's root;
+    /// `(IDLE, 0)` when the queue is empty.
+    min: Key,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
-            slots: Vec::new(),
+            tree: Vec::new(),
+            width: 0,
             len: 0,
             min: (IDLE, 0),
         }
@@ -49,16 +66,17 @@ impl EventQueue {
     /// pending per processor.
     pub fn push(&mut self, time: Nanos, proc: ProcId) {
         let p = proc.0 as usize;
-        if p >= self.slots.len() {
-            self.slots.resize(p + 1, IDLE);
+        if p >= self.width {
+            self.grow(p + 1);
         }
         debug_assert_ne!(time, IDLE, "IDLE sentinel used as a wake-up time");
-        debug_assert_eq!(self.slots[p], IDLE, "processor {p} already scheduled");
-        self.slots[p] = time;
+        debug_assert_eq!(
+            self.tree[self.width + p].0,
+            IDLE,
+            "processor {p} already scheduled"
+        );
         self.len += 1;
-        if (time, proc.0) < self.min {
-            self.min = (time, proc.0);
-        }
+        self.replay(p, time);
     }
 
     /// Would a wake-up `(time, proc)` run before everything pending?
@@ -76,27 +94,49 @@ impl EventQueue {
             return None;
         }
         let (t, p) = self.min;
-        debug_assert_eq!(self.slots[p as usize], t, "cached minimum is stale");
-        self.slots[p as usize] = IDLE;
         self.len -= 1;
-        self.rescan();
+        self.replay(p as usize, IDLE);
         Some((t, ProcId(p)))
     }
 
-    /// Re-establish the cached minimum: two branchless passes — a
-    /// min-reduction, then a first-index search for that minimum — which
-    /// vectorize cleanly, unlike a fused index-tracking scan whose
-    /// data-dependent branch mispredicts on irregular wake-up times. IDLE
-    /// slots hold `u64::MAX`, so they win only when nothing is pending,
-    /// which leaves the cache at its empty value.
-    fn rescan(&mut self) {
-        let t = self.slots.iter().copied().min().unwrap_or(IDLE);
-        if t == IDLE {
-            self.min = (IDLE, 0);
-        } else {
-            let p = self.slots.iter().position(|&s| s == t).expect("min exists");
-            self.min = (t, p as u16);
+    /// Set processor `p`'s leaf to `time` and replay its path to the
+    /// root. The walk carries the path's winner in registers and loads
+    /// only each level's *sibling*, whose address depends on `p` alone,
+    /// so the loads issue in parallel rather than waiting on the stores
+    /// of the level below.
+    #[inline]
+    fn replay(&mut self, p: usize, time: Nanos) {
+        let mut n = self.width + p;
+        let mut win = (time, p as u16);
+        self.tree[n] = win;
+        while n > 1 {
+            let sib = self.tree[n ^ 1];
+            if sib < win {
+                win = sib;
+            }
+            n >>= 1;
+            self.tree[n] = win;
         }
+        self.min = win;
+    }
+
+    /// Widen the tree to at least `procs` leaves and rebuild it, keeping
+    /// every pending wake-up. The new leaves are `IDLE`, so the root and
+    /// `min` do not change. Runs only while the driver first schedules
+    /// its processors, so it favours clarity over speed.
+    #[cold]
+    fn grow(&mut self, procs: usize) {
+        let width = procs.next_power_of_two();
+        let mut tree = vec![(IDLE, 0); 2 * width];
+        for (q, leaf) in tree[width..].iter_mut().enumerate() {
+            *leaf = (IDLE, q as u16);
+        }
+        tree[width..width + self.width].copy_from_slice(&self.tree[self.width..]);
+        for n in (1..width).rev() {
+            tree[n] = tree[2 * n].min(tree[2 * n + 1]);
+        }
+        self.tree = tree;
+        self.width = width;
     }
 
     /// Time of the earliest wake-up without removing it.
@@ -201,6 +241,29 @@ mod tests {
         assert_eq!(q.pop(), None); // and after draining
         assert_eq!(q.peek_time(), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn high_proc_push_widens_the_tree_and_keeps_pending_wakeups() {
+        // The first push to processor 200 rebuilds a 2-leaf tree as a
+        // 256-leaf one while processors 0 and 1 are pending.
+        let mut q = EventQueue::new();
+        q.push(10, ProcId(0));
+        q.push(5, ProcId(1));
+        assert!(q.precedes(5, ProcId(0)));
+        q.push(7, ProcId(200));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(5));
+        assert!(!q.precedes(5, ProcId(2)));
+        assert_eq!(q.pop(), Some((5, ProcId(1))));
+        assert!(q.precedes(7, ProcId(199)));
+        assert!(!q.precedes(7, ProcId(201)));
+        assert_eq!(q.pop(), Some((7, ProcId(200))));
+        q.push(10, ProcId(255));
+        assert_eq!(q.pop(), Some((10, ProcId(0))));
+        assert_eq!(q.pop(), Some((10, ProcId(255))));
+        assert_eq!(q.pop(), None);
+        assert!(q.precedes(Nanos::MAX - 1, ProcId(255)));
     }
 
     #[test]

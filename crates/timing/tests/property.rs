@@ -90,12 +90,18 @@ fn write_buffer_bounds() {
 /// processor, arbitrary push/pop interleavings): pops agree exactly with
 /// a sorted reference model — earliest time first, ties broken by lowest
 /// processor id — and pop order is time-monotone within a parked epoch.
+/// After every step, the follow-through probe `precedes` agrees with the
+/// model's minimum. Besides random widths, it runs every width the
+/// simulator uses (16 flat, 64 `tree64`, 128 and 256 in the hierarchy
+/// experiment) and the degenerate 1-3.
 #[test]
 fn event_queue_matches_sorted_reference_model() {
     let mut rng = Rng64::new(0xE0E0);
-    for _case in 0..128 {
-        let n_procs = rng.range(1, 64) as u16;
-        let n_steps = rng.range(1, 400);
+    let mut widths = vec![1u16, 2, 3, 16, 64, 128, 256];
+    widths.extend((0..128).map(|_| rng.range(1, 64) as u16));
+    for n_procs in widths {
+        // Long enough for the widest cases to fill up and drain.
+        let n_steps = rng.range(1, 400 + 4 * n_procs as u64);
         let mut q = EventQueue::new();
         // Reference model: the pending (time, proc) pairs, no structure.
         let mut model: Vec<(u64, u16)> = Vec::new();
@@ -124,6 +130,15 @@ fn event_queue_matches_sorted_reference_model() {
             }
             assert_eq!(q.len(), model.len());
             assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+            // Half the probes tie the earliest time, so the proc-id
+            // tie-break decides them.
+            let t = match model.iter().min() {
+                Some(&(t, _)) if rng.chance(0.5) => t,
+                _ => rng.below(100_000),
+            };
+            let probe = (t, rng.below(n_procs as u64) as u16);
+            let want = model.iter().all(|&e| probe < e);
+            assert_eq!(q.precedes(probe.0, ProcId(probe.1)), want);
         }
         // Drain: the remaining pops arrive in (time, proc) sorted order.
         let mut rest = model;

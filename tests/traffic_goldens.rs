@@ -5,7 +5,7 @@
 //! machinery it exercises changed behavior.
 
 use coma::sim::{run_simulation, MemoryModel, SimParams};
-use coma::types::MemoryPressure;
+use coma::types::{MemoryPressure, Topology};
 use coma::workloads::{AppId, Scale};
 
 /// KV-store parameters from the issue: 2 procs/node at 81.25 % MP —
@@ -119,4 +119,35 @@ fn golden_graph_bfs_numa_4ppn_totals() {
     assert_eq!(r.shared_drops, 0);
     assert_eq!(r.cold_allocs, 0);
     assert_eq!(r.exec_time_ns, 33_067_463);
+}
+
+/// Byte-identical COMA totals for the widest machine the simulator
+/// runs: FFT on 256 processors, 4 per node, 16 groups on a two-level
+/// tree (seed 42, SMOKE, 50 % MP) — the `coma run --procs 256 --ppn 4
+/// --groups 16` shape. Pins the driver's event order where the
+/// wake-up queue is widest.
+#[test]
+fn golden_fft_256p_16_groups_totals() {
+    let mut params = SimParams::default();
+    params.machine.n_procs = 256;
+    params.machine.procs_per_node = 4;
+    params.machine.topology = Topology {
+        n_groups: 16,
+        levels: 1,
+    };
+    let r = run_simulation(AppId::Fft.build(256, 42, Scale::SMOKE), &params);
+    assert_eq!(r.counts.total_reads(), 271_358);
+    assert_eq!(r.counts.total_writes(), 117_250);
+    assert_eq!(r.counts.read_node_misses(), 66_599);
+    assert_eq!(r.traffic.read_bytes, 4_795_128);
+    assert_eq!(r.traffic.write_bytes, 126_360);
+    assert_eq!(r.traffic.replace_bytes, 0);
+    assert_eq!(r.traffic.read_txns, 66_599);
+    assert_eq!(r.traffic.write_txns, 3_499);
+    assert_eq!(r.traffic.replace_txns, 0);
+    assert_eq!(r.injections, 0);
+    assert_eq!(r.ownership_migrations, 0);
+    assert_eq!(r.shared_drops, 62_473);
+    assert_eq!(r.cold_allocs, 51_202);
+    assert_eq!(r.exec_time_ns, 16_231_824);
 }
