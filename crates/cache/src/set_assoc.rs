@@ -27,15 +27,12 @@
 //! Set indexing uses a precomputed [`FastMod`] because set counts are not
 //! powers of two (the paper's "odd cache sizes").
 
-use coma_types::{FastMod, LineNum};
+use coma_types::{FastMod, LineNum, MAX_LINE};
 
-/// Stored key for an empty slot; occupied slots hold `line + 1`.
+/// Stored key for an empty slot; occupied slots hold `line + 1`, so
+/// lines run up to [`MAX_LINE`]. Simulated working sets top out orders
+/// of magnitude below it — [`SetAssoc::insert`] enforces it.
 const EMPTY: u32 = 0;
-
-/// Largest representable line number (`u32::MAX - 1`, since keys store
-/// `line + 1`). Simulated working sets top out orders of magnitude below
-/// this — [`SetAssoc::insert`] enforces it.
-const MAX_LINE: u64 = (u32::MAX - 1) as u64;
 
 /// One packed cache slot: the resident line's key and its protocol state.
 #[derive(Clone, Copy, Debug)]

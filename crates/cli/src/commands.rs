@@ -413,6 +413,32 @@ mod tests {
     }
 
     #[test]
+    fn replay_rejects_a_crafted_trace_instead_of_crashing() {
+        // 16 processors, a 1 MiB working set and no locks; processor 0
+        // runs Lock(5), Unlock(5). Simulating it would index past the
+        // lock table.
+        let mut trace = b"COMATRC1".to_vec();
+        trace.extend_from_slice(&16u32.to_le_bytes());
+        trace.extend_from_slice(&(1u64 << 20).to_le_bytes());
+        trace.extend_from_slice(&0u32.to_le_bytes());
+        trace.extend_from_slice(&2u64.to_le_bytes());
+        trace.extend_from_slice(&[3, 5, 4, 5]);
+        for _ in 1..16 {
+            trace.extend_from_slice(&0u64.to_le_bytes());
+        }
+        let path = std::env::temp_dir().join(format!("coma-bad-lock-{}.trace", std::process::id()));
+        std::fs::write(&path, &trace).unwrap();
+        let args = crate::args::Args::parse(
+            ["replay", "--trace", path.to_str().unwrap()].map(String::from),
+        )
+        .unwrap();
+        let result = replay(&args);
+        std::fs::remove_file(&path).unwrap();
+        let err = result.unwrap_err();
+        assert!(err.contains("lock id 5"), "{err}");
+    }
+
+    #[test]
     fn run_command_smoke() {
         let args = crate::args::Args::parse(
             ["run", "--app", "water-n2", "--scale", "smoke"].map(String::from),

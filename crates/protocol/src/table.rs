@@ -16,17 +16,17 @@
 //!   zero and the map degenerates into a plain array indexed by page
 //!   number; hashing it at all is wasted work.
 
-use coma_types::NodeId;
+use coma_types::{NodeId, MAX_LINE};
 
 /// Sentinel stored key marking an empty slot.
 const EMPTY: u32 = u32::MAX;
 
 /// Largest insertable key. Keys are stored narrowed to `u32`: real keys
-/// are line or page numbers bounded by the applications' working sets,
-/// far below `u32::MAX`, and the narrow key shrinks every slot — the
-/// line directory is DRAM-resident at working-set scale, so slot bytes
-/// translate directly into host cache and TLB reach.
-const MAX_KEY: u64 = (u32::MAX - 1) as u64;
+/// are line or page numbers, so the line bound [`MAX_LINE`] covers both,
+/// and the narrow key shrinks every slot — the line directory is
+/// DRAM-resident at working-set scale, so slot bytes translate directly
+/// into host cache and TLB reach.
+const MAX_KEY: u64 = MAX_LINE;
 
 /// Knuth's multiplicative constant (2^64 / φ).
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;

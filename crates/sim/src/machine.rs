@@ -510,8 +510,9 @@ impl Simulation {
         // often still lexicographically precedes every pending wake-up —
         // pushing it and popping would hand it straight back. Stepping on
         // directly is therefore the *identical* event order with the
-        // queue round-trip elided; with the paper's 2-6 ns compute gaps
-        // between references this skips the queue for most events.
+        // queue round-trip elided. How often depends on the workload:
+        // 14 % of steps on 64-processor FFT, 38 % on 16-processor BFS
+        // (DESIGN §13.6 has the counts).
         while let Some((mut t, p)) = self.queue.pop() {
             while let Some(next) = self.step(p, t) {
                 if !self.queue.precedes(next, p) {

@@ -9,10 +9,9 @@
 //! the queue is a **winner (tournament) tree** over a fixed set of
 //! per-processor slots rather than a binary heap:
 //!
-//! * the leaves are the slots, `(time, proc)` with `IDLE` for "nothing
-//!   pending", padded with `IDLE` leaves to a power-of-two width; every
-//!   inner node holds the lexicographic minimum of its two children, so
-//!   the root is the earliest wake-up, cached in `min`;
+//! * the leaves are the slots, padded with `IDLE` leaves to a
+//!   power-of-two width; every inner node holds the minimum of its two
+//!   children, so the root is the earliest wake-up, cached in `min`;
 //! * `push` and `pop` each change one leaf and replay its leaf-to-root
 //!   path: log2 of the width steps (4 at 16 processors, 8 at 256);
 //! * `precedes` — the driver's *follow-through* test, "would this wake-up
@@ -20,30 +19,54 @@
 //!   the driver keep stepping a processor without any queue traffic while
 //!   it stays the earliest.
 //!
-//! Every node compares `(time, proc)` lexicographically, which is exactly
-//! the heap's order, so replacing the heap changes nothing observable.
+//! # Keys
+//!
+//! A wake-up is one `u64` key, `time << 16 | proc`. [`ProcId`] is a
+//! `u16`, so comparing keys as integers is exactly the lexicographic
+//! `(time, proc)` order the old binary heap popped in. Each replay level
+//! is then `win = win.min(sibling)`, one compare and a conditional move:
+//! no branch on which side won, which in a tournament is a coin flip.
+//!
+//! The packing bounds simulated time: a wake-up must be at most
+//! `MAX_TIME` = 2^48 − 2 ns (about 78 hours). `push` panics beyond it,
+//! in release builds too, rather than wrap. The bound is 2^48 − 2, not
+//! 2^48 − 1, so that no key equals the `IDLE` sentinel `u64::MAX`, which
+//! is `(2^48 − 1, 0xFFFF)` unpacked.
 
 use coma_types::{Nanos, ProcId};
 
-/// Slot value marking "no pending wake-up".
-const IDLE: Nanos = Nanos::MAX;
+/// Key bits below the time: the processor id.
+const PROC_BITS: u32 = u16::BITS;
 
-/// A wake-up `(time, proc)`, ordered lexicographically.
-type Key = (Nanos, u16);
+/// Latest wake-up time a key can hold (see the module docs).
+const MAX_TIME: Nanos = (1 << (u64::BITS - PROC_BITS)) - 2;
+
+/// Slot value marking "no pending wake-up"; above every real key.
+const IDLE: u64 = u64::MAX;
+
+/// Pack a wake-up into its key. Panics if `time` exceeds `MAX_TIME`.
+#[inline]
+fn key(time: Nanos, proc: ProcId) -> u64 {
+    assert!(
+        time <= MAX_TIME,
+        "wake-up time {time} ns exceeds the event queue's bound of 2^48 - 2 ns"
+    );
+    (time << PROC_BITS) | proc.0 as u64
+}
 
 /// Pending wake-up times, indexed by processor id.
 #[derive(Clone, Debug)]
 pub struct EventQueue {
-    /// Winner tree in heap layout: node `n`'s children are `2n` and
-    /// `2n + 1`, the root is node 1 and processor `p`'s leaf is node
+    /// Winner tree of keys in heap layout: node `n`'s children are `2n`
+    /// and `2n + 1`, the root is node 1 and processor `p`'s leaf is node
     /// `width + p`. Node 0 is unused. Empty until the first push.
-    tree: Vec<Key>,
+    tree: Vec<u64>,
     /// Number of leaves: a power of two, or 0 before the first push.
     width: usize,
     len: usize,
-    /// `(time, proc)` of the earliest pending wake-up, the tree's root;
-    /// `(IDLE, 0)` when the queue is empty.
-    min: Key,
+    /// Key of the earliest pending wake-up, the tree's root; `IDLE` when
+    /// the queue is empty.
+    min: u64,
 }
 
 impl Default for EventQueue {
@@ -58,34 +81,38 @@ impl EventQueue {
             tree: Vec::new(),
             width: 0,
             len: 0,
-            min: (IDLE, 0),
+            min: IDLE,
         }
     }
 
     /// Schedule `proc` to run at `time`. At most one wake-up may be
-    /// pending per processor.
+    /// pending per processor. Panics if `time` exceeds 2^48 − 2 ns.
     pub fn push(&mut self, time: Nanos, proc: ProcId) {
+        let k = key(time, proc);
         let p = proc.0 as usize;
         if p >= self.width {
             self.grow(p + 1);
         }
-        debug_assert_ne!(time, IDLE, "IDLE sentinel used as a wake-up time");
         debug_assert_eq!(
-            self.tree[self.width + p].0,
+            self.tree[self.width + p],
             IDLE,
             "processor {p} already scheduled"
         );
         self.len += 1;
-        self.replay(p, time);
+        self.replay(p, k);
     }
 
     /// Would a wake-up `(time, proc)` run before everything pending?
     /// True when the queue is empty or `(time, proc)` lexicographically
     /// precedes the earliest pending wake-up — i.e. pushing it and then
-    /// popping would return it straight back.
+    /// popping would return it straight back. Any `time` is accepted: one
+    /// beyond the push bound follows every pending wake-up.
     #[inline]
     pub fn precedes(&self, time: Nanos, proc: ProcId) -> bool {
-        (time, proc.0) < self.min
+        if time > MAX_TIME {
+            return self.is_empty();
+        }
+        key(time, proc) < self.min
     }
 
     /// Remove and return the earliest wake-up (ties: lowest processor id).
@@ -93,27 +120,25 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        let (t, p) = self.min;
+        let k = self.min;
+        let p = k as u16;
         self.len -= 1;
         self.replay(p as usize, IDLE);
-        Some((t, ProcId(p)))
+        Some((k >> PROC_BITS, ProcId(p)))
     }
 
-    /// Set processor `p`'s leaf to `time` and replay its path to the
-    /// root. The walk carries the path's winner in registers and loads
+    /// Set processor `p`'s leaf to key `leaf` and replay its path to the
+    /// root. The walk carries the path's winner in a register and loads
     /// only each level's *sibling*, whose address depends on `p` alone,
     /// so the loads issue in parallel rather than waiting on the stores
     /// of the level below.
     #[inline]
-    fn replay(&mut self, p: usize, time: Nanos) {
+    fn replay(&mut self, p: usize, leaf: u64) {
         let mut n = self.width + p;
-        let mut win = (time, p as u16);
+        let mut win = leaf;
         self.tree[n] = win;
         while n > 1 {
-            let sib = self.tree[n ^ 1];
-            if sib < win {
-                win = sib;
-            }
+            win = win.min(self.tree[n ^ 1]);
             n >>= 1;
             self.tree[n] = win;
         }
@@ -127,10 +152,7 @@ impl EventQueue {
     #[cold]
     fn grow(&mut self, procs: usize) {
         let width = procs.next_power_of_two();
-        let mut tree = vec![(IDLE, 0); 2 * width];
-        for (q, leaf) in tree[width..].iter_mut().enumerate() {
-            *leaf = (IDLE, q as u16);
-        }
+        let mut tree = vec![IDLE; 2 * width];
         tree[width..width + self.width].copy_from_slice(&self.tree[self.width..]);
         for n in (1..width).rev() {
             tree[n] = tree[2 * n].min(tree[2 * n + 1]);
@@ -141,7 +163,7 @@ impl EventQueue {
 
     /// Time of the earliest wake-up without removing it.
     pub fn peek_time(&self) -> Option<Nanos> {
-        (self.len > 0).then_some(self.min.0)
+        (self.len > 0).then_some(self.min >> PROC_BITS)
     }
 
     pub fn len(&self) -> usize {
@@ -278,6 +300,41 @@ mod tests {
             assert_eq!(q.pop(), Some((42, ProcId(p))));
         }
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn ties_at_the_time_bound_pop_in_proc_id_order() {
+        let mut q = EventQueue::new();
+        for p in [65534u16, 0, 255] {
+            q.push(MAX_TIME, ProcId(p));
+        }
+        assert_eq!(MAX_TIME, (1 << 48) - 2);
+        assert!(q.precedes(MAX_TIME - 1, ProcId(u16::MAX)));
+        assert!(!q.precedes(MAX_TIME, ProcId(1)));
+        for p in [0u16, 255, 65534] {
+            assert_eq!(q.pop(), Some((MAX_TIME, ProcId(p))));
+        }
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the event queue's bound of 2^48 - 2 ns")]
+    fn push_beyond_the_time_bound_panics() {
+        EventQueue::new().push(MAX_TIME + 1, ProcId(0));
+    }
+
+    #[test]
+    fn no_pushable_key_is_the_idle_sentinel() {
+        // The largest key a push can build sorts below IDLE, so the
+        // queue holds it as a real wake-up rather than an empty slot.
+        assert!(key(MAX_TIME, ProcId(u16::MAX)) < IDLE);
+        let mut q = EventQueue::new();
+        q.push(MAX_TIME, ProcId(u16::MAX));
+        assert_eq!(q.peek_time(), Some(MAX_TIME));
+        assert!(!q.precedes(MAX_TIME + 1, ProcId(0)));
+        assert_eq!(q.pop(), Some((MAX_TIME, ProcId(u16::MAX))));
+        assert!(q.is_empty());
+        assert!(q.precedes(MAX_TIME + 1, ProcId(0)));
     }
 
     /// Differential check against the pre-refactor semantics: a

@@ -97,6 +97,16 @@ fn write_buffer_bounds() {
 #[test]
 fn event_queue_matches_sorted_reference_model() {
     let mut rng = Rng64::new(0xE0E0);
+    // Half the times are small, so ties are frequent; half span the
+    // queue's whole legal range (0 to 2^48 - 2 ns), so every bit of the
+    // packed time is exercised.
+    let draw_time = |rng: &mut Rng64| {
+        if rng.chance(0.5) {
+            rng.below(100_000)
+        } else {
+            rng.below((1 << 48) - 1)
+        }
+    };
     let mut widths = vec![1u16, 2, 3, 16, 64, 128, 256];
     widths.extend((0..128).map(|_| rng.range(1, 64) as u16));
     for n_procs in widths {
@@ -115,7 +125,7 @@ fn event_queue_matches_sorted_reference_model() {
                         break p;
                     }
                 };
-                let t = rng.below(100_000);
+                let t = draw_time(&mut rng);
                 q.push(t, ProcId(p));
                 model.push((t, p));
             } else {
@@ -134,7 +144,7 @@ fn event_queue_matches_sorted_reference_model() {
             // tie-break decides them.
             let t = match model.iter().min() {
                 Some(&(t, _)) if rng.chance(0.5) => t,
-                _ => rng.below(100_000),
+                _ => draw_time(&mut rng),
             };
             let probe = (t, rng.below(n_procs as u64) as u16);
             let want = model.iter().all(|&e| probe < e);

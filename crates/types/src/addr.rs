@@ -13,6 +13,10 @@ use std::fmt;
 pub const LINE_BYTES: u64 = 64;
 /// log2 of [`LINE_BYTES`].
 pub const LINE_SHIFT: u32 = 6;
+/// Largest line number the simulator can hold, `u32::MAX - 1`: the
+/// caches and the directory store line numbers narrowed to `u32`, with
+/// one value kept as a sentinel.
+pub const MAX_LINE: u64 = u32::MAX as u64 - 1;
 /// Page size used for on-demand consecutive allocation.
 pub const PAGE_BYTES: u64 = 4096;
 /// log2 of [`PAGE_BYTES`].

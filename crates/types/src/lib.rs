@@ -24,7 +24,7 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 
-pub use addr::{Addr, LineNum, LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT};
+pub use addr::{Addr, LineNum, LINE_BYTES, LINE_SHIFT, MAX_LINE, PAGE_BYTES, PAGE_SHIFT};
 pub use config::{ConfigError, LatencyConfig, MachineConfig, MachineGeometry};
 pub use fastmod::FastMod;
 pub use ids::{NodeId, ProcId};

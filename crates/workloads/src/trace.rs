@@ -21,7 +21,7 @@
 
 use crate::op::{Op, OpStream};
 use crate::workload::Workload;
-use coma_types::Addr;
+use coma_types::{Addr, MAX_LINE};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 
 const MAGIC: &[u8; 8] = b"COMATRC1";
@@ -138,7 +138,17 @@ impl OpStream for ReplayStream {
     }
 }
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 /// Load a recorded trace back into a [`Workload`].
+///
+/// The file is untrusted, so anything the simulator cannot run is an
+/// [`io::ErrorKind::InvalidData`] error here rather than a crash later:
+/// a working set plus sync lines beyond the line range ([`MAX_LINE`]),
+/// a Read or Write address at or beyond `ws_bytes`, and a Lock or Unlock
+/// id at or beyond `n_locks`.
 pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
     let mut r = BufReader::new(r);
     let mut magic = [0u8; 8];
@@ -157,11 +167,25 @@ pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
     let ws_bytes = u64::from_le_bytes(u64b);
     r.read_exact(&mut u32b)?;
     let n_locks = u32::from_le_bytes(u32b);
+    let mut wl = Workload {
+        name: "replayed trace",
+        ws_bytes,
+        n_locks,
+        streams: Vec::new(),
+    };
+    // Line numbers run from 0 to `total_lines - 1`.
+    if wl.total_lines() > MAX_LINE + 1 {
+        return Err(invalid(format!(
+            "{ws_bytes}-byte working set and {n_locks} locks need {} lines; \
+             at most {} fit",
+            wl.total_lines(),
+            MAX_LINE + 1
+        )));
+    }
 
     // The header counts are untrusted, so nothing is pre-sized from them:
     // a lying count ends in a read error at end of file, not a huge
     // allocation.
-    let mut streams: Vec<Box<dyn OpStream>> = Vec::new();
     for _ in 0..n_procs {
         r.read_exact(&mut u64b)?;
         let count = u64::from_le_bytes(u64b);
@@ -174,13 +198,15 @@ pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
             let op = match code[0] {
                 0 => Op::Compute(payload as u32),
                 1 | 2 => {
-                    let addr = last_addr + unzigzag(payload);
+                    let addr = match last_addr.checked_add(unzigzag(payload)) {
+                        Some(a) if a >= 0 => a,
+                        _ => return Err(invalid("negative address in trace".into())),
+                    };
                     last_addr = addr;
-                    if addr < 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "negative address in trace",
-                        ));
+                    if addr as u64 >= ws_bytes {
+                        return Err(invalid(format!(
+                            "address {addr:#x} beyond the {ws_bytes}-byte working set"
+                        )));
                     }
                     if code[0] == 1 {
                         Op::Read(Addr(addr as u64))
@@ -188,28 +214,23 @@ pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
                         Op::Write(Addr(addr as u64))
                     }
                 }
+                3 | 4 if payload >= n_locks as u64 => {
+                    return Err(invalid(format!(
+                        "lock id {payload} beyond the trace's {n_locks} locks"
+                    )))
+                }
                 3 => Op::Lock(payload as u32),
                 4 => Op::Unlock(payload as u32),
                 5 => Op::Barrier(payload as u32),
-                c => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad opcode {c}"),
-                    ))
-                }
+                c => return Err(invalid(format!("bad opcode {c}"))),
             };
             ops.push(op);
         }
-        streams.push(Box::new(ReplayStream {
+        wl.streams.push(Box::new(ReplayStream {
             ops: ops.into_iter(),
         }));
     }
-    Ok(Workload {
-        name: "replayed trace",
-        ws_bytes,
-        n_locks,
-        streams,
-    })
+    Ok(wl)
 }
 
 /// Record to a file.
@@ -306,18 +327,79 @@ mod tests {
         assert!(replay(buf.as_slice()).is_err());
     }
 
-    /// A header: magic, `n_procs`, `ws_bytes` = 0, `n_locks` = 0.
-    fn header(n_procs: u32) -> Vec<u8> {
+    /// A header: magic, `n_procs`, `ws_bytes`, `n_locks`.
+    fn header(n_procs: u32, ws_bytes: u64, n_locks: u32) -> Vec<u8> {
         let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(&n_procs.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&ws_bytes.to_le_bytes());
+        buf.extend_from_slice(&n_locks.to_le_bytes());
         buf
+    }
+
+    /// A 16-processor trace: processor 0 runs the `n_ops` encoded ops in
+    /// `ops`, the other 15 streams are empty.
+    fn sixteen_procs(ws_bytes: u64, n_locks: u32, n_ops: u64, ops: &[u8]) -> Vec<u8> {
+        let mut buf = header(16, ws_bytes, n_locks);
+        buf.extend_from_slice(&n_ops.to_le_bytes());
+        buf.extend_from_slice(ops);
+        for _ in 1..16 {
+            buf.extend_from_slice(&0u64.to_le_bytes());
+        }
+        buf
+    }
+
+    fn assert_invalid(buf: &[u8], len: usize) {
+        assert_eq!(buf.len(), len);
+        let err = replay(buf).err().expect("crafted trace accepted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    const MIB: u64 = 1 << 20;
+
+    #[test]
+    fn lock_count_beyond_the_line_range_is_invalid_not_a_huge_allocation() {
+        assert_invalid(&sixteen_procs(MIB, u32::MAX, 0, &[]), 152);
+    }
+
+    #[test]
+    fn working_set_beyond_the_line_range_is_invalid_not_a_huge_allocation() {
+        assert_invalid(&sixteen_procs(1 << 50, 0, 0, &[]), 152);
+        // The largest accepted header: its last sync line is MAX_LINE.
+        let ws_bytes = (MAX_LINE + 1 - 2) * 64;
+        assert!(replay(header(0, ws_bytes, 0).as_slice()).is_ok());
+        assert_invalid(&header(0, ws_bytes + 1, 0), 24);
+    }
+
+    #[test]
+    fn read_beyond_the_working_set_is_invalid_not_a_compile_panic() {
+        // Read, address delta 2^40 (zig-zag 2^41: a 6-byte varint).
+        let mut ops = vec![1];
+        write_varint(&mut ops, zigzag(1 << 40)).unwrap();
+        assert_invalid(&sixteen_procs(MIB, 0, 1, &ops), 159);
+        // The last byte of the working set is fine; the next is not.
+        let mut ops = vec![2];
+        write_varint(&mut ops, zigzag(MIB as i64 - 1)).unwrap();
+        assert!(replay(sixteen_procs(MIB, 0, 1, &ops).as_slice()).is_ok());
+        ops.extend_from_slice(&[1, 2]); // Read at delta +1
+        assert_invalid(&sixteen_procs(MIB, 0, 2, &ops), 158);
+        // A delta that overflows the running address is invalid too.
+        let mut ops = vec![1, 2, 1];
+        write_varint(&mut ops, zigzag(i64::MAX)).unwrap();
+        assert_invalid(&sixteen_procs(MIB, 0, 2, &ops), 165);
+    }
+
+    #[test]
+    fn lock_id_beyond_the_lock_count_is_invalid_not_an_index_panic() {
+        // Lock(5), Unlock(5) with no locks declared.
+        let ops = [3, 5, 4, 5];
+        assert_invalid(&sixteen_procs(MIB, 0, 2, &ops), 156);
+        assert_invalid(&sixteen_procs(MIB, 0, 1, &ops[2..]), 154);
+        assert!(replay(sixteen_procs(MIB, 6, 2, &ops).as_slice()).is_ok());
     }
 
     #[test]
     fn huge_op_count_is_an_error_not_a_capacity_overflow() {
-        let mut buf = header(1);
+        let mut buf = header(1, 0, 0);
         buf.extend_from_slice(&(1u64 << 62).to_le_bytes());
         assert_eq!(buf.len(), 32);
         assert!(replay(buf.as_slice()).is_err());
@@ -325,7 +407,7 @@ mod tests {
 
     #[test]
     fn huge_processor_count_is_an_error_not_a_huge_allocation() {
-        let buf = header(u32::MAX);
+        let buf = header(u32::MAX, 0, 0);
         assert_eq!(buf.len(), 24);
         assert!(replay(buf.as_slice()).is_err());
     }

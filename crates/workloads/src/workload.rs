@@ -43,7 +43,7 @@ impl Workload {
         self.ws_bytes.div_ceil(LINE_BYTES) * LINE_BYTES
     }
 
-    /// Total address-space lines including sync lines (for diagnostics).
+    /// Total address-space lines including sync lines.
     pub fn total_lines(&self) -> u64 {
         self.ws_bytes.div_ceil(LINE_BYTES) + self.n_locks as u64 + 2
     }

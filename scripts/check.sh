@@ -25,6 +25,9 @@ echo "==> simbench self-tests: the benchmark still builds against the crates"
 # also checks every cell's pinned report digest.
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 
+echo "==> simbench_pairs self-test: pair statistics and the gain verdict"
+python3 scripts/simbench_pairs.py --self-test
+
 echo "==> sweep smoke: parallel sweep must be byte-identical to serial"
 COMA_SCALE=smoke COMA_THREADS=4 cargo test -q --offline -p coma --test sweep_determinism
 
