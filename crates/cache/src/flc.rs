@@ -58,17 +58,6 @@ impl Flc {
         self.slots[i] = Some(Slot { line, writable });
     }
 
-    /// Grant write permission to an already-resident line (after the SLC
-    /// obtained ownership).
-    pub fn grant_write(&mut self, line: LineNum) {
-        let i = self.idx(line);
-        if let Some(s) = &mut self.slots[i] {
-            if s.line == line {
-                s.writable = true;
-            }
-        }
-    }
-
     /// Invalidate a line (inclusion: the SLC lost it, or coherence).
     pub fn invalidate(&mut self, line: LineNum) {
         let i = self.idx(line);
@@ -85,11 +74,6 @@ impl Flc {
                 s.writable = false;
             }
         }
-    }
-
-    /// Number of valid slots (diagnostics).
-    pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Iterate all resident lines as `(line, writable)` (verification).
@@ -130,17 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn grant_write_upgrades_in_place() {
-        let mut f = Flc::new(64);
-        f.fill(LineNum(3), false);
-        f.grant_write(LineNum(3));
-        assert!(f.write_hit(LineNum(3)));
-        // granting to an absent line is a no-op
-        f.grant_write(LineNum(99));
-        assert!(!f.read_hit(LineNum(99)));
-    }
-
-    #[test]
     fn invalidate_only_matching_line() {
         let mut f = Flc::new(64);
         f.fill(LineNum(10), true);
@@ -157,16 +130,5 @@ mod tests {
         f.downgrade(LineNum(5));
         assert!(f.read_hit(LineNum(5)));
         assert!(!f.write_hit(LineNum(5)));
-    }
-
-    #[test]
-    fn occupancy_counts() {
-        let mut f = Flc::new(8);
-        assert_eq!(f.occupancy(), 0);
-        f.fill(LineNum(0), false);
-        f.fill(LineNum(1), false);
-        assert_eq!(f.occupancy(), 2);
-        f.fill(LineNum(8), false); // displaces line 0
-        assert_eq!(f.occupancy(), 2);
     }
 }

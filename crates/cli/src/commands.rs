@@ -1,7 +1,7 @@
 //! The `coma` subcommands.
 
 use crate::args::Args;
-use coma_sim::{run_simulation, MemoryModel, SimParams, Simulation};
+use coma_sim::{MemoryModel, SimParams, Simulation};
 use coma_stats::{SimReport, Table};
 use coma_types::{LatencyConfig, MemoryPressure, Topology};
 use coma_workloads::{AppId, Scale};
@@ -128,9 +128,13 @@ fn bus_busy_label(topology: Topology) -> &'static str {
     }
 }
 
-fn simulate(c: &Common) -> SimReport {
+/// Build `c`'s workload and run it; an invalid machine (for example one
+/// whose attraction memory degenerates to zero capacity) is an error.
+fn simulate(c: &Common) -> Result<SimReport, String> {
     let wl = c.app.build(c.params.machine.n_procs, c.seed, c.scale);
-    run_simulation(wl, &c.params)
+    Ok(Simulation::new(wl, &c.params)
+        .map_err(|e| format!("invalid simulation configuration: {e}"))?
+        .run())
 }
 
 /// `coma verify`
@@ -167,7 +171,7 @@ pub fn list(args: &Args) -> Result<(), String> {
 /// `coma run`
 pub fn run(args: &Args) -> Result<(), String> {
     let c = common(args)?;
-    let r = simulate(&c);
+    let r = simulate(&c)?;
     println!(
         "{} | {:?} | {} procs/node | MP {} | {}-way AM",
         c.app,
@@ -261,7 +265,7 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     }
     for (label, p) in points {
         c.params = p;
-        let r = simulate(&c);
+        let r = simulate(&c)?;
         t.row(vec![
             label,
             format!("{:.3}", r.exec_time_ns as f64 / 1e6),
@@ -287,7 +291,7 @@ pub fn compare(args: &Args) -> Result<(), String> {
     let mut base = None;
     for ppn in [1usize, 2, 4] {
         c.params.machine.procs_per_node = ppn;
-        let r = simulate(&c);
+        let r = simulate(&c)?;
         let b = *base.get_or_insert(r.exec_time_ns as f64);
         t.row(vec![
             ppn.to_string(),
@@ -477,6 +481,42 @@ mod tests {
             crate::args::Args::parse(["replay", "--trace", p, "--ppn", "4"].map(String::from))
                 .unwrap();
         replay(&rep).unwrap();
+    }
+
+    /// Argument sets that pass `common` but describe a machine the
+    /// simulator rejects: each command returns an error instead of
+    /// panicking.
+    #[test]
+    fn invalid_machines_are_errors_not_panics() {
+        type Command = fn(&crate::args::Args) -> Result<(), String>;
+        let cases: [(Command, &[&str], &str); 3] = [
+            (
+                run,
+                &[
+                    "run", "--app", "fft", "--assoc", "100000", "--scale", "smoke",
+                ],
+                "degenerates to zero capacity",
+            ),
+            (
+                sweep,
+                &[
+                    "sweep", "--app", "fft", "--over", "ppn", "--procs", "2", "--scale", "smoke",
+                ],
+                "procs_per_node (4) exceeds n_procs (2)",
+            ),
+            (
+                compare,
+                &[
+                    "compare", "--app", "fft", "--procs", "2", "--scale", "smoke",
+                ],
+                "procs_per_node (4) exceeds n_procs (2)",
+            ),
+        ];
+        for (command, argv, want) in cases {
+            let args = crate::args::Args::parse(argv.iter().map(|s| s.to_string())).unwrap();
+            let err = command(&args).unwrap_err();
+            assert!(err.contains(want), "{argv:?}: {err}");
+        }
     }
 
     #[test]

@@ -1,4 +1,3 @@
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    coma_experiments::exp::traffic::run(&coma_experiments::ExpCtx::from_env(), smoke);
+    coma_experiments::exp::traffic::run(&coma_experiments::ExpCtx::from_env());
 }

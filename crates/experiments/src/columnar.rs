@@ -100,7 +100,9 @@ impl ColBuilder {
         self.n_rows
     }
 
-    fn push(&mut self, name: &str, ty: ColType, vals: Vec<Option<u64>>) {
+    /// Append a column of `ty` words (an `f64` column's bit patterns);
+    /// `None` marks a null (invalid) row.
+    pub fn push(&mut self, name: &str, ty: ColType, vals: Vec<Option<u64>>) {
         assert!(
             !name.is_empty() && name.len() <= NAME_BYTES,
             "column name '{name}' must be 1..={NAME_BYTES} bytes"

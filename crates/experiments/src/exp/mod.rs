@@ -1,5 +1,5 @@
 //! The experiments, one module per table or figure. Each exposes
-//! `run(&ExpCtx)` (`traffic` and `hierarchy` also take `smoke`); the
+//! `run(&ExpCtx)` (`hierarchy` also takes `smoke`); the
 //! binary of the same name is a one-line `main` that calls it, and
 //! `--bin all` calls every entry of [`ALL`] in one process.
 
@@ -35,7 +35,7 @@ pub const ALL: [(&str, Experiment); 12] = [
     ("coma_vs_numa", coma_vs_numa::run),
     ("inclusion", inclusion::run),
     ("ablation", ablation::run),
-    ("traffic", |ctx| traffic::run(ctx, false)),
+    ("traffic", traffic::run),
     ("seeds", seeds::run),
 ];
 

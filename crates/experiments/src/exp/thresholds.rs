@@ -91,9 +91,9 @@ fn hot_line_remote_rate(ctx: &ExpCtx, ppn: usize, assoc: usize, mp: MemoryPressu
     params.machine.procs_per_node = ppn;
     params.machine.memory_pressure = mp;
     params.machine.am_assoc = assoc;
-    let (r, hit) = cached_sim(ctx, WORKLOAD_TAG, &params, hot_line_workload);
+    let (row, hit) = cached_sim(ctx, WORKLOAD_TAG, &params, hot_line_workload);
     // Read node misses per hot-line probe (16 procs × 2000 probes).
-    (r.counts.read_node_misses() as f64 / (16.0 * 2000.0), hit)
+    (row.u64("read_node_misses") as f64 / (16.0 * 2000.0), hit)
 }
 
 pub fn run(ctx: &ExpCtx) {

@@ -12,9 +12,6 @@
 //! All cells run through the cached work-stealing sweep engine and
 //! persist to the `traffic` columnar store; the table, chart and the
 //! printed findings are derived from the stored rows.
-//!
-//! `smoke` (the binary's `--smoke` flag) restricts the matrix to
-//! a two-pressure, two-cluster corner (the CI traffic-smoke gate).
 
 use crate::{fig5_latency, run_sweep, ExpCtx, RunSpec};
 use coma_sim::MemoryModel;
@@ -31,19 +28,15 @@ struct Cell {
     assoc: usize,
 }
 
-pub fn run(ctx: &ExpCtx, smoke: bool) {
-    let mps: &[MemoryPressure] = if smoke {
-        &[MemoryPressure::MP_50, MemoryPressure::MP_87]
-    } else {
-        &MemoryPressure::PAPER_SWEEP
-    };
-    let ppns: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4] };
-    let assocs: &[usize] = if smoke { &[4] } else { &[4, 8] };
+pub fn run(ctx: &ExpCtx) {
+    let mps = MemoryPressure::PAPER_SWEEP;
+    let ppns = [1usize, 2, 4];
+    let assocs = [4usize, 8];
 
     let mut specs: Vec<RunSpec> = Vec::new();
     let mut cells: Vec<Cell> = Vec::new();
     for app in AppId::TRAFFIC {
-        for &ppn in ppns {
+        for ppn in ppns {
             // The NUMA anchor: memory pressure only sizes the AM, which a
             // NUMA machine does not have, so one cell per clustering degree.
             specs.push(
@@ -58,8 +51,8 @@ pub fn run(ctx: &ExpCtx, smoke: bool) {
                 ppn,
                 assoc: 4,
             });
-            for &assoc in assocs {
-                for &mp in mps {
+            for assoc in assocs {
+                for mp in mps {
                     specs.push(
                         RunSpec::new(app, ppn, mp)
                             .with_latency(fig5_latency())
@@ -130,7 +123,7 @@ pub fn run(ctx: &ExpCtx, smoke: bool) {
         "% of NUMA at same clustering degree",
     );
     for app in AppId::TRAFFIC {
-        for &ppn in ppns {
+        for ppn in ppns {
             let base = numa_ns(app, ppn) as f64;
             let g = chart.group(format!("{} {ppn}ppn", app.name()));
             g.bars.push(Bar {

@@ -269,7 +269,7 @@ mod tests {
             RunSpec::new(AppId::WaterN2, 1, MemoryPressure::MP_50),
             RunSpec::new(AppId::WaterN2, 4, MemoryPressure::MP_50),
         ];
-        let run = || -> Vec<SimReport> {
+        let run = || -> Vec<sweep::Row> {
             sweep::run_matrix(&ctx, &specs)
                 .cells
                 .into_iter()
@@ -278,9 +278,8 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a.len(), 2);
-        assert_eq!(a[0].exec_time_ns, b[0].exec_time_ns);
-        assert_eq!(a[1].exec_time_ns, b[1].exec_time_ns);
-        assert_ne!(a[0].exec_time_ns, a[1].exec_time_ns);
+        assert_eq!(a, b);
+        assert_ne!(a[0].u64("exec_time_ns"), a[1].u64("exec_time_ns"));
     }
 
     #[test]
@@ -294,7 +293,7 @@ mod tests {
     }
 
     /// One metric of `spec` at seed offsets `0..n`, in seed order.
-    fn across_offsets(spec: &RunSpec, n: u64, metric: fn(&SimReport) -> f64) -> Vec<f64> {
+    fn across_offsets(spec: &RunSpec, n: u64, metric: fn(&sweep::Row) -> f64) -> Vec<f64> {
         let specs: Vec<RunSpec> = (0..n).map(|k| spec.clone().with_seed_offset(k)).collect();
         sweep::run_matrix(&smoke_ctx(), &specs)
             .cells
@@ -306,7 +305,7 @@ mod tests {
     #[test]
     fn seed_stats_are_sane() {
         let spec = RunSpec::new(AppId::WaterN2, 2, MemoryPressure::MP_50);
-        let values = across_offsets(&spec, 3, |r| r.rnm_rate());
+        let values = across_offsets(&spec, 3, |r| r.f64("rnm_rate"));
         assert_eq!(values.len(), 3);
         // Distinct offsets are distinct workloads.
         assert_ne!(values[0], values[1]);
@@ -319,7 +318,7 @@ mod tests {
     #[test]
     fn single_seed_stats_degenerate_cleanly() {
         let spec = RunSpec::new(AppId::WaterN2, 1, MemoryPressure::MP_50);
-        let values = across_offsets(&spec, 1, |r| r.exec_time_ns as f64);
+        let values = across_offsets(&spec, 1, |r| r.u64("exec_time_ns") as f64);
         let (mean, cv) = mean_cv(&values);
         assert_eq!(mean, values[0]);
         assert_eq!(cv, 0.0);

@@ -13,27 +13,31 @@
 //!    the sweep.
 //! 2. **Result cache** — every cell is keyed by a canonical 64-bit hash
 //!    (`coma_sim::canon`) over the full `SimParams`, the application, the
-//!    cell's workload seed and the scale, plus [`CODE_SALT`]. Entries
-//!    persist under `<out>/cache/` with a version stamp and payload
-//!    checksum; a stale or corrupt entry is detected and recomputed,
-//!    never served.
+//!    cell's workload seed and the scale, plus [`CODE_SALT`]. An entry's
+//!    payload is the cell's [`Row`]: its word in every [`COLUMNS`] entry,
+//!    exactly what the store writes for it. Entries persist under
+//!    `<out>/cache/` with a version stamp and payload checksum; a stale
+//!    or corrupt entry, or a payload that is not exactly one row, is
+//!    detected and recomputed, never served.
 //! 3. **Columnar store** — [`run_sweep`] writes one
-//!    [`crate::columnar`] file per sweep under `<out>/store/` (plus a
-//!    human-readable JSON sidecar) and hands the experiment a [`Sweep`]
-//!    whose accessors read *from the store*, so every figure is derived
-//!    from the same bytes external tooling sees.
+//!    [`crate::columnar`] file per sweep under `<out>/store/`, one column
+//!    per [`COLUMNS`] entry (plus a human-readable JSON sidecar), and
+//!    hands the experiment a [`Sweep`] whose accessors read *from the
+//!    store*, so every figure is derived from the same bytes external
+//!    tooling sees.
 //!
 //! Results are always returned in matrix order regardless of which worker
 //! computed a cell, and the simulations themselves are single-threaded
 //! and deterministic — so a parallel sweep is byte-identical to a serial
 //! one (pinned by `tests/sweep_determinism.rs`).
 
+use crate::columnar::ColType::{self, F64, U64};
 use crate::columnar::{ColBuilder, ColFile};
 use crate::json::Value;
 use crate::{ExpCtx, RunSpec};
 use coma_sim::canon::{config_hash, fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use coma_sim::{run_simulation, MemoryModel, SimParams};
-use coma_stats::{LatencyHisto, SimReport};
+use coma_stats::SimReport;
 use coma_workloads::Workload;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -116,7 +120,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 const CACHE_MAGIC: [u8; 8] = *b"COMACEL1";
 /// Cache *entry format* version; distinct from [`CODE_SALT`], which
 /// versions the simulator's semantics.
-const CACHE_VERSION: u32 = 1;
+const CACHE_VERSION: u32 = 2;
 
 /// The cache key of one sweep cell: code salt, application, the cell's
 /// workload seed ([`RunSpec::seed`]) and scale, and the canonical hash of
@@ -140,112 +144,6 @@ pub fn tagged_key(tag: &str, params: &SimParams) -> u64 {
     fnv1a_u64(h, config_hash(params))
 }
 
-/// Serialize a `SimReport` as fixed-width little-endian words.
-fn encode_report(r: &SimReport) -> Vec<u8> {
-    let mut w: Vec<u64> = Vec::new();
-    w.push(r.exec_time_ns);
-    w.extend_from_slice(&r.counts.reads);
-    w.extend_from_slice(&r.counts.writes);
-    w.extend_from_slice(&[
-        r.traffic.read_bytes,
-        r.traffic.write_bytes,
-        r.traffic.replace_bytes,
-        r.traffic.read_txns,
-        r.traffic.write_txns,
-        r.traffic.replace_txns,
-        r.traffic.pageouts,
-    ]);
-    w.extend_from_slice(&[
-        r.injections,
-        r.ownership_migrations,
-        r.shared_drops,
-        r.cold_allocs,
-        r.bus_busy_ns,
-        r.dram_busy_ns,
-    ]);
-    w.push(r.per_proc.len() as u64);
-    for b in &r.per_proc {
-        w.extend_from_slice(&[b.busy_ns, b.slc_ns, b.am_ns, b.remote_ns, b.sync_ns]);
-    }
-    let histo = r.read_latency.to_words();
-    w.push(histo.len() as u64);
-    w.extend_from_slice(&histo);
-    let mut bytes = Vec::with_capacity(w.len() * 8);
-    for v in w {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    bytes
-}
-
-struct WordReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl WordReader<'_> {
-    fn next(&mut self) -> Option<u64> {
-        let end = self.at.checked_add(8)?;
-        let v = u64::from_le_bytes(self.bytes.get(self.at..end)?.try_into().ok()?);
-        self.at = end;
-        Some(v)
-    }
-
-    fn take(&mut self, n: usize) -> Option<Vec<u64>> {
-        (0..n).map(|_| self.next()).collect()
-    }
-}
-
-/// Inverse of [`encode_report`]; `None` on any structural mismatch.
-fn decode_report(bytes: &[u8]) -> Option<SimReport> {
-    let mut r = WordReader { bytes, at: 0 };
-    let mut report = SimReport {
-        exec_time_ns: r.next()?,
-        ..Default::default()
-    };
-    for i in 0..5 {
-        report.counts.reads[i] = r.next()?;
-    }
-    for i in 0..5 {
-        report.counts.writes[i] = r.next()?;
-    }
-    report.traffic.read_bytes = r.next()?;
-    report.traffic.write_bytes = r.next()?;
-    report.traffic.replace_bytes = r.next()?;
-    report.traffic.read_txns = r.next()?;
-    report.traffic.write_txns = r.next()?;
-    report.traffic.replace_txns = r.next()?;
-    report.traffic.pageouts = r.next()?;
-    report.injections = r.next()?;
-    report.ownership_migrations = r.next()?;
-    report.shared_drops = r.next()?;
-    report.cold_allocs = r.next()?;
-    report.bus_busy_ns = r.next()?;
-    report.dram_busy_ns = r.next()?;
-    let n_procs = usize::try_from(r.next()?).ok()?;
-    if n_procs > 4096 {
-        return None;
-    }
-    for _ in 0..n_procs {
-        let b = coma_stats::ExecBreakdown {
-            busy_ns: r.next()?,
-            slc_ns: r.next()?,
-            am_ns: r.next()?,
-            remote_ns: r.next()?,
-            sync_ns: r.next()?,
-        };
-        report.per_proc.push(b);
-    }
-    let histo_len = usize::try_from(r.next()?).ok()?;
-    if histo_len > 1024 {
-        return None;
-    }
-    report.read_latency = LatencyHisto::from_words(&r.take(histo_len)?)?;
-    if r.at != bytes.len() {
-        return None; // trailing garbage
-    }
-    Some(report)
-}
-
 struct Cache {
     dir: PathBuf,
 }
@@ -265,10 +163,10 @@ impl Cache {
         self.dir.join(format!("{key:016x}.cell"))
     }
 
-    /// Load a cached report; `None` on a miss *or* on any stale/corrupt
+    /// Load a cached row; `None` on a miss *or* on any stale/corrupt
     /// entry (bad magic, wrong entry version, key mismatch, truncation,
-    /// checksum mismatch, undecodable payload).
-    fn load(&self, key: u64) -> Option<SimReport> {
+    /// checksum mismatch, a payload that is not exactly one row).
+    fn load(&self, key: u64) -> Option<Row> {
         let bytes = std::fs::read(self.path(key)).ok()?;
         if bytes.len() < 32 || bytes[..8] != CACHE_MAGIC {
             return None;
@@ -290,17 +188,17 @@ impl Cache {
         if fnv1a_bytes(FNV_OFFSET, payload) != checksum {
             return None;
         }
-        decode_report(payload)
+        Row::from_bytes(payload)
     }
 
-    /// Persist a report. Best-effort: a full disk or permission error
+    /// Persist a row. Best-effort: a full disk or permission error
     /// costs the cache hit, never the sweep. Writes go through a per-key
     /// temp file and a rename, so readers only ever see complete entries.
-    fn store(&self, key: u64, report: &SimReport) {
+    fn store(&self, key: u64, row: &Row) {
         if std::fs::create_dir_all(&self.dir).is_err() {
             return;
         }
-        let payload = encode_report(report);
+        let payload = row.to_bytes();
         let mut bytes = Vec::with_capacity(40 + payload.len());
         bytes.extend_from_slice(&CACHE_MAGIC);
         bytes.extend_from_slice(&CACHE_VERSION.to_le_bytes());
@@ -348,21 +246,21 @@ fn run_cell(
     spec: &RunSpec,
     cache: Option<&Cache>,
     counters: &SweepCounters,
-) -> Result<SimReport, String> {
+) -> Result<Row, String> {
     let key = spec_key(ctx, spec);
     if let Some(c) = cache {
-        if let Some(report) = c.load(key) {
+        if let Some(row) = c.load(key) {
             counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(report);
+            return Ok(row);
         }
     }
-    match catch_unwind(AssertUnwindSafe(|| spec.run(ctx))) {
-        Ok(report) => {
+    match catch_unwind(AssertUnwindSafe(|| Row::of(&spec.run(ctx)))) {
+        Ok(row) => {
             counters.misses.fetch_add(1, Ordering::Relaxed);
             if let Some(c) = cache {
-                c.store(key, &report);
+                c.store(key, &row);
             }
-            Ok(report)
+            Ok(row)
         }
         Err(payload) => {
             counters.failed.fetch_add(1, Ordering::Relaxed);
@@ -374,7 +272,7 @@ fn run_cell(
 /// The raw outcome of scheduling a matrix: per-cell results in matrix
 /// order plus cache accounting.
 pub struct SweepOutcome {
-    pub cells: Vec<Result<SimReport, String>>,
+    pub cells: Vec<Result<Row, String>>,
     pub hits: usize,
     pub misses: usize,
     pub failed: usize,
@@ -399,23 +297,103 @@ pub fn run_matrix(ctx: &ExpCtx, specs: &[RunSpec]) -> SweepOutcome {
 
 /// Cached single simulation for experiments whose workload is not a
 /// catalog application (e.g. the thresholds hot-line micro-benchmark).
-/// Returns the report plus whether it was served from the cache.
+/// Returns the cell's row plus whether it was served from the cache.
 pub fn cached_sim(
     ctx: &ExpCtx,
     tag: &str,
     params: &SimParams,
     build: impl FnOnce() -> Workload,
-) -> (SimReport, bool) {
+) -> (Row, bool) {
     let key = tagged_key(tag, params);
-    if let Some(cache) = Cache::for_ctx(ctx) {
-        if let Some(report) = cache.load(key) {
-            return (report, true);
+    let cache = Cache::for_ctx(ctx);
+    if let Some(row) = cache.as_ref().and_then(|c| c.load(key)) {
+        return (row, true);
+    }
+    let row = Row::of(&run_simulation(build(), params));
+    if let Some(c) = &cache {
+        c.store(key, &row);
+    }
+    (row, false)
+}
+
+// ---------------------------------------------------------------------------
+// Cell rows: the one result schema
+// ---------------------------------------------------------------------------
+
+/// Every column a cell's result holds, with its type and its extractor
+/// from the report. This one table defines the cache payload, the
+/// `.cols` store and the sidecar's column list; an `f64` column holds
+/// the value's bit pattern, so every value is one exact `u64` word.
+type Extract = fn(&SimReport) -> u64;
+pub const COLUMNS: &[(&str, ColType, Extract)] = &[
+    ("exec_time_ns", U64, |r| r.exec_time_ns),
+    ("total_reads", U64, |r| r.counts.total_reads()),
+    ("total_writes", U64, |r| r.counts.total_writes()),
+    ("read_node_misses", U64, |r| r.counts.read_node_misses()),
+    ("read_bytes", U64, |r| r.traffic.read_bytes),
+    ("write_bytes", U64, |r| r.traffic.write_bytes),
+    ("replace_bytes", U64, |r| r.traffic.replace_bytes),
+    ("total_bytes", U64, |r| r.traffic.total_bytes()),
+    ("read_txns", U64, |r| r.traffic.read_txns),
+    ("write_txns", U64, |r| r.traffic.write_txns),
+    ("replace_txns", U64, |r| r.traffic.replace_txns),
+    ("total_txns", U64, |r| r.traffic.total_txns()),
+    ("pageouts", U64, |r| r.traffic.pageouts),
+    ("busy_ns", U64, |r| r.avg_breakdown().busy_ns),
+    ("slc_ns", U64, |r| r.avg_breakdown().slc_ns),
+    ("am_ns", U64, |r| r.avg_breakdown().am_ns),
+    ("remote_ns", U64, |r| r.avg_breakdown().remote_ns),
+    ("sync_ns", U64, |r| r.avg_breakdown().sync_ns),
+    ("injections", U64, |r| r.injections),
+    ("ownership_migrations", U64, |r| r.ownership_migrations),
+    ("shared_drops", U64, |r| r.shared_drops),
+    ("cold_allocs", U64, |r| r.cold_allocs),
+    ("bus_busy_ns", U64, |r| r.bus_busy_ns),
+    ("dram_busy_ns", U64, |r| r.dram_busy_ns),
+    ("rnm_rate", F64, |r| r.rnm_rate().to_bits()),
+];
+
+/// One cell's result: its word in every [`COLUMNS`] entry, in order.
+/// This is what the cache holds and what the store writes as a row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Row([u64; COLUMNS.len()]);
+
+impl Row {
+    /// The row of `report`: every column's extractor applied to it.
+    fn of(report: &SimReport) -> Row {
+        Row(std::array::from_fn(|i| (COLUMNS[i].2)(report)))
+    }
+
+    fn word(&self, col: &str, ty: ColType) -> u64 {
+        let i = COLUMNS
+            .iter()
+            .position(|c| c.0 == col)
+            .unwrap_or_else(|| panic!("no column '{col}'"));
+        assert_eq!(COLUMNS[i].1, ty, "column '{col}' is not {ty:?}");
+        self.0[i]
+    }
+
+    /// A `u64` column's value; panics on an unknown or `f64` column.
+    pub fn u64(&self, col: &str) -> u64 {
+        self.word(col, U64)
+    }
+
+    /// An `f64` column's value; panics on an unknown or `u64` column.
+    pub fn f64(&self, col: &str) -> f64 {
+        f64::from_bits(self.word(col, F64))
+    }
+
+    fn to_bytes(self) -> Vec<u8> {
+        self.0.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Inverse of `to_bytes`; `None` unless `bytes` is exactly one row.
+    fn from_bytes(bytes: &[u8]) -> Option<Row> {
+        if bytes.len() != 8 * COLUMNS.len() {
+            return None;
         }
-        let report = run_simulation(build(), params);
-        cache.store(key, &report);
-        (report, false)
-    } else {
-        (run_simulation(build(), params), false)
+        let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+        Some(Row(std::array::from_fn(word)))
     }
 }
 
@@ -423,51 +401,12 @@ pub fn cached_sim(
 // Columnar store
 // ---------------------------------------------------------------------------
 
-/// Every numeric column the store holds, with its extractor. `rnm_rate`
-/// is the only f64 column; everything else is a u64 counter or duration.
-type U64Extract = fn(&SimReport) -> u64;
-const U64_COLUMNS: &[(&str, U64Extract)] = &[
-    ("exec_time_ns", |r| r.exec_time_ns),
-    ("total_reads", |r| r.counts.total_reads()),
-    ("total_writes", |r| r.counts.total_writes()),
-    ("read_node_misses", |r| r.counts.read_node_misses()),
-    ("read_bytes", |r| r.traffic.read_bytes),
-    ("write_bytes", |r| r.traffic.write_bytes),
-    ("replace_bytes", |r| r.traffic.replace_bytes),
-    ("total_bytes", |r| r.traffic.total_bytes()),
-    ("read_txns", |r| r.traffic.read_txns),
-    ("write_txns", |r| r.traffic.write_txns),
-    ("replace_txns", |r| r.traffic.replace_txns),
-    ("total_txns", |r| r.traffic.total_txns()),
-    ("pageouts", |r| r.traffic.pageouts),
-    ("busy_ns", |r| r.avg_breakdown().busy_ns),
-    ("slc_ns", |r| r.avg_breakdown().slc_ns),
-    ("am_ns", |r| r.avg_breakdown().am_ns),
-    ("remote_ns", |r| r.avg_breakdown().remote_ns),
-    ("sync_ns", |r| r.avg_breakdown().sync_ns),
-    ("injections", |r| r.injections),
-    ("ownership_migrations", |r| r.ownership_migrations),
-    ("shared_drops", |r| r.shared_drops),
-    ("cold_allocs", |r| r.cold_allocs),
-    ("bus_busy_ns", |r| r.bus_busy_ns),
-    ("dram_busy_ns", |r| r.dram_busy_ns),
-];
-
-fn build_columns(cells: &[Result<SimReport, String>]) -> ColBuilder {
+fn build_columns(cells: &[Result<Row, String>]) -> ColBuilder {
     let mut b = ColBuilder::new(cells.len());
-    for (name, get) in U64_COLUMNS {
-        b.col_u64(
-            name,
-            cells.iter().map(|c| c.as_ref().ok().map(get)).collect(),
-        );
+    for (i, &(name, ty, _)) in COLUMNS.iter().enumerate() {
+        let vals = cells.iter().map(|c| c.as_ref().ok().map(|r| r.0[i]));
+        b.push(name, ty, vals.collect());
     }
-    b.col_f64(
-        "rnm_rate",
-        cells
-            .iter()
-            .map(|c| c.as_ref().ok().map(|r| r.rnm_rate()))
-            .collect(),
-    );
     b
 }
 
@@ -483,7 +422,7 @@ fn sidecar_json(
     ctx: &ExpCtx,
     name: &str,
     specs: &[RunSpec],
-    cells: &[Result<SimReport, String>],
+    cells: &[Result<Row, String>],
 ) -> String {
     let rows: Vec<Value> = specs
         .iter()
@@ -514,12 +453,12 @@ fn sidecar_json(
             match cell {
                 Ok(r) => {
                     row.push(("ok".to_string(), Value::Bool(true)));
-                    row.push(("exec_time_ns".to_string(), Value::int(r.exec_time_ns)));
-                    row.push(("rnm_rate".to_string(), Value::float(r.rnm_rate())));
                     row.push((
-                        "total_bytes".to_string(),
-                        Value::int(r.traffic.total_bytes()),
+                        "exec_time_ns".to_string(),
+                        Value::int(r.u64("exec_time_ns")),
                     ));
+                    row.push(("rnm_rate".to_string(), Value::float(r.f64("rnm_rate"))));
+                    row.push(("total_bytes".to_string(), Value::int(r.u64("total_bytes"))));
                 }
                 Err(e) => {
                     row.push(("ok".to_string(), Value::Bool(false)));
@@ -537,10 +476,9 @@ fn sidecar_json(
         (
             "columns".to_string(),
             Value::Arr(
-                U64_COLUMNS
+                COLUMNS
                     .iter()
-                    .map(|(n, _)| Value::Str(n.to_string()))
-                    .chain([Value::Str("rnm_rate".to_string())])
+                    .map(|c| Value::Str(c.0.to_string()))
                     .collect(),
             ),
         ),
@@ -720,7 +658,7 @@ mod tests {
             RunSpec::new(AppId::WaterN2, 4, MemoryPressure::MP_87),
         ];
         let cells = [
-            Ok(SimReport::default()),
+            Ok(Row::of(&SimReport::default())),
             Err("cell panicked: \"deadlock\"\n\tat step 3".to_string()),
         ];
         let rows = sidecar_rows(&sidecar_json(&ctx, "unit", &specs, &cells), "fresh");

@@ -1,10 +1,11 @@
-//! Cache-correctness tests: key stability, cold-vs-warm equality, and
-//! poisoned-entry detection. The cache must never serve a wrong result —
-//! a corrupt, truncated or version-stale entry is a *miss*, recomputed
-//! from scratch.
+//! Cache-correctness tests: key stability, cold-vs-warm equality, the
+//! entry size, and poisoned-entry detection. The cache must never serve a
+//! wrong result — a corrupt, truncated, version-stale or wrong-length
+//! entry is a *miss*, recomputed from scratch.
 
-use coma_experiments::sweep::{run_matrix, run_sweep, spec_key, tagged_key};
+use coma_experiments::sweep::{run_matrix, run_sweep, spec_key, tagged_key, COLUMNS};
 use coma_experiments::{ExpCtx, RunSpec};
+use coma_sim::canon::{fnv1a_bytes, FNV_OFFSET};
 use coma_types::MemoryPressure;
 use coma_workloads::{AppId, Scale};
 use std::path::PathBuf;
@@ -62,6 +63,12 @@ fn poisoned_entries_are_detected_and_recomputed() {
     assert_eq!(cold.misses, m.len());
     let entries = cache_entries(&c);
     assert_eq!(entries.len(), m.len());
+    // Each entry is the 32-byte header, one row of store columns and the
+    // 8-byte checksum.
+    for e in &entries {
+        let len = std::fs::metadata(e).unwrap().len() as usize;
+        assert_eq!(len, 40 + 8 * COLUMNS.len(), "{}", e.display());
+    }
 
     // Flip one payload byte: the checksum catches it.
     let victim = &entries[0];
@@ -94,16 +101,29 @@ fn poisoned_entries_are_detected_and_recomputed() {
     let warm = run_matrix(&c, &m);
     assert_eq!((warm.hits, warm.misses, warm.failed), (m.len() - 1, 1, 0));
 
-    // Every recompute matches the original result exactly.
+    // A checksum-valid payload one word short of a row, or one word
+    // past it, is not a row: both are misses.
+    let entries = cache_entries(&c);
+    for (entry, words) in entries[1..]
+        .iter()
+        .zip([COLUMNS.len() - 1, COLUMNS.len() + 1])
+    {
+        let bytes = std::fs::read(entry).unwrap();
+        let mut payload = bytes[32..bytes.len() - 8].to_vec();
+        payload.resize(8 * words, 0x5A);
+        let mut forged = bytes[..24].to_vec();
+        forged.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        forged.extend_from_slice(&payload);
+        forged.extend_from_slice(&fnv1a_bytes(FNV_OFFSET, &payload).to_le_bytes());
+        std::fs::write(entry, &forged).unwrap();
+    }
+    let warm = run_matrix(&c, &m);
+    assert_eq!((warm.hits, warm.misses, warm.failed), (m.len() - 2, 2, 0));
+
+    // Every recompute matches the original rows exactly.
     let final_run = run_matrix(&c, &m);
     assert_eq!(final_run.hits, m.len());
-    for (a, b) in cold.cells.iter().zip(&final_run.cells) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        assert_eq!(a.exec_time_ns, b.exec_time_ns);
-        assert_eq!(a.traffic.total_bytes(), b.traffic.total_bytes());
-        assert_eq!(a.read_latency, b.read_latency);
-        assert_eq!(a.per_proc, b.per_proc);
-    }
+    assert_eq!(cold.cells, final_run.cells);
 }
 
 #[test]

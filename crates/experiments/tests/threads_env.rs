@@ -87,7 +87,7 @@ fn invalid_scale_and_seed_fall_back_to_defaults() {
 }
 
 /// The knob is live end to end: a grid scheduled at COMA_THREADS=1 and at
-/// =4 produces identical reports (and both actually complete — a dead or
+/// =4 produces identical rows (and both actually complete — a dead or
 /// deadlocked pool would hang or panic here).
 #[test]
 fn thread_count_does_not_change_results() {
@@ -110,18 +110,7 @@ fn thread_count_does_not_change_results() {
             .collect::<Vec<_>>()
     };
     let serial = run_at(1);
-    let parallel = run_at(4);
+    assert_eq!(serial, run_at(4));
     // More workers than cells: the pool must clamp, not spin.
-    let oversubscribed = run_at(64);
-    for (i, s) in serial.iter().enumerate() {
-        for other in [&parallel[i], &oversubscribed[i]] {
-            assert_eq!(s.exec_time_ns, other.exec_time_ns, "cell {i}");
-            assert_eq!(
-                s.traffic.total_bytes(),
-                other.traffic.total_bytes(),
-                "cell {i}"
-            );
-            assert_eq!(s.read_latency, other.read_latency, "cell {i}");
-        }
-    }
+    assert_eq!(serial, run_at(64));
 }

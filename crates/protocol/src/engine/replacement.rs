@@ -51,7 +51,6 @@ impl CoherenceEngine {
                     self.dir.remove_sharer(l, NodeId(node_idx as u16));
                 }
                 self.emit(ProtocolEvent::SharedDrop);
-                out.dropped_shared = true;
             }
             Victim::Inject(l, _) => {
                 self.nodes[node_idx].am.remove(l);

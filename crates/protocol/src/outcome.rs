@@ -25,8 +25,6 @@ pub struct Outcome {
     pub inval_scope: Option<NodeId>,
     /// A read-exclusive data fetch happened (write miss).
     pub read_exclusive: bool,
-    /// The local AM fill displaced a Shared replica (silent drop).
-    pub dropped_shared: bool,
     /// A responsible copy was injected to this node (extra bus + remote
     /// DRAM work, off the requester's critical path).
     pub injected_to: Option<NodeId>,
@@ -55,7 +53,6 @@ impl Outcome {
             upgrade: false,
             inval_scope: None,
             read_exclusive: false,
-            dropped_shared: false,
             injected_to: None,
             ownership_migrated: false,
             migrated_to: None,

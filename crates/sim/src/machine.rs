@@ -12,10 +12,10 @@
 use crate::resources::MachineResources;
 use crate::sync::{BarrierState, LockState};
 use coma_cache::{AcceptPolicy, VictimPolicy};
-use coma_protocol::{BaselineEngine, BaselineKind, CoherenceEngine, MemorySystem};
+use coma_protocol::{BaselineEngine, BaselineKind, CoherenceEngine, MemorySystem, Outcome};
 use coma_stats::{AccessCounts, ExecBreakdown, Level, SimReport};
 use coma_timing::{EventQueue, WriteBufferArray};
-use coma_types::{Addr, ConfigError, LatencyConfig, MachineConfig, Nanos, ProcId};
+use coma_types::{Addr, ConfigError, LatencyConfig, LineNum, MachineConfig, Nanos, ProcId};
 use coma_workloads::{FlatKind, OpArena, Workload};
 
 /// Which memory architecture the machine implements.
@@ -38,15 +38,16 @@ pub enum MemoryModel {
 /// per-event hot path are direct (and cross-crate inlinable under LTO)
 /// instead of virtual. Every simulation the crate itself assembles takes
 /// the static arms; only an external architecture pays the indirect call.
+/// The calls off the hot path go through [`Engine::system`].
 enum Engine {
     Coma(CoherenceEngine),
     Baseline(BaselineEngine),
     Custom(Box<dyn MemorySystem>),
 }
 
-impl MemorySystem for Engine {
+impl Engine {
     #[inline]
-    fn read(&mut self, proc: ProcId, line: coma_types::LineNum) -> coma_protocol::Outcome {
+    fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         match self {
             Engine::Coma(e) => e.read(proc, line),
             Engine::Baseline(e) => e.read(proc, line),
@@ -55,7 +56,7 @@ impl MemorySystem for Engine {
     }
 
     #[inline]
-    fn write(&mut self, proc: ProcId, line: coma_types::LineNum) -> coma_protocol::Outcome {
+    fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         match self {
             Engine::Coma(e) => e.write(proc, line),
             Engine::Baseline(e) => e.write(proc, line),
@@ -63,59 +64,12 @@ impl MemorySystem for Engine {
         }
     }
 
-    fn geometry(&self) -> &coma_types::MachineGeometry {
-        match self {
-            Engine::Coma(e) => e.geometry(),
-            Engine::Baseline(e) => e.geometry(),
-            Engine::Custom(m) => m.geometry(),
-        }
-    }
-
-    fn flush_stats(&mut self) {
-        match self {
-            Engine::Coma(e) => e.flush_stats(),
-            Engine::Baseline(e) => e.flush_stats(),
-            Engine::Custom(m) => m.flush_stats(),
-        }
-    }
-
-    fn traffic(&self) -> &coma_stats::Traffic {
-        match self {
-            Engine::Coma(e) => e.traffic(),
-            Engine::Baseline(e) => e.traffic(),
-            Engine::Custom(m) => m.traffic(),
-        }
-    }
-
-    fn counters(&self) -> &coma_stats::ProtocolCounters {
-        match self {
-            Engine::Coma(e) => e.counters(),
-            Engine::Baseline(e) => e.counters(),
-            Engine::Custom(m) => m.counters(),
-        }
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            Engine::Coma(e) => e.check_invariants(),
-            Engine::Baseline(e) => e.check_invariants(),
-            Engine::Custom(m) => m.check_invariants(),
-        }
-    }
-
-    fn am_census(&self) -> (usize, usize, usize) {
-        match self {
-            Engine::Coma(e) => MemorySystem::am_census(e),
-            Engine::Baseline(e) => MemorySystem::am_census(e),
-            Engine::Custom(m) => m.am_census(),
-        }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
+    /// The engine as a trait object, for the calls outside the event loop.
+    fn system(&mut self) -> &mut dyn MemorySystem {
         match self {
             Engine::Coma(e) => e,
             Engine::Baseline(e) => e,
-            Engine::Custom(m) => m.as_any(),
+            Engine::Custom(m) => m.as_mut(),
         }
     }
 }
@@ -272,8 +226,12 @@ impl Simulation {
         Self::assemble(workload, params, Engine::Custom(mem)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn assemble(workload: Workload, params: &SimParams, mem: Engine) -> Result<Self, ConfigError> {
-        let geom = *mem.geometry();
+    fn assemble(
+        workload: Workload,
+        params: &SimParams,
+        mut mem: Engine,
+    ) -> Result<Self, ConfigError> {
+        let geom = *mem.system().geometry();
         let n_procs = geom.n_procs;
         if workload.streams.len() != n_procs {
             return Err(ConfigError::StreamCount {
@@ -501,7 +459,7 @@ impl Simulation {
     /// machine state, and produce the report.
     pub fn run_checked(mut self) -> Result<SimReport, String> {
         self.run_loop();
-        self.mem.check_invariants()?;
+        self.mem.system().check_invariants()?;
         Ok(self.into_report())
     }
 
@@ -531,9 +489,10 @@ impl Simulation {
             self.n_done, self.n_procs
         );
         let exec_time_ns = self.finish.iter().copied().max().unwrap_or(0);
-        self.mem.flush_stats();
-        let traffic = *self.mem.traffic();
-        let counters = *self.mem.counters();
+        let mem = self.mem.system();
+        mem.flush_stats();
+        let traffic = *mem.traffic();
+        let counters = *mem.counters();
         SimReport {
             exec_time_ns,
             counts: self.counts,
@@ -550,9 +509,12 @@ impl Simulation {
     }
 
     /// The COMA engine, for post-run inspection in tests (None when a
-    /// baseline memory model is configured).
+    /// baseline memory model or an external memory system is configured).
     pub fn engine(&self) -> Option<&CoherenceEngine> {
-        self.mem.as_any().downcast_ref::<CoherenceEngine>()
+        match &self.mem {
+            Engine::Coma(e) => Some(e),
+            _ => None,
+        }
     }
 }
 

@@ -94,36 +94,14 @@ impl LatencyHisto {
         self.max_ns = self.max_ns.max(o.max_ns);
     }
 
-    /// Fixed-width serialization for the sweep result cache: every bucket
-    /// count, then the total, then the maximum. See [`Self::from_words`].
+    /// Every bucket count, then the total, then the maximum, as fixed-width
+    /// words; simbench folds them into its report digest.
     pub fn to_words(&self) -> Vec<u64> {
         let mut w = Vec::with_capacity(BUCKETS + 2);
         w.extend_from_slice(&self.counts);
         w.push(self.total);
         w.push(self.max_ns);
         w
-    }
-
-    /// Rebuild a histogram from [`Self::to_words`] output. Returns `None`
-    /// on a length mismatch or an internally inconsistent encoding (the
-    /// recorded total must equal the sum of the bucket counts), so a
-    /// corrupted cache entry is rejected rather than decoded.
-    pub fn from_words(words: &[u64]) -> Option<Self> {
-        if words.len() != BUCKETS + 2 {
-            return None;
-        }
-        let mut counts = [0u64; BUCKETS];
-        counts.copy_from_slice(&words[..BUCKETS]);
-        let total = words[BUCKETS];
-        let max_ns = words[BUCKETS + 1];
-        if counts.iter().copied().try_fold(0u64, u64::checked_add)? != total {
-            return None;
-        }
-        Some(LatencyHisto {
-            counts,
-            total,
-            max_ns,
-        })
     }
 
     /// Non-empty buckets as `(range_hi_ns, count)` pairs, ascending.
@@ -183,22 +161,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 2);
         assert_eq!(a.max_ns(), 1000);
-    }
-
-    #[test]
-    fn words_round_trip_and_reject_corruption() {
-        let mut h = LatencyHisto::new();
-        for ns in [0, 32, 332, 332, 100_000] {
-            h.record(ns);
-        }
-        let words = h.to_words();
-        assert_eq!(LatencyHisto::from_words(&words), Some(h));
-        // Wrong length.
-        assert_eq!(LatencyHisto::from_words(&words[1..]), None);
-        // Inconsistent total.
-        let mut bad = words.clone();
-        bad[BUCKETS] += 1;
-        assert_eq!(LatencyHisto::from_words(&bad), None);
     }
 
     #[test]

@@ -89,7 +89,8 @@ pub enum ConfigError {
     },
     /// More nodes than the sharer sets can represent.
     TooManyNodes { n_nodes: usize, max: usize },
-    /// More cluster groups than a directory presence mask can represent.
+    /// More cluster groups than the `u64` group mask that the directory
+    /// folds a line's copies into (`Directory::farthest_present`) holds.
     TooManyGroups { n_groups: usize, max: usize },
     /// Every group must contain the same whole number of nodes.
     GroupsDontDivideNodes { n_nodes: usize, n_groups: usize },
@@ -126,7 +127,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "{n_nodes} nodes exceed the sharer-set capacity of {max}")
             }
             ConfigError::TooManyGroups { n_groups, max } => {
-                write!(f, "{n_groups} groups exceed the presence-mask capacity of {max}")
+                write!(f, "{n_groups} groups exceed the directory's group-mask capacity of {max}")
             }
             ConfigError::GroupsDontDivideNodes { n_nodes, n_groups } => write!(
                 f,
@@ -598,7 +599,7 @@ mod tests {
             with_topo(16, 1, Topology::tree(0, 1)).validate(),
             Err(ConfigError::ZeroParameter("topology.n_groups"))
         );
-        // More groups than a u64 presence mask holds.
+        // More groups than the directory's u64 group mask holds.
         assert_eq!(
             with_topo(256, 1, Topology::tree(128, 7)).validate(),
             Err(ConfigError::TooManyGroups {

@@ -45,13 +45,6 @@ cargo run --release --offline -p coma-cli --bin coma -- \
 COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
   cargo run --release --offline -p coma-experiments --bin hierarchy -- --smoke
 
-echo "==> traffic smoke: both production-traffic families through the sweep"
-# The kv_zipf + graph_bfs corner matrix (two pressures, two clustering
-# degrees, COMA vs the NUMA anchors) through the cached sweep engine,
-# producing the traffic csv/svg into a scratch dir.
-COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
-  cargo run --release --offline -p coma-experiments --bin traffic -- --smoke
-
 echo "==> all smoke: every experiment but hierarchy, in one process"
 # The in-process runner end to end: each experiment's library function
 # under one ExpCtx, ending in the whole-run cache tally.
