@@ -7,12 +7,16 @@
 //! little-endian 64-bit values at a fixed offset, so a reader can map (or
 //! read) the file and view any column zero-copy, without parsing.
 //!
-//! # Byte-level layout (`COMACOL1`, version 1)
+//! A sweep's store is self-describing: its first columns are the cells'
+//! coordinates ([`crate::sweep::COORDS`]), so no second file is needed to
+//! tell its rows apart.
+//!
+//! # Byte-level layout (`COMACOL1`, version 2)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "COMACOL1"
-//! 8       4     format version (u32 LE, = 1)
+//! 8       4     format version (u32 LE, = 2)
 //! 12      4     n_cols (u32 LE)
 //! 16      8     n_rows (u64 LE)
 //! 24      56·k  column directory, k = n_cols entries of:
@@ -31,12 +35,14 @@
 //! out) row's data word is written as zero but carries no meaning.
 
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// File magic, also the format version marker.
 pub const MAGIC: [u8; 8] = *b"COMACOL1";
-/// Format version written to (and required in) the header.
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version written to (and required in) the header. Version 2
+/// stores lead with their coordinate columns; version 1 stores had only
+/// result columns and are rejected.
+pub const FORMAT_VERSION: u32 = 2;
 /// Fixed width of a column name in the directory.
 pub const NAME_BYTES: usize = 32;
 /// Size of one column-directory entry.
@@ -190,9 +196,13 @@ impl ColBuilder {
         buf
     }
 
-    /// Write the file atomically (temp file + rename).
+    /// Write the file atomically: a temp file named for this process,
+    /// fsync, then a rename. Readers never see a torn file, and two
+    /// processes writing the same path never share a temp file.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("cols.tmp");
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(".{}.tmp", std::process::id()));
+        let tmp = PathBuf::from(tmp);
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(&self.to_bytes())?;
         f.sync_all()?;

@@ -52,13 +52,12 @@ pub fn run(ctx: &ExpCtx) {
             .max(1) as f64;
         let g = chart.group(app.name());
         for row in rows {
-            let spec = sweep.spec(row);
             let read = sweep.u64("read_bytes", row);
             let write = sweep.u64("write_bytes", row);
             let replace = sweep.u64("replace_bytes", row);
             let total = sweep.u64("total_bytes", row);
             g.bars.push(Bar {
-                label: format!("{}p@{}", spec.procs_per_node(), spec.memory_pressure()),
+                label: format!("{}p@{}", sweep.ppn(row), sweep.mp(row)),
                 segments: vec![
                     read as f64 / max * 100.0,
                     write as f64 / max * 100.0,
@@ -67,8 +66,8 @@ pub fn run(ctx: &ExpCtx) {
             });
             t.row(vec![
                 app.name().to_string(),
-                spec.procs_per_node().to_string(),
-                spec.memory_pressure().to_string(),
+                sweep.ppn(row).to_string(),
+                sweep.mp(row).to_string(),
                 format!("{:.1}", read as f64 / max * 100.0),
                 format!("{:.1}", write as f64 / max * 100.0),
                 format!("{:.1}", replace as f64 / max * 100.0),

@@ -58,7 +58,6 @@ pub fn run(ctx: &ExpCtx) {
             .max(1) as f64;
         let g = chart.group(app.name());
         for row in rows {
-            let spec = sweep.spec(row);
             let read = sweep.u64("read_bytes", row);
             let write = sweep.u64("write_bytes", row);
             let replace = sweep.u64("replace_bytes", row);
@@ -66,9 +65,9 @@ pub fn run(ctx: &ExpCtx) {
             g.bars.push(Bar {
                 label: format!(
                     "{}p@{}{}",
-                    spec.procs_per_node(),
-                    spec.memory_pressure(),
-                    if spec.am_assoc() == 8 { "/8w" } else { "" }
+                    sweep.ppn(row),
+                    sweep.mp(row),
+                    if sweep.assoc(row) == 8 { "/8w" } else { "" }
                 ),
                 segments: vec![
                     read as f64 / max * 100.0,
@@ -78,9 +77,9 @@ pub fn run(ctx: &ExpCtx) {
             });
             t.row(vec![
                 app.name().to_string(),
-                spec.procs_per_node().to_string(),
-                spec.memory_pressure().to_string(),
-                format!("{}-way", spec.am_assoc()),
+                sweep.ppn(row).to_string(),
+                sweep.mp(row).to_string(),
+                format!("{}-way", sweep.assoc(row)),
                 format!("{:.1}", read as f64 / max * 100.0),
                 format!("{:.1}", write as f64 / max * 100.0),
                 format!("{:.1}", replace as f64 / max * 100.0),

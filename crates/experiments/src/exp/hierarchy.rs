@@ -20,7 +20,7 @@
 //! `smoke` (the binary's `--smoke` flag) restricts the matrix to
 //! one 64-processor cell per topology (the CI hierarchy-smoke gate).
 
-use crate::{run_sweep, ExpCtx, RunSpec};
+use crate::{run_sweep, ExpCtx, RunSpec, Source};
 use coma_stats::{Bar, BarChart, Table};
 use coma_types::{MemoryPressure, Topology};
 use coma_workloads::AppId;
@@ -58,7 +58,6 @@ pub fn run(ctx: &ExpCtx, smoke: bool) {
     let apps: &[AppId] = if smoke { &apps[..1] } else { &apps };
 
     let mut specs: Vec<RunSpec> = Vec::new();
-    let mut labels: Vec<(AppId, usize, usize, MemoryPressure, Topology)> = Vec::new();
     for &app in apps {
         for &procs in scales {
             for &ppn in ppns {
@@ -69,7 +68,6 @@ pub fn run(ctx: &ExpCtx, smoke: bool) {
                             p.machine.n_procs = procs;
                             p.machine.topology = topo;
                         }));
-                        labels.push((app, procs, ppn, mp, topo));
                     }
                 }
             }
@@ -91,16 +89,17 @@ pub fn run(ctx: &ExpCtx, smoke: bool) {
     ]);
     // Per (app, procs, ppn, mp) pair the flat run precedes its tree run.
     let mut flat_ns = 0u64;
-    for (row, &(app, procs, ppn, mp, topo)) in labels.iter().enumerate() {
+    for row in 0..sweep.n_rows() {
         let exec = sweep.u64("exec_time_ns", row);
+        let topo = sweep.topology(row);
         if topo.levels == 0 {
             flat_ns = exec;
         }
         t.row(vec![
-            app.name().to_string(),
-            procs.to_string(),
-            ppn.to_string(),
-            mp.to_string(),
+            sweep.app(row).name().to_string(),
+            sweep.procs(row).to_string(),
+            sweep.ppn(row).to_string(),
+            sweep.mp(row).to_string(),
             topo_label(topo),
             format!("{:.3}", exec as f64 / 1e6),
             format!("{:.1}%", exec as f64 / flat_ns.max(1) as f64 * 100.0),
@@ -126,22 +125,25 @@ pub fn run(ctx: &ExpCtx, smoke: bool) {
     for &app in apps {
         for &procs in scales {
             let mp = *mps.last().unwrap();
-            let base = labels
-                .iter()
-                .position(|&(a, pr, ppn, m, topo)| {
-                    a == app && pr == procs && ppn == ppns[0] && m == mp && topo.levels == 0
-                })
+            // This (app, scale) pair's rows at the chart's pressure.
+            let rows = (0..sweep.n_rows()).filter(|&row| {
+                sweep.app(row) == Source::App(app)
+                    && sweep.procs(row) == procs
+                    && sweep.mp(row) == mp
+            });
+            let base = rows
+                .clone()
+                .find(|&row| sweep.ppn(row) == ppns[0] && sweep.topology(row).levels == 0)
                 .map(|row| sweep.u64("exec_time_ns", row))
                 .unwrap_or(1)
                 .max(1) as f64;
             let g = chart.group(format!("{} {procs}p", app.name()));
-            for (row, &(a, pr, ppn, m, topo)) in labels.iter().enumerate() {
-                if a == app && pr == procs && m == mp {
-                    g.bars.push(Bar {
-                        label: format!("{ppn}ppn/{}", topo_label(topo)),
-                        segments: vec![sweep.u64("exec_time_ns", row) as f64 / base * 100.0],
-                    });
-                }
+            for row in rows {
+                let (ppn, topo) = (sweep.ppn(row), sweep.topology(row));
+                g.bars.push(Bar {
+                    label: format!("{ppn}ppn/{}", topo_label(topo)),
+                    segments: vec![sweep.u64("exec_time_ns", row) as f64 / base * 100.0],
+                });
             }
         }
     }

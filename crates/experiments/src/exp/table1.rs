@@ -2,9 +2,11 @@
 //!
 //! Prints the application catalog exactly as the paper tabulates it,
 //! plus the scaled working set actually used by the simulations. The
-//! numeric columns go through the columnar result store like every other
-//! experiment (written to `<out>/store/table1.cols`, then read back), so
-//! external tooling can consume the catalog without parsing the CSV.
+//! numeric columns go through the columnar store's one atomic writer,
+//! `ColBuilder::write`, like every sweep (to `<out>/store/table1.cols`,
+//! then read back), so external tooling can consume the catalog without
+//! parsing the CSV. Its rows are `AppId::ALL` in order; as the catalog,
+//! not a sweep, it has no coordinate columns.
 
 use crate::columnar::{ColBuilder, ColFile};
 use crate::ExpCtx;

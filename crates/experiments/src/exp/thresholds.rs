@@ -10,29 +10,24 @@
 //! AMs; below the threshold the hot line settles into every node (steady
 //! remote rate ≈ 0), above it the replicas keep being displaced.
 //!
-//! The eight probe simulations run through the sweep scheduler's result
-//! cache via [`cached_sim`] under a workload tag (the hot-line trace is
-//! not a catalog application, so the tag stands in for the app name in
-//! the cache key).
+//! The eight probe simulations are one `run_sweep` over the hot-line
+//! source ([`Source::HotLine`]), so they share the pool, the result cache
+//! and the store (`<out>/store/thresholds.cols`) with every other sweep.
 
-use crate::{cached_sim, report_sweep_stats, sweep::run_pool, ExpCtx};
-use coma_sim::SimParams;
+use crate::{run_sweep, ExpCtx, RunSpec, Source};
 use coma_stats::Table;
 use coma_types::Addr;
 use coma_types::{full_replication_threshold, MemoryPressure};
 use coma_workloads::{Op, OpStream, Workload};
 
-/// Cache tag for the hot-line micro-workload; bump the suffix if the
-/// trace shape below ever changes.
-const WORKLOAD_TAG: &str = "hotline-v1";
+/// Hot-line reads per processor.
+const PROBES: u64 = 2000;
 
 /// Micro-workload: phase 1 touches the private fill (per-proc partition),
 /// phase 2 re-reads one globally hot line interleaved with private reads.
 struct HotLine {
     me: u64,
-    n_lines: u64,
     part_lines: u64,
-    probes: u64,
     state: u64,
 }
 
@@ -47,7 +42,7 @@ impl OpStream for HotLine {
             return Some(Op::Write(Addr(line * 64)));
         }
         let probe = s - fill_end;
-        if probe >= self.probes * 2 {
+        if probe >= PROBES * 2 {
             return None;
         }
         if probe.is_multiple_of(2) {
@@ -56,14 +51,14 @@ impl OpStream for HotLine {
         } else {
             // Keep private data live so the AM stays full.
             let line = self.me * self.part_lines + (probe / 2) % self.part_lines;
-            let _ = self.n_lines;
             Some(Op::Read(Addr(line * 64)))
         }
     }
 }
 
-fn hot_line_workload() -> Workload {
-    let n_procs = 16usize;
+/// The hot-line probe on `n_procs` processors: a 16 Ki-line working set
+/// split evenly between them.
+pub(crate) fn hot_line_workload(n_procs: usize) -> Workload {
     let ws_lines = 16 * 1024u64;
     let part = ws_lines / n_procs as u64;
     Workload {
@@ -74,9 +69,7 @@ fn hot_line_workload() -> Workload {
             .map(|me| {
                 Box::new(HotLine {
                     me: me as u64,
-                    n_lines: ws_lines,
                     part_lines: part,
-                    probes: 2000,
                     state: 0,
                 }) as Box<dyn OpStream>
             })
@@ -84,24 +77,12 @@ fn hot_line_workload() -> Workload {
     }
 }
 
-/// Hot-line read-node-miss rate per probe, through the result cache.
-/// Returns the rate and whether the cell was a cache hit.
-fn hot_line_remote_rate(ctx: &ExpCtx, ppn: usize, assoc: usize, mp: MemoryPressure) -> (f64, bool) {
-    let mut params = SimParams::default();
-    params.machine.procs_per_node = ppn;
-    params.machine.memory_pressure = mp;
-    params.machine.am_assoc = assoc;
-    let (row, hit) = cached_sim(ctx, WORKLOAD_TAG, &params, hot_line_workload);
-    // Read node misses per hot-line probe (16 procs × 2000 probes).
-    (row.u64("read_node_misses") as f64 / (16.0 * 2000.0), hit)
-}
-
 pub fn run(ctx: &ExpCtx) {
     let combos = [(1usize, 4usize), (1, 8), (4, 4), (4, 8)];
 
     // Each combo probes just below and just above its threshold: eight
-    // independent simulations, scheduled across the worker pool.
-    let cells: Vec<(usize, usize, MemoryPressure)> = combos
+    // independent simulations, rows 2k and 2k + 1 for combo k.
+    let specs: Vec<RunSpec> = combos
         .iter()
         .flat_map(|&(ppn, assoc)| {
             let nodes = (16 / ppn) as u32;
@@ -109,15 +90,14 @@ pub fn run(ctx: &ExpCtx) {
             let frac = num as f64 / den as f64;
             let below = MemoryPressure::new((frac * 64.0) as u32 - 3, 64);
             let above = MemoryPressure::new(((frac * 64.0) as u32 + 3).min(63), 64);
-            [(ppn, assoc, below), (ppn, assoc, above)]
+            [below, above].map(|mp| RunSpec::of(Source::HotLine, ppn, mp).with_assoc(assoc))
         })
         .collect();
-    let results = run_pool(ctx.threads, cells.len(), |i| {
-        let (ppn, assoc, mp) = cells[i];
-        hot_line_remote_rate(ctx, ppn, assoc, mp)
-    });
-    let hits = results.iter().filter(|(_, hit)| *hit).count();
-    report_sweep_stats(ctx, "thresholds", hits, results.len() - hits, 0);
+    let sweep = run_sweep(ctx, "thresholds", &specs);
+    // Read node misses per hot-line probe (every processor probes).
+    let miss_per_probe = |row: usize| {
+        sweep.u64("read_node_misses", row) as f64 / (sweep.procs(row) as u64 * PROBES) as f64
+    };
 
     let mut t = Table::new(vec![
         "nodes",
@@ -127,19 +107,18 @@ pub fn run(ctx: &ExpCtx) {
         "miss/probe below",
         "miss/probe above",
     ]);
-    for (k, (ppn, assoc)) in combos.into_iter().enumerate() {
-        let nodes = (16 / ppn) as u32;
+    for row in (0..sweep.n_rows()).step_by(2) {
+        let nodes = (sweep.procs(row) / sweep.ppn(row)) as u32;
+        let assoc = sweep.assoc(row);
         let (num, den) = full_replication_threshold(nodes, assoc as u32);
         let frac = num as f64 / den as f64;
-        let (miss_below, _) = results[2 * k];
-        let (miss_above, _) = results[2 * k + 1];
         t.row(vec![
             nodes.to_string(),
             format!("{assoc}-way"),
             format!("{num}/{den}"),
             format!("{:.1}%", frac * 100.0),
-            format!("{:.4}", miss_below),
-            format!("{:.4}", miss_above),
+            format!("{:.4}", miss_per_probe(row)),
+            format!("{:.4}", miss_per_probe(row + 1)),
         ]);
     }
     println!("§4.2 replication thresholds: analytic values (paper: 49/64, 113/128,");

@@ -13,20 +13,11 @@
 //! persist to the `traffic` columnar store; the table, chart and the
 //! printed findings are derived from the stored rows.
 
-use crate::{fig5_latency, run_sweep, ExpCtx, RunSpec};
+use crate::{fig5_latency, run_sweep, ExpCtx, RunSpec, Source};
 use coma_sim::MemoryModel;
 use coma_stats::{Bar, BarChart, Table};
 use coma_types::MemoryPressure;
 use coma_workloads::AppId;
-
-#[derive(Clone, Copy, PartialEq)]
-struct Cell {
-    app: AppId,
-    model: MemoryModel,
-    mp: MemoryPressure,
-    ppn: usize,
-    assoc: usize,
-}
 
 pub fn run(ctx: &ExpCtx) {
     let mps = MemoryPressure::PAPER_SWEEP;
@@ -34,7 +25,6 @@ pub fn run(ctx: &ExpCtx) {
     let assocs = [4usize, 8];
 
     let mut specs: Vec<RunSpec> = Vec::new();
-    let mut cells: Vec<Cell> = Vec::new();
     for app in AppId::TRAFFIC {
         for ppn in ppns {
             // The NUMA anchor: memory pressure only sizes the AM, which a
@@ -44,13 +34,6 @@ pub fn run(ctx: &ExpCtx) {
                     .with_latency(fig5_latency())
                     .with_model(MemoryModel::Numa),
             );
-            cells.push(Cell {
-                app,
-                model: MemoryModel::Numa,
-                mp: MemoryPressure::MP_50,
-                ppn,
-                assoc: 4,
-            });
             for assoc in assocs {
                 for mp in mps {
                     specs.push(
@@ -58,24 +41,20 @@ pub fn run(ctx: &ExpCtx) {
                             .with_latency(fig5_latency())
                             .with_assoc(assoc),
                     );
-                    cells.push(Cell {
-                        app,
-                        model: MemoryModel::Coma,
-                        mp,
-                        ppn,
-                        assoc,
-                    });
                 }
             }
         }
     }
     let sweep = run_sweep(ctx, "traffic", &specs);
+    let rows = 0..sweep.n_rows();
+    let is = |row: usize, app: Source, model: MemoryModel| {
+        sweep.app(row) == app && sweep.model(row) == model
+    };
 
     // NUMA anchor per (family, clustering degree).
-    let numa_ns = |app: AppId, ppn: usize| {
-        cells
-            .iter()
-            .position(|c| c.app == app && c.ppn == ppn && c.model == MemoryModel::Numa)
+    let numa_ns = |app: Source, ppn: usize| {
+        rows.clone()
+            .find(|&row| is(row, app, MemoryModel::Numa) && sweep.ppn(row) == ppn)
             .map(|row| sweep.u64("exec_time_ns", row))
             .unwrap_or(1)
             .max(1)
@@ -94,18 +73,19 @@ pub fn run(ctx: &ExpCtx) {
         "replace (KB)",
         "injections",
     ]);
-    for (row, c) in cells.iter().enumerate() {
+    for row in rows.clone() {
+        let (app, ppn) = (sweep.app(row), sweep.ppn(row));
         let exec = sweep.u64("exec_time_ns", row);
-        let base = numa_ns(c.app, c.ppn);
+        let base = numa_ns(app, ppn);
         t.row(vec![
-            c.app.name().to_string(),
-            match c.model {
+            app.name().to_string(),
+            match sweep.model(row) {
                 MemoryModel::Numa => "NUMA".to_string(),
                 _ => "COMA".to_string(),
             },
-            c.mp.to_string(),
-            c.ppn.to_string(),
-            c.assoc.to_string(),
+            sweep.mp(row).to_string(),
+            ppn.to_string(),
+            sweep.assoc(row).to_string(),
             format!("{:.3}", exec as f64 / 1e6),
             format!("{:.1}%", exec as f64 / base as f64 * 100.0),
             format!("{:.3}%", sweep.f64("rnm_rate", row) * 100.0),
@@ -124,20 +104,19 @@ pub fn run(ctx: &ExpCtx) {
     );
     for app in AppId::TRAFFIC {
         for ppn in ppns {
-            let base = numa_ns(app, ppn) as f64;
+            let base = numa_ns(Source::App(app), ppn) as f64;
             let g = chart.group(format!("{} {ppn}ppn", app.name()));
             g.bars.push(Bar {
                 label: "NUMA".to_string(),
                 segments: vec![100.0],
             });
-            for (row, c) in cells.iter().enumerate() {
-                if c.app == app
-                    && c.ppn == ppn
-                    && c.assoc == assocs[0]
-                    && c.model == MemoryModel::Coma
+            for row in rows.clone() {
+                if is(row, Source::App(app), MemoryModel::Coma)
+                    && sweep.ppn(row) == ppn
+                    && sweep.assoc(row) == assocs[0]
                 {
                     g.bars.push(Bar {
-                        label: format!("{}", c.mp),
+                        label: format!("{}", sweep.mp(row)),
                         segments: vec![sweep.u64("exec_time_ns", row) as f64 / base * 100.0],
                     });
                 }
@@ -146,33 +125,30 @@ pub fn run(ctx: &ExpCtx) {
     }
 
     // Where attraction behavior helps most / least, from the stored rows.
-    for app in AppId::TRAFFIC {
-        let mut best: Option<(f64, &Cell)> = None;
-        let mut worst: Option<(f64, &Cell)> = None;
-        for (row, c) in cells.iter().enumerate() {
-            if c.app != app || c.model != MemoryModel::Coma {
-                continue;
+    for app in AppId::TRAFFIC.map(Source::App) {
+        let mut best: Option<(f64, usize)> = None;
+        let mut worst: Option<(f64, usize)> = None;
+        for row in rows.clone().filter(|&row| is(row, app, MemoryModel::Coma)) {
+            let rel = sweep.u64("exec_time_ns", row) as f64 / numa_ns(app, sweep.ppn(row)) as f64;
+            if best.is_none_or(|(b, _)| rel < b) {
+                best = Some((rel, row));
             }
-            let rel = sweep.u64("exec_time_ns", row) as f64 / numa_ns(app, c.ppn) as f64;
-            if best.as_ref().is_none_or(|(b, _)| rel < *b) {
-                best = Some((rel, c));
-            }
-            if worst.as_ref().is_none_or(|(w, _)| rel > *w) {
-                worst = Some((rel, c));
+            if worst.is_none_or(|(w, _)| rel > w) {
+                worst = Some((rel, row));
             }
         }
-        if let (Some((b, bc)), Some((w, wc))) = (best, worst) {
+        if let (Some((b, br)), Some((w, wr))) = (best, worst) {
+            let at = |row: usize| {
+                let (mp, ppn, assoc) = (sweep.mp(row), sweep.ppn(row), sweep.assoc(row));
+                format!("{mp} {ppn}ppn {assoc}-way")
+            };
             println!(
-                "{}: COMA best {:.1}% of NUMA ({} {}ppn {}-way), worst {:.1}% ({} {}ppn {}-way)",
+                "{}: COMA best {:.1}% of NUMA ({}), worst {:.1}% ({})",
                 app.name(),
                 b * 100.0,
-                bc.mp,
-                bc.ppn,
-                bc.assoc,
+                at(br),
                 w * 100.0,
-                wc.mp,
-                wc.ppn,
-                wc.assoc
+                at(wr)
             );
         }
     }

@@ -24,23 +24,22 @@
 //! Experiment grids run on the work-stealing sweep scheduler in [`sweep`]:
 //! cells are sharded across `COMA_THREADS` workers, deduplicated through a
 //! config-hash result cache under `<out>/cache/`, and persisted once per
-//! sweep as a [`columnar`] store under `<out>/store/` with a [`json`]
-//! sidecar.
+//! sweep as a self-describing [`columnar`] store under `<out>/store/`:
+//! each row holds its cell's coordinates next to its results.
 
 #![forbid(unsafe_code)]
 
 use coma_sim::{run_simulation, MemoryModel, SimParams};
 use coma_stats::{BarChart, SimReport, Table};
 use coma_types::{LatencyConfig, MemoryPressure};
-use coma_workloads::{AppId, Scale};
+use coma_workloads::{AppId, Scale, Workload};
 use std::path::PathBuf;
 
 pub mod columnar;
 pub mod exp;
-pub mod json;
 pub mod sweep;
 
-pub use sweep::{cached_sim, report_sweep_stats, run_sweep, Sweep};
+pub use sweep::{run_sweep, Sweep};
 
 /// Experiment context (scale, seed, output directory, scheduler knobs).
 #[derive(Clone, Debug)]
@@ -152,14 +151,67 @@ fn env_or<T: std::str::FromStr>(var: &str, expected: &str, default: T, default_n
     }
 }
 
-/// One simulation point in an experiment grid: an application plus the
+/// Where a cell's workload comes from: a catalog application or the §4.2
+/// hot-line probe (`exp::thresholds`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Source {
+    App(AppId),
+    HotLine,
+}
+
+impl Source {
+    /// Every catalog application in code order: [`AppId::ALL`], then
+    /// [`AppId::TRAFFIC`]. The hot-line probe's code follows them.
+    fn apps() -> impl Iterator<Item = AppId> {
+        AppId::ALL.into_iter().chain(AppId::TRAFFIC)
+    }
+
+    /// The stable code the store's `app` column holds: 0–15 for the
+    /// applications, 16 for the hot-line probe.
+    pub fn code(self) -> u64 {
+        let code = match self {
+            Source::App(app) => Self::apps().position(|a| a == app).expect("catalog app"),
+            Source::HotLine => Self::apps().count(),
+        };
+        code as u64
+    }
+
+    /// Inverse of [`Source::code`]; `None` for an unknown code.
+    pub fn from_code(code: u64) -> Option<Source> {
+        if code == Source::HotLine.code() {
+            return Some(Source::HotLine);
+        }
+        Self::apps()
+            .nth(usize::try_from(code).ok()?)
+            .map(Source::App)
+    }
+
+    /// The workload's name, which the cache key hashes: an application's
+    /// Table-1 name, or the hot-line probe's versioned tag (bump its
+    /// suffix if the probe's trace ever changes).
+    pub fn name(self) -> &'static str {
+        match self {
+            Source::App(app) => app.name(),
+            Source::HotLine => "hotline-v1",
+        }
+    }
+
+    fn build(self, n_procs: usize, seed: u64, scale: Scale) -> Workload {
+        match self {
+            Source::App(app) => app.build(n_procs, seed, scale),
+            Source::HotLine => exp::thresholds::hot_line_workload(n_procs),
+        }
+    }
+}
+
+/// One simulation point in an experiment grid: a workload source plus the
 /// complete machine configuration. Holding the full [`SimParams`] (rather
 /// than a hand-picked subset of knobs) means the sweep cache key — a
 /// canonical hash over every field — covers ablation and sensitivity
 /// variants by construction.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
-    pub app: AppId,
+    pub source: Source,
     pub params: SimParams,
     /// Added to the experiment seed to give this cell's workload seed
     /// (0 unless the grid varies the seed, as `seeds` does).
@@ -168,11 +220,16 @@ pub struct RunSpec {
 
 impl RunSpec {
     pub fn new(app: AppId, ppn: usize, mp: MemoryPressure) -> Self {
+        Self::of(Source::App(app), ppn, mp)
+    }
+
+    /// A default machine at `ppn` and `mp` running `source`.
+    pub fn of(source: Source, ppn: usize, mp: MemoryPressure) -> Self {
         let mut params = SimParams::default();
         params.machine.procs_per_node = ppn;
         params.machine.memory_pressure = mp;
         RunSpec {
-            app,
+            source,
             params,
             seed_offset: 0,
         }
@@ -224,7 +281,7 @@ impl RunSpec {
     /// Execute this point (uncached; the scheduler wraps this).
     pub fn run(&self, ctx: &ExpCtx) -> SimReport {
         let n_procs = self.params.machine.n_procs;
-        let wl = self.app.build(n_procs, self.seed(ctx), ctx.scale);
+        let wl = self.source.build(n_procs, self.seed(ctx), ctx.scale);
         run_simulation(wl, &self.params)
     }
 }
@@ -363,6 +420,26 @@ mod tests {
         // Invalid values are ignored with a warning, not fatal.
         ctx.apply_args(["--jobs", "zero?"].map(String::from));
         assert_eq!(ctx.threads, 3);
+    }
+
+    /// The store's `app` and `model` codes are stable and decode back.
+    #[test]
+    fn source_and_model_codes_round_trip() {
+        for code in 0..=16 {
+            assert_eq!(Source::from_code(code).map(Source::code), Some(code));
+        }
+        assert_eq!(Source::App(AppId::Barnes).code(), 0);
+        assert_eq!(Source::App(AppId::GraphBfs).code(), 15);
+        assert_eq!(Source::from_code(16), Some(Source::HotLine));
+        assert_eq!(Source::from_code(17), None);
+        for (code, model) in [MemoryModel::Coma, MemoryModel::Numa, MemoryModel::Uma]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(sweep::model_code(model), code as u64);
+            assert_eq!(sweep::model_from_code(code as u64), Some(model));
+        }
+        assert_eq!(sweep::model_from_code(3), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! simulations. This module turns a `&[RunSpec]` into results three
 //! layers deep:
 //!
-//! 1. **Scheduler** — [`run_pool`] shards cell indices across
+//! 1. **Scheduler** — `run_pool` shards cell indices across
 //!    `ctx.threads` workers, each with its own deque; an idle worker
 //!    steals from the back of a victim's deque, so a handful of slow
 //!    cells (the 87.5 %-MP runs are several times costlier than the
@@ -12,19 +12,19 @@
 //!    `catch_unwind`, so one diverging simulation fails that cell — not
 //!    the sweep.
 //! 2. **Result cache** — every cell is keyed by a canonical 64-bit hash
-//!    (`coma_sim::canon`) over the full `SimParams`, the application, the
-//!    cell's workload seed and the scale, plus [`CODE_SALT`]. An entry's
+//!    (`coma_sim::canon`) over the full `SimParams`, the workload's name,
+//!    the cell's workload seed and the scale, plus [`CODE_SALT`]. An entry's
 //!    payload is the cell's [`Row`]: its word in every [`COLUMNS`] entry,
 //!    exactly what the store writes for it. Entries persist under
 //!    `<out>/cache/` with a version stamp and payload checksum; a stale
 //!    or corrupt entry, or a payload that is not exactly one row, is
 //!    detected and recomputed, never served.
 //! 3. **Columnar store** — [`run_sweep`] writes one
-//!    [`crate::columnar`] file per sweep under `<out>/store/`, one column
-//!    per [`COLUMNS`] entry (plus a human-readable JSON sidecar), and
-//!    hands the experiment a [`Sweep`] whose accessors read *from the
-//!    store*, so every figure is derived from the same bytes external
-//!    tooling sees.
+//!    [`crate::columnar`] file per sweep under `<out>/store/`: one column
+//!    per [`COORDS`] entry (the cell's coordinates), then one per
+//!    [`COLUMNS`] entry (its results). It hands the experiment a
+//!    [`Sweep`] whose accessors read both *from the store*, so every
+//!    figure is derived from the same bytes external tooling sees.
 //!
 //! Results are always returned in matrix order regardless of which worker
 //! computed a cell, and the simulations themselves are single-threaded
@@ -33,15 +33,14 @@
 
 use crate::columnar::ColType::{self, F64, U64};
 use crate::columnar::{ColBuilder, ColFile};
-use crate::json::Value;
-use crate::{ExpCtx, RunSpec};
+use crate::{ExpCtx, RunSpec, Source};
 use coma_sim::canon::{config_hash, fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
-use coma_sim::{run_simulation, MemoryModel, SimParams};
+use coma_sim::MemoryModel;
 use coma_stats::SimReport;
-use coma_workloads::Workload;
+use coma_types::{MemoryPressure, Topology};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -61,7 +60,7 @@ pub const CODE_SALT: u64 = 1;
 /// produces further work, so a worker that finds every deque empty is
 /// done. With `threads <= 1` the pool degenerates to a serial loop on the
 /// calling thread.
-pub fn run_pool<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
+fn run_pool<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -122,26 +121,16 @@ const CACHE_MAGIC: [u8; 8] = *b"COMACEL1";
 /// versions the simulator's semantics.
 const CACHE_VERSION: u32 = 2;
 
-/// The cache key of one sweep cell: code salt, application, the cell's
-/// workload seed ([`RunSpec::seed`]) and scale, and the canonical hash of
-/// the complete `SimParams`.
+/// The cache key of one sweep cell: code salt, workload name
+/// ([`Source::name`]), the cell's workload seed ([`RunSpec::seed`]) and
+/// scale, and the canonical hash of the complete `SimParams`.
 pub fn spec_key(ctx: &ExpCtx, spec: &RunSpec) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv1a_u64(h, CODE_SALT);
-    h = fnv1a_bytes(h, spec.app.name().as_bytes());
+    h = fnv1a_bytes(h, spec.source.name().as_bytes());
     h = fnv1a_u64(h, spec.seed(ctx));
     h = fnv1a_u64(h, ctx.scale.0.to_bits());
     fnv1a_u64(h, config_hash(&spec.params))
-}
-
-/// A cache key for a non-catalog workload: `tag` must identify the
-/// workload (shape, inputs, generator version) completely, since only the
-/// machine parameters are hashed alongside it.
-pub fn tagged_key(tag: &str, params: &SimParams) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv1a_u64(h, CODE_SALT);
-    h = fnv1a_bytes(h, tag.as_bytes());
-    fnv1a_u64(h, config_hash(params))
 }
 
 struct Cache {
@@ -224,7 +213,7 @@ struct SweepCounters {
     failed: AtomicUsize,
 }
 
-/// Every sweep [`report_sweep_stats`] has reported in this process.
+/// Every sweep `report_sweep_stats` has reported in this process.
 static PROCESS_TOTALS: SweepCounters = SweepCounters {
     hits: AtomicUsize::new(0),
     misses: AtomicUsize::new(0),
@@ -295,35 +284,14 @@ pub fn run_matrix(ctx: &ExpCtx, specs: &[RunSpec]) -> SweepOutcome {
     }
 }
 
-/// Cached single simulation for experiments whose workload is not a
-/// catalog application (e.g. the thresholds hot-line micro-benchmark).
-/// Returns the cell's row plus whether it was served from the cache.
-pub fn cached_sim(
-    ctx: &ExpCtx,
-    tag: &str,
-    params: &SimParams,
-    build: impl FnOnce() -> Workload,
-) -> (Row, bool) {
-    let key = tagged_key(tag, params);
-    let cache = Cache::for_ctx(ctx);
-    if let Some(row) = cache.as_ref().and_then(|c| c.load(key)) {
-        return (row, true);
-    }
-    let row = Row::of(&run_simulation(build(), params));
-    if let Some(c) = &cache {
-        c.store(key, &row);
-    }
-    (row, false)
-}
-
 // ---------------------------------------------------------------------------
-// Cell rows: the one result schema
+// The store schema: coordinate columns, then result columns (cell rows)
 // ---------------------------------------------------------------------------
 
 /// Every column a cell's result holds, with its type and its extractor
-/// from the report. This one table defines the cache payload, the
-/// `.cols` store and the sidecar's column list; an `f64` column holds
-/// the value's bit pattern, so every value is one exact `u64` word.
+/// from the report. This one table defines the cache payload and the
+/// store's result columns; an `f64` column holds the value's bit
+/// pattern, so every value is one exact `u64` word.
 type Extract = fn(&SimReport) -> u64;
 pub const COLUMNS: &[(&str, ColType, Extract)] = &[
     ("exec_time_ns", U64, |r| r.exec_time_ns),
@@ -352,6 +320,39 @@ pub const COLUMNS: &[(&str, ColType, Extract)] = &[
     ("dram_busy_ns", U64, |r| r.dram_busy_ns),
     ("rnm_rate", F64, |r| r.rnm_rate().to_bits()),
 ];
+
+/// Every coordinate column a sweep store holds ahead of its [`COLUMNS`],
+/// with its extractor from the cell's spec. All are `u64`, and they are
+/// valid in every row, a failed cell's included. `app` is
+/// [`Source::code`], `model` is [`model_code`], `key` is [`spec_key`];
+/// `groups` and `levels` are the topology's fields.
+type Coord = fn(&ExpCtx, &RunSpec) -> u64;
+pub const COORDS: &[(&str, Coord)] = &[
+    ("app", |_, s| s.source.code()),
+    ("procs", |_, s| s.params.machine.n_procs as u64),
+    ("ppn", |_, s| s.procs_per_node() as u64),
+    ("groups", |_, s| s.params.machine.topology.n_groups as u64),
+    ("levels", |_, s| s.params.machine.topology.levels as u64),
+    ("mp_num", |_, s| s.memory_pressure().num.into()),
+    ("mp_den", |_, s| s.memory_pressure().den.into()),
+    ("assoc", |_, s| s.am_assoc() as u64),
+    ("model", |_, s| model_code(s.params.memory_model)),
+    ("seed_offset", |_, s| s.seed_offset),
+    ("key", spec_key),
+];
+
+/// The memory models in `model` code order.
+const MODELS: [MemoryModel; 3] = [MemoryModel::Coma, MemoryModel::Numa, MemoryModel::Uma];
+
+/// The store's `model` code: 0 for COMA, 1 for NUMA, 2 for UMA.
+pub fn model_code(model: MemoryModel) -> u64 {
+    MODELS.iter().position(|&m| m == model).unwrap() as u64
+}
+
+/// Inverse of [`model_code`]; `None` for an unknown code.
+pub fn model_from_code(code: u64) -> Option<MemoryModel> {
+    MODELS.get(usize::try_from(code).ok()?).copied()
+}
 
 /// One cell's result: its word in every [`COLUMNS`] entry, in order.
 /// This is what the cache holds and what the store writes as a row.
@@ -401,8 +402,11 @@ impl Row {
 // Columnar store
 // ---------------------------------------------------------------------------
 
-fn build_columns(cells: &[Result<Row, String>]) -> ColBuilder {
+fn build_columns(ctx: &ExpCtx, specs: &[RunSpec], cells: &[Result<Row, String>]) -> ColBuilder {
     let mut b = ColBuilder::new(cells.len());
+    for &(name, coord) in COORDS {
+        b.col_u64(name, specs.iter().map(|s| Some(coord(ctx, s))).collect());
+    }
     for (i, &(name, ty, _)) in COLUMNS.iter().enumerate() {
         let vals = cells.iter().map(|c| c.as_ref().ok().map(|r| r.0[i]));
         b.push(name, ty, vals.collect());
@@ -410,85 +414,8 @@ fn build_columns(cells: &[Result<Row, String>]) -> ColBuilder {
     b
 }
 
-fn model_name(m: MemoryModel) -> &'static str {
-    match m {
-        MemoryModel::Coma => "coma",
-        MemoryModel::Numa => "numa",
-        MemoryModel::Uma => "uma",
-    }
-}
-
-fn sidecar_json(
-    ctx: &ExpCtx,
-    name: &str,
-    specs: &[RunSpec],
-    cells: &[Result<Row, String>],
-) -> String {
-    let rows: Vec<Value> = specs
-        .iter()
-        .zip(cells)
-        .enumerate()
-        .map(|(i, (spec, cell))| {
-            let mut row = vec![
-                ("row".to_string(), Value::int(i as u64)),
-                ("app".to_string(), Value::Str(spec.app.name().to_string())),
-                ("ppn".to_string(), Value::int(spec.procs_per_node() as u64)),
-                (
-                    "mp".to_string(),
-                    Value::Str(spec.memory_pressure().to_string()),
-                ),
-                ("assoc".to_string(), Value::int(spec.am_assoc() as u64)),
-                (
-                    "model".to_string(),
-                    Value::Str(model_name(spec.params.memory_model).to_string()),
-                ),
-                (
-                    "key".to_string(),
-                    Value::Str(format!("{:016x}", spec_key(ctx, spec))),
-                ),
-            ];
-            if spec.seed_offset != 0 {
-                row.push(("seed_offset".to_string(), Value::int(spec.seed_offset)));
-            }
-            match cell {
-                Ok(r) => {
-                    row.push(("ok".to_string(), Value::Bool(true)));
-                    row.push((
-                        "exec_time_ns".to_string(),
-                        Value::int(r.u64("exec_time_ns")),
-                    ));
-                    row.push(("rnm_rate".to_string(), Value::float(r.f64("rnm_rate"))));
-                    row.push(("total_bytes".to_string(), Value::int(r.u64("total_bytes"))));
-                }
-                Err(e) => {
-                    row.push(("ok".to_string(), Value::Bool(false)));
-                    row.push(("error".to_string(), Value::Str(e.clone())));
-                }
-            }
-            Value::Obj(row)
-        })
-        .collect();
-    let doc = Value::Obj(vec![
-        ("schema".to_string(), Value::Str("coma-sweep/1".to_string())),
-        ("name".to_string(), Value::Str(name.to_string())),
-        ("scale".to_string(), Value::float(ctx.scale.0)),
-        ("seed".to_string(), Value::int(ctx.seed)),
-        (
-            "columns".to_string(),
-            Value::Arr(
-                COLUMNS
-                    .iter()
-                    .map(|c| Value::Str(c.0.to_string()))
-                    .collect(),
-            ),
-        ),
-        ("rows".to_string(), Value::Arr(rows)),
-    ]);
-    doc.to_json()
-}
-
 /// Print one sweep's cache accounting and add it to [`process_totals`].
-pub fn report_sweep_stats(ctx: &ExpCtx, name: &str, hits: usize, misses: usize, failed: usize) {
+fn report_sweep_stats(ctx: &ExpCtx, name: &str, hits: usize, misses: usize, failed: usize) {
     let failed_txt = if failed > 0 {
         format!(", {failed} FAILED")
     } else {
@@ -505,11 +432,10 @@ pub fn report_sweep_stats(ctx: &ExpCtx, name: &str, hits: usize, misses: usize, 
     t.failed.fetch_add(failed, Ordering::Relaxed);
 }
 
-/// A completed sweep: the matrix specs plus the persisted columnar store,
-/// reopened from its own serialized bytes so every read goes through the
-/// on-disk format.
+/// A completed sweep: the persisted columnar store, reopened from its own
+/// serialized bytes so every read — coordinates and metrics alike — goes
+/// through the on-disk format.
 pub struct Sweep {
-    specs: Vec<RunSpec>,
     file: ColFile,
     errors: Vec<Option<String>>,
     pub hits: usize,
@@ -522,10 +448,6 @@ impl Sweep {
         self.file.n_rows()
     }
 
-    pub fn spec(&self, row: usize) -> &RunSpec {
-        &self.specs[row]
-    }
-
     /// Did this cell complete?
     pub fn ok(&self, row: usize) -> bool {
         self.errors[row].is_none()
@@ -536,27 +458,71 @@ impl Sweep {
         self.errors[row].as_deref()
     }
 
+    /// A coordinate column's value (valid in every row).
+    fn coord(&self, col: &str, row: usize) -> u64 {
+        self.file
+            .get_u64(col, row)
+            .unwrap_or_else(|| panic!("row {row} of coordinate '{col}' is null"))
+    }
+
+    /// The cell's workload source.
+    pub fn app(&self, row: usize) -> Source {
+        let code = self.coord("app", row);
+        Source::from_code(code).unwrap_or_else(|| panic!("row {row}: unknown app code {code}"))
+    }
+
+    pub fn procs(&self, row: usize) -> usize {
+        self.coord("procs", row) as usize
+    }
+
+    pub fn ppn(&self, row: usize) -> usize {
+        self.coord("ppn", row) as usize
+    }
+
+    pub fn assoc(&self, row: usize) -> usize {
+        self.coord("assoc", row) as usize
+    }
+
+    pub fn mp(&self, row: usize) -> MemoryPressure {
+        MemoryPressure {
+            num: self.coord("mp_num", row) as u32,
+            den: self.coord("mp_den", row) as u32,
+        }
+    }
+
+    pub fn model(&self, row: usize) -> MemoryModel {
+        let code = self.coord("model", row);
+        model_from_code(code).unwrap_or_else(|| panic!("row {row}: unknown model code {code}"))
+    }
+
+    pub fn topology(&self, row: usize) -> Topology {
+        Topology {
+            n_groups: self.coord("groups", row) as usize,
+            levels: self.coord("levels", row) as usize,
+        }
+    }
+
+    fn null_cell(&self, col: &str, row: usize) -> ! {
+        panic!(
+            "row {row} ({}) of column '{col}' is null: {}",
+            self.app(row).name(),
+            self.errors[row].as_deref().unwrap_or("cell failed")
+        )
+    }
+
     /// A `u64` metric; panics if the cell failed (experiments treat a
     /// failed cell in their matrix as fatal — the figure would be wrong).
     pub fn u64(&self, col: &str, row: usize) -> u64 {
-        self.file.get_u64(col, row).unwrap_or_else(|| {
-            panic!(
-                "row {row} ({:?}) of column '{col}' is null: {}",
-                self.specs[row].app,
-                self.errors[row].as_deref().unwrap_or("cell failed")
-            )
-        })
+        self.file
+            .get_u64(col, row)
+            .unwrap_or_else(|| self.null_cell(col, row))
     }
 
     /// An `f64` metric; panics if the cell failed.
     pub fn f64(&self, col: &str, row: usize) -> f64 {
-        self.file.get_f64(col, row).unwrap_or_else(|| {
-            panic!(
-                "row {row} ({:?}) of column '{col}' is null: {}",
-                self.specs[row].app,
-                self.errors[row].as_deref().unwrap_or("cell failed")
-            )
-        })
+        self.file
+            .get_f64(col, row)
+            .unwrap_or_else(|| self.null_cell(col, row))
     }
 
     /// The underlying columnar file, for raw/batch access.
@@ -566,30 +532,28 @@ impl Sweep {
 }
 
 /// Run a named sweep end to end: schedule the matrix (work stealing +
-/// cache), persist the columnar store and JSON sidecar under
-/// `<out>/store/<name>.{cols,json}`, report cache accounting, and return
-/// a [`Sweep`] that reads metrics back out of the store bytes.
+/// cache), persist the columnar store as `<out>/store/<name>.cols`,
+/// report cache accounting and every failed cell, and return a [`Sweep`]
+/// that reads coordinates and metrics back out of the store bytes.
 pub fn run_sweep(ctx: &ExpCtx, name: &str, specs: &[RunSpec]) -> Sweep {
     let outcome = run_matrix(ctx, specs);
-    let builder = build_columns(&outcome.cells);
-    let bytes = builder.to_bytes();
+    let builder = build_columns(ctx, specs, &outcome.cells);
 
     let store_dir = ctx.out_dir.join("store");
     std::fs::create_dir_all(&store_dir).expect("create store directory");
-    let cols_path = store_dir.join(format!("{name}.cols"));
-    write_atomic(&cols_path, &bytes).expect("write columnar store");
-    let json_path = store_dir.join(format!("{name}.json"));
-    write_atomic(
-        &json_path,
-        sidecar_json(ctx, name, specs, &outcome.cells).as_bytes(),
-    )
-    .expect("write sweep sidecar");
-    println!("[store] {}", cols_path.display());
+    let path = store_dir.join(format!("{name}.cols"));
+    builder.write(&path).expect("write columnar store");
+    println!("[store] {}", path.display());
     report_sweep_stats(ctx, name, outcome.hits, outcome.misses, outcome.failed);
+    for (row, cell) in outcome.cells.iter().enumerate() {
+        if let Err(e) = cell {
+            let app = specs[row].source.name();
+            eprintln!("[sweep:{name}] row {row} ({app}) failed: {e}");
+        }
+    }
 
-    let file = ColFile::from_bytes(bytes).expect("round-trip the freshly built store");
+    let file = ColFile::from_bytes(builder.to_bytes()).expect("round-trip the freshly built store");
     Sweep {
-        specs: specs.to_vec(),
         file,
         errors: outcome.cells.into_iter().map(|c| c.err()).collect(),
         hits: outcome.hits,
@@ -598,76 +562,46 @@ pub fn run_sweep(ctx: &ExpCtx, name: &str, specs: &[RunSpec]) -> Sweep {
     }
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, Value};
-    use coma_types::MemoryPressure;
-    use coma_workloads::{AppId, Scale};
+    use std::path::Path;
 
-    /// A sidecar's `rows`, after checking through the test-only parser
-    /// that it is JSON with the `coma-sweep/1` schema.
-    fn sidecar_rows(text: &str, what: &str) -> Vec<Value> {
-        let doc = parse(text).unwrap_or_else(|at| panic!("{what}: bad JSON at byte {at}"));
-        assert_eq!(
-            doc.get("schema").and_then(Value::as_str),
-            Some("coma-sweep/1"),
-            "{what}"
-        );
-        match doc.get("rows") {
-            Some(Value::Arr(rows)) => rows.clone(),
-            other => panic!("{what}: rows is {other:?}"),
-        }
-    }
-
+    /// Every committed sweep store opens in the current format and holds
+    /// every coordinate and result column; its coordinates are valid in
+    /// every row and its `app` and `model` codes decode.
     #[test]
-    fn committed_sidecars_parse_and_match_their_stores() {
+    fn committed_stores_carry_their_coordinates() {
         let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/store");
-        let mut checked = 0;
+        let mut checked = Vec::new();
         for entry in std::fs::read_dir(&store).expect("read results/store") {
             let path = entry.unwrap().path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+            // table1 is the application catalog, not a sweep.
+            if path.extension().is_none_or(|e| e != "cols") || name == "table1" {
                 continue;
             }
             let what = path.display().to_string();
-            let text = std::fs::read_to_string(&path).unwrap();
-            let cols = ColFile::open(&path.with_extension("cols")).expect(&what);
-            assert_eq!(sidecar_rows(&text, &what).len(), cols.n_rows(), "{what}");
-            checked += 1;
+            let file = ColFile::open(&path).expect(&what);
+            assert!(file.n_rows() > 0, "{what}");
+            for &(col, _) in COORDS {
+                assert_eq!(file.col_type(col), Some(U64), "{what}: '{col}'");
+                assert!(
+                    (0..file.n_rows()).all(|row| file.is_valid(col, row)),
+                    "{what}: '{col}' has a null row"
+                );
+            }
+            for &(col, ty, _) in COLUMNS {
+                assert_eq!(file.col_type(col), Some(ty), "{what}: '{col}'");
+            }
+            for row in 0..file.n_rows() {
+                let app = file.get_u64("app", row).unwrap();
+                let model = file.get_u64("model", row).unwrap();
+                assert!(Source::from_code(app).is_some(), "{what}: row {row}");
+                assert!(model_from_code(model).is_some(), "{what}: row {row}");
+            }
+            checked.push(name);
         }
-        assert!(checked > 0, "no sidecars under {}", store.display());
-    }
-
-    #[test]
-    fn fresh_sidecar_with_a_failed_cell_parses() {
-        let ctx = ExpCtx {
-            scale: Scale::SMOKE,
-            seed: 7,
-            out_dir: std::env::temp_dir().join("coma-sidecar-test"),
-            threads: 1,
-            no_cache: true,
-        };
-        let specs = [
-            RunSpec::new(AppId::Fft, 2, MemoryPressure::MP_50),
-            RunSpec::new(AppId::WaterN2, 4, MemoryPressure::MP_87),
-        ];
-        let cells = [
-            Ok(Row::of(&SimReport::default())),
-            Err("cell panicked: \"deadlock\"\n\tat step 3".to_string()),
-        ];
-        let rows = sidecar_rows(&sidecar_json(&ctx, "unit", &specs, &cells), "fresh");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(rows[1].get("ok"), Some(&Value::Bool(false)));
-        assert_eq!(
-            rows[1].get("error").and_then(Value::as_str),
-            Some("cell panicked: \"deadlock\"\n\tat step 3")
-        );
+        assert!(checked.iter().any(|n| n == "thresholds"), "{checked:?}");
     }
 }

@@ -97,16 +97,25 @@ fn single_cell_matrix_round_trips() {
 #[test]
 fn write_is_atomic_and_rereadable() {
     // Writing twice over the same path must leave a complete, valid file
-    // (temp + rename; no partially written state observable).
-    let path = tmp("atomic.cols");
+    // (temp + rename; no partially written state observable). The test
+    // owns its directory, so no other test's temp file can appear in it.
+    let dir = tmp("atomic");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("atomic.cols");
     for v in [1u64, 2] {
         let mut b = ColBuilder::new(1);
         b.col_u64("v", vec![Some(v)]);
         b.write(&path).unwrap();
         assert_eq!(ColFile::open(&path).unwrap().get_u64("v", 0), Some(v));
     }
+    let leftovers: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
+        .collect();
     assert!(
-        !path.with_extension("cols.tmp").exists(),
-        "temp file must not survive a successful write"
+        leftovers.is_empty(),
+        "temp files must not survive a successful write: {leftovers:?}"
     );
 }

@@ -3,8 +3,8 @@
 //! wrong result — a corrupt, truncated, version-stale or wrong-length
 //! entry is a *miss*, recomputed from scratch.
 
-use coma_experiments::sweep::{run_matrix, run_sweep, spec_key, tagged_key, COLUMNS};
-use coma_experiments::{ExpCtx, RunSpec};
+use coma_experiments::sweep::{run_matrix, run_sweep, spec_key, COLUMNS};
+use coma_experiments::{ExpCtx, RunSpec, Source};
 use coma_sim::canon::{fnv1a_bytes, FNV_OFFSET};
 use coma_types::MemoryPressure;
 use coma_workloads::{AppId, Scale};
@@ -165,9 +165,21 @@ fn cache_keys_cover_workload_identity_not_just_params() {
     // hash has no pointer or time dependence).
     assert_eq!(base, spec_key(&c, &spec.clone()));
 
-    // Tagged keys separate workload families under the same params.
-    assert_ne!(
-        tagged_key("hotline-v1", &spec.params),
-        tagged_key("hotline-v2", &spec.params)
-    );
+    // The hot-line probe keys apart from every catalog app at the same
+    // params.
+    let hot_line = RunSpec::of(Source::HotLine, 4, MemoryPressure::MP_81);
+    for app in AppId::ALL.into_iter().chain(AppId::TRAFFIC) {
+        let catalog = RunSpec::new(app, 4, MemoryPressure::MP_81);
+        assert_ne!(spec_key(&c, &hot_line), spec_key(&c, &catalog), "{app:?}");
+    }
+}
+
+/// A catalog cell's key is pinned across code versions: a change that
+/// moves it orphans every cache entry and every committed store's `key`.
+#[test]
+fn catalog_key_is_pinned() {
+    let mut c = ctx("pinned");
+    c.scale = Scale::PAPER;
+    let spec = RunSpec::new(AppId::Barnes, 1, MemoryPressure::MP_6);
+    assert_eq!(spec_key(&c, &spec), 0xfea8ec3420898a63);
 }

@@ -48,7 +48,18 @@ COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
 echo "==> all smoke: every experiment but hierarchy, in one process"
 # The in-process runner end to end: each experiment's library function
 # under one ExpCtx, ending in the whole-run cache tally.
-COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
+ALL_OUT=$(mktemp -d)
+COMA_SCALE=smoke COMA_OUT=$ALL_OUT \
   cargo run --release --offline -p coma-experiments --bin all -- --jobs 2
+
+echo "==> all smoke, warm: a rerun must serve every cell from the cache"
+# Pins deterministic cache keys for every sweep, thresholds included.
+warm=$(COMA_SCALE=smoke COMA_OUT=$ALL_OUT \
+  cargo run --release --offline -q -p coma-experiments --bin all -- --jobs 2)
+echo "$warm" | tail -n 2
+if ! grep -qF "result cache: 614/614 cells served from cache" <<<"$warm"; then
+  echo "FAIL: the warm rerun computed or failed cells" >&2
+  exit 1
+fi
 
 echo "OK: all checks passed"
