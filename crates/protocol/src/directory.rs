@@ -13,12 +13,13 @@
 //! The answer is derived from the root entry on demand, so no per-level
 //! state exists to fall out of step with it.
 //!
-//! Keys are line numbers; the maps are in-repo open-addressing tables
-//! ([`OpenTable`]) because these lookups sit on the hot path of every
-//! simulated miss — see the module docs of [`crate::table`].
+//! The root table is a [`LineTable`] indexed by line number: these
+//! lookups sit on the hot path of every simulated miss, and line numbers
+//! are dense from zero, so a lookup is one indexed load — see the module
+//! docs of [`crate::table`].
 
 use crate::sharers::{SharerSet, SpillTable};
-use crate::table::OpenTable;
+use crate::table::LineTable;
 use coma_types::{LineNum, MachineGeometry, NodeId, NodeSet, Topology};
 
 /// Where a live line's copies are.
@@ -44,24 +45,41 @@ impl LineInfo {
 }
 
 /// Compact stored form of a [`LineInfo`]: the root table holds one entry
-/// per live line and is probed on every global action, so its slots are
-/// the single largest host-cache consumer in the simulator. The sharers
-/// are a [`SharerSet`], inline up to four nodes.
+/// per line and is probed on every global action, so its slots are the
+/// single largest host-cache consumer in the simulator. The sharers are a
+/// [`SharerSet`], inline for nodes 0–63.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RootEntry {
-    owner: u16,
+    /// Node holding the responsible copy, stored as `owner + 1` (`0` =
+    /// a dead line) so the all-zero entry is the empty one.
+    owner_p1: u16,
     sharers: SharerSet,
 }
 
-// Twelve bytes keep a root-table slot (with its `u32` key) at 16.
+// Twelve bytes per line of the line universe.
 const _: () = assert!(std::mem::size_of::<RootEntry>() == 12);
+
+impl RootEntry {
+    #[inline]
+    fn is_live(&self) -> bool {
+        self.owner_p1 != 0
+    }
+}
+
+/// The entry of a live line in `map`, for update.
+#[inline]
+fn live_mut(map: &mut LineTable<RootEntry>, line: LineNum) -> Option<&mut RootEntry> {
+    map.get_mut(line.0).filter(|e| e.is_live())
+}
 
 /// The machine-wide line directory: the root table plus the spill
 /// table for wide sharer sets, and the tree shape that
 /// [`Directory::farthest_present`] measures distance in.
 #[derive(Clone, Debug)]
 pub struct Directory {
-    map: OpenTable<RootEntry>,
+    map: LineTable<RootEntry>,
+    /// Number of live lines.
+    live: usize,
     /// Sharer sets of lines too wide for inline storage (see [`SharerSet`]).
     spill: SpillTable,
     topo: Topology,
@@ -72,8 +90,9 @@ impl Default for Directory {
     /// A flat single-bus directory.
     fn default() -> Self {
         Directory {
-            map: OpenTable::new(),
-            spill: OpenTable::new(),
+            map: LineTable::new(),
+            live: 0,
+            spill: SpillTable::new(),
             topo: Topology::flat(),
             nodes_per_group: usize::MAX, // any node maps to group 0
         }
@@ -96,11 +115,11 @@ impl Directory {
         node.0 as usize / self.nodes_per_group
     }
 
-    /// Materialize the full [`LineInfo`] a stored entry denotes.
+    /// Materialize the full [`LineInfo`] a live entry denotes.
     #[inline]
     fn info_of(&self, line: u64, e: RootEntry) -> LineInfo {
         LineInfo {
-            owner: NodeId(e.owner),
+            owner: NodeId(e.owner_p1 - 1),
             sharers: e.sharers.members(&self.spill, line),
         }
     }
@@ -133,37 +152,37 @@ impl Directory {
     /// Look up a live line.
     #[inline]
     pub fn get(&self, line: LineNum) -> Option<LineInfo> {
-        self.map.get(line.0).map(|e| self.info_of(line.0, e))
+        let e = self.map.get(line.0);
+        e.is_live().then(|| self.info_of(line.0, e))
     }
 
     /// Is the line live anywhere in the machine?
     #[inline]
     pub fn contains(&self, line: LineNum) -> bool {
-        self.map.contains(line.0)
+        self.map.get(line.0).is_live()
     }
 
     /// Register a brand-new line with a sole (Exclusive) copy.
     pub fn insert_sole(&mut self, line: LineNum, owner: NodeId) {
-        let prev = self.map.insert(
-            line.0,
-            RootEntry {
-                owner: owner.0,
-                sharers: SharerSet::default(),
-            },
-        );
-        debug_assert!(prev.is_none(), "line {line:?} already live");
+        let e = self.map.entry(line.0);
+        debug_assert!(!e.is_live(), "line {line:?} already live");
+        *e = RootEntry {
+            owner_p1: owner.0 + 1,
+            sharers: SharerSet::default(),
+        };
+        self.live += 1;
     }
 
     /// Add a Shared replica holder (idempotent, set semantics).
     pub fn add_sharer(&mut self, line: LineNum, node: NodeId) {
-        let e = self.map.get_mut(line.0).expect("sharer of dead line");
-        debug_assert_ne!(e.owner, node.0, "owner cannot also be a sharer");
+        let e = live_mut(&mut self.map, line).expect("sharer of dead line");
+        debug_assert_ne!(e.owner_p1, node.0 + 1, "owner cannot also be a sharer");
         e.sharers.insert(&mut self.spill, line.0, node.0);
     }
 
     /// Drop a Shared replica holder.
     pub fn remove_sharer(&mut self, line: LineNum, node: NodeId) {
-        if let Some(e) = self.map.get_mut(line.0) {
+        if let Some(e) = live_mut(&mut self.map, line) {
             e.sharers.remove(&mut self.spill, line.0, node.0);
         }
     }
@@ -179,41 +198,42 @@ impl Directory {
     /// afterward). Keeps the remaining sharer set unless cleared by the
     /// caller.
     pub fn set_owner(&mut self, line: LineNum, node: NodeId) {
-        let e = self.map.get_mut(line.0).expect("owner of dead line");
-        e.owner = node.0;
+        let e = live_mut(&mut self.map, line).expect("owner of dead line");
+        e.owner_p1 = node.0 + 1;
         e.sharers.remove(&mut self.spill, line.0, node.0);
     }
 
     /// Replace the sharer set wholesale (used by write invalidations).
     pub fn clear_sharers(&mut self, line: LineNum) {
-        if let Some(e) = self.map.get_mut(line.0) {
+        if let Some(e) = live_mut(&mut self.map, line) {
             e.sharers.clear(&mut self.spill, line.0);
         }
     }
 
     /// Remove a line entirely (page-out).
     pub fn remove(&mut self, line: LineNum) -> Option<LineInfo> {
-        let mut e = self.map.remove(line.0)?;
-        let sharers = e.sharers.take(&mut self.spill, line.0);
+        let mut e = std::mem::take(live_mut(&mut self.map, line)?);
+        self.live -= 1;
         Some(LineInfo {
-            owner: NodeId(e.owner),
-            sharers,
+            owner: NodeId(e.owner_p1 - 1),
+            sharers: e.sharers.take(&mut self.spill, line.0),
         })
     }
 
     /// Number of live lines.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.live
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.live == 0
     }
 
-    /// Iterate all live lines (invariant checking).
+    /// Iterate all live lines in ascending order (invariant checking).
     pub fn iter(&self) -> impl Iterator<Item = (LineNum, LineInfo)> + '_ {
         self.map
             .iter()
+            .filter(|(_, e)| e.is_live())
             .map(move |(l, e)| (LineNum(l), self.info_of(l, *e)))
     }
 }
@@ -290,17 +310,85 @@ mod tests {
     }
 
     #[test]
-    fn hasher_distributes_sequential_keys() {
-        // Sequential line numbers must not collide into one bucket chain:
-        // just verify inserts/lookups work at scale.
+    fn matches_a_btreemap_model_across_growths() {
+        use std::collections::BTreeMap;
+        let mut rng = Rng64::new(0xD1_7AB1E);
         let mut d = Directory::default();
-        for i in 0..10_000u64 {
-            d.insert_sole(LineNum(i), NodeId((i % 16) as u16));
+        let mut model: BTreeMap<u64, LineInfo> = BTreeMap::new();
+        // Nodes on both sides of the inline mask's 64-id bound.
+        let node = |rng: &mut Rng64| {
+            let universe = if rng.chance(0.5) { 64 } else { 256 };
+            NodeId(rng.below(universe) as u16)
+        };
+        for step in 0..3000 {
+            // Log-uniform lines: the table grows through several sizes,
+            // and half the steps revisit a live line.
+            let line = match model.keys().nth(rng.below(model.len() as u64 + 1) as usize) {
+                Some(&l) if rng.chance(0.5) => l,
+                _ => {
+                    let bits = rng.range(1, 13);
+                    rng.below(1 << bits)
+                }
+            };
+            let l = LineNum(line);
+            match (model.get_mut(&line), rng.below(6)) {
+                (None, 0..=2) => {
+                    let owner = node(&mut rng);
+                    d.insert_sole(l, owner);
+                    model.insert(line, info(owner.0, &[]));
+                }
+                (None, 3) => assert_eq!(d.remove(l), None),
+                (None, 4) => d.remove_sharer(l, node(&mut rng)),
+                (None, _) => d.clear_sharers(l),
+                (Some(m), 0 | 1) => {
+                    let s = node(&mut rng);
+                    if s != m.owner {
+                        d.add_sharer(l, s);
+                        m.sharers.insert(s.0);
+                    }
+                }
+                (Some(m), 2) => {
+                    let s = match m.sharer_nodes().next() {
+                        Some(s) if rng.chance(0.5) => s,
+                        _ => node(&mut rng),
+                    };
+                    d.remove_sharer(l, s);
+                    m.sharers.remove(s.0);
+                }
+                (Some(m), 3) => {
+                    let o = match m.sharer_nodes().last() {
+                        Some(s) if rng.chance(0.5) => s,
+                        _ => node(&mut rng),
+                    };
+                    d.set_owner(l, o);
+                    m.owner = o;
+                    m.sharers.remove(o.0);
+                }
+                (Some(m), 4) => {
+                    d.clear_sharers(l);
+                    m.sharers.clear();
+                }
+                (Some(_), _) => assert_eq!(d.remove(l), model.remove(&line)),
+            }
+            let probe = LineNum(rng.below(1 << 13));
+            for l in [l, probe] {
+                assert_eq!(d.get(l), model.get(&l.0).copied(), "step {step} {l:?}");
+                assert_eq!(d.contains(l), model.contains_key(&l.0));
+            }
+            assert_eq!(d.len(), model.len());
+            assert_eq!(d.is_empty(), model.is_empty());
+            let got: Vec<(u64, LineInfo)> = d.iter().map(|(l, i)| (l.0, i)).collect();
+            let want: Vec<(u64, LineInfo)> = model.iter().map(|(&l, &i)| (l, i)).collect();
+            assert_eq!(got, want, "step {step}");
         }
-        assert_eq!(d.len(), 10_000);
-        for i in (0..10_000u64).step_by(997) {
-            assert_eq!(d.get(LineNum(i)).unwrap().owner, NodeId((i % 16) as u16));
+        assert!(
+            d.map.iter().count() > 1 << 11,
+            "the lines never spanned a growth"
+        );
+        for (&line, &i) in &model {
+            assert_eq!(d.remove(LineNum(line)), Some(i));
         }
+        assert!(d.is_empty() && d.spill.is_empty(), "removal leaked");
     }
 
     /// A directory for `n_procs` single-processor nodes on `topology`.

@@ -162,6 +162,11 @@ impl CoherenceEngine {
         self.audit = on;
     }
 
+    /// Is the live invariant auditor armed?
+    pub fn is_audited(&self) -> bool {
+        self.audit
+    }
+
     /// Count one protocol event.
     #[inline]
     fn emit(&mut self, ev: ProtocolEvent) {

@@ -20,7 +20,7 @@
 
 use crate::outcome::Outcome;
 use crate::sharers::{SharerSet, SpillTable};
-use crate::table::{OpenTable, PageHomes};
+use crate::table::{LineTable, PageHomes};
 use coma_cache::{Flc, Slc, SlcState};
 use coma_stats::{derive_stats, EventCounts, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
@@ -28,7 +28,7 @@ use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIF
 const PAGE_LINES_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
 
 /// Sharing state of one line across the private SLCs. The directory
-/// holds one entry per live line and is probed on every SLC miss, so the
+/// holds one entry per line and is probed on every SLC miss, so the
 /// reader processors are a compact [`SharerSet`].
 #[derive(Clone, Copy, Debug, Default)]
 struct DirEntry {
@@ -39,7 +39,7 @@ struct DirEntry {
     readers: SharerSet,
 }
 
-// Twelve bytes keep a directory slot (with its `u32` key) at 16.
+// Twelve bytes per line of the line universe.
 const _: () = assert!(std::mem::size_of::<DirEntry>() == 12);
 
 impl DirEntry {
@@ -77,7 +77,9 @@ pub struct BaselineEngine {
     slcs: Vec<Slc>,
     flcs: Vec<Flc>,
     pages: PageHomes,
-    dir: OpenTable<DirEntry>,
+    /// The home directory, indexed by line; the all-zero entry is a line
+    /// no SLC holds.
+    dir: LineTable<DirEntry>,
     /// Reader sets of lines too wide for inline storage (see [`SharerSet`]).
     spill: SpillTable,
     /// Precomputed `proc → node`, so the miss paths never divide.
@@ -102,8 +104,8 @@ impl BaselineEngine {
                 .collect(),
             flcs: (0..geom.n_procs).map(|_| Flc::new(geom.flc_sets)).collect(),
             pages: PageHomes::new(),
-            dir: OpenTable::new(),
-            spill: OpenTable::new(),
+            dir: LineTable::new(),
+            spill: SpillTable::new(),
             node_map: (0..geom.n_procs)
                 .map(|p| ProcId(p as u16).node(geom.procs_per_node))
                 .collect(),
@@ -121,6 +123,11 @@ impl BaselineEngine {
     /// loses nothing.
     pub fn set_audit(&mut self, on: bool) {
         self.audit = on;
+    }
+
+    /// Is the live invariant auditor armed?
+    pub fn is_audited(&self) -> bool {
+        self.audit
     }
 
     /// The live audit after `out`; a no-op for private-cache hits.
@@ -223,9 +230,7 @@ impl BaselineEngine {
 
     /// Invalidate every cached copy except processor `keep`.
     fn invalidate_others(&mut self, line: LineNum, keep: ProcId) -> bool {
-        let Some(e) = self.dir.get_mut(line.0) else {
-            return false;
-        };
+        let e = self.dir.entry(line.0);
         let mut had_any = false;
         let readers = e.readers.take(&mut self.spill, line.0);
         let writer = e.writer();
@@ -283,15 +288,14 @@ impl BaselineEngine {
         let home = self.home_of(line, me);
         // If some processor holds it dirty, it is written back through the
         // home first (we charge one remote transfer when the home is far).
-        let entry = self.dir.get_or_insert(line.0, DirEntry::default());
-        let writer = entry.writer();
-        if let Some(w) = writer {
+        let e = self.dir.entry(line.0);
+        if let Some(w) = e.writer() {
             self.slcs[w.as_usize()].downgrade(line);
             self.flcs[w.as_usize()].downgrade(line);
-            let e = self.dir.get_mut(line.0).expect("entry exists");
             e.set_writer(None);
             e.readers.insert(&mut self.spill, line.0, w.0);
         }
+        e.readers.insert(&mut self.spill, line.0, proc.0);
 
         let level = self.supply_level(home, me);
         let mut out = Outcome::at(level);
@@ -299,8 +303,6 @@ impl BaselineEngine {
             out.remote_node = Some(home);
             self.emit(ProtocolEvent::ReadFill);
         }
-        let e = self.dir.get_mut(line.0).expect("entry exists");
-        e.readers.insert(&mut self.spill, line.0, proc.0);
         self.fill_slc(p, line, SlcState::Shared, &mut out);
         self.flcs[p].fill(line, false);
         out
@@ -319,7 +321,6 @@ impl BaselineEngine {
         let me = self.node_of(proc);
         let home = self.home_of(line, me);
         let had_copy = self.slcs[p].peek(line) == SlcState::Shared;
-        self.dir.get_or_insert(line.0, DirEntry::default());
         let had_others = self.invalidate_others(line, proc);
 
         let level = self.supply_level(home, me);
@@ -338,7 +339,7 @@ impl BaselineEngine {
             self.emit(ProtocolEvent::Upgrade);
             out.upgrade = true;
         }
-        let e = self.dir.get_mut(line.0).expect("entry exists");
+        let e = self.dir.entry(line.0);
         e.set_writer(Some(proc));
         e.readers.clear(&mut self.spill, line.0);
         self.fill_slc(p, line, SlcState::Modified, &mut out);
@@ -370,10 +371,7 @@ impl BaselineEngine {
         // Every valid SLC line is registered.
         for (p, slc) in self.slcs.iter().enumerate() {
             for (line, st) in slc.lines() {
-                let e = self
-                    .dir
-                    .get(line.0)
-                    .ok_or_else(|| format!("{line:?}: cached by P{p} but not in dir"))?;
+                let e = self.dir.get(line.0);
                 match st {
                     SlcState::Modified => {
                         if e.writer() != Some(ProcId(p as u16)) {
@@ -497,7 +495,7 @@ mod tests {
             e.read(ProcId(0), LineNum(5));
             e.read(ProcId(2), LineNum(5));
             // Corrupt: the directory forgets P2's copy.
-            let entry = e.dir.get_mut(5).unwrap();
+            let entry = e.dir.entry(5);
             entry.readers.remove(&mut e.spill, 5, 2);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 e.read(ProcId(1), LineNum(9));

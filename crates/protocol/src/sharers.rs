@@ -3,115 +3,99 @@
 //! reader processors.
 //!
 //! A full [`NodeSet`] is 32 bytes, sized for 256-node machines, but a
-//! directory holds one entry per live line and is probed on every miss,
-//! so entry bytes are host-cache reach. Sets of at most four members
-//! (the overwhelming majority) keep the IDs inline, unordered; wider
-//! sets park a `NodeSet` in a side table keyed like the directory
-//! itself, and stay spilled until taken or cleared — demotion would buy
-//! bytes back for a case too rare to matter at the cost of churn on
-//! every removal.
+//! directory holds one entry per line, so entry bytes are host-cache
+//! reach. Members 0–63 are kept inline as one 64-bit mask, which covers
+//! every machine of at most 64 nodes (COMA) or 64 processors (NUMA)
+//! whatever its sharing; a set that an id of 64 or more joins parks a
+//! `NodeSet` in a side table keyed like the directory itself, and stays
+//! spilled until taken or cleared — demotion would buy bytes back for a
+//! case too rare to matter at the cost of churn on every removal.
 
 use crate::table::OpenTable;
 use coma_types::NodeSet;
 
-/// Inline capacity. Four IDs keep a directory entry at 12 bytes and its
-/// table slot at 16 (four slots per host cache line).
-const INLINE: usize = 4;
-
-/// `SharerSet::n` marker: the set lives in the spill table.
-const SPILLED: u8 = u8::MAX;
+/// Ids below this bound fit the inline mask.
+const INLINE: u16 = 64;
 
 const MISSING: &str = "spilled sharer set missing";
 
 /// Sets too wide for inline storage, keyed by the owning entry's key.
 pub type SpillTable = OpenTable<NodeSet>;
 
-/// A set of node or processor IDs, stored inline up to four members and
-/// in a [`SpillTable`] beyond. Every operation takes the spill table and
-/// the key of the directory entry that holds the set.
+/// A set of node or processor IDs: an inline bit mask while every member
+/// is below 64, a [`SpillTable`] entry once a wider id joins. Every
+/// operation takes the spill table and the key of the directory entry
+/// that holds the set.
+///
+/// Packed to 2-byte alignment so the set is 10 bytes and a directory
+/// entry (a `u16` plus this) stays at 12.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[repr(C, packed(2))]
 pub struct SharerSet {
-    /// Count of valid `inline` IDs, or [`SPILLED`].
-    n: u8,
-    inline: [u16; INLINE],
+    /// Bit `i` set ⇔ id `i` is a member; unused while spilled.
+    bits: u64,
+    /// The members live in the spill table.
+    spilled: bool,
 }
 
 impl SharerSet {
-    #[inline]
-    fn inline_set(&self) -> NodeSet {
-        let mut s = NodeSet::empty();
-        for &id in &self.inline[..self.n as usize] {
-            s.insert(id);
-        }
-        s
-    }
-
     /// The members as a full set, wherever they are stored.
     #[inline]
     pub fn members(&self, spill: &SpillTable, key: u64) -> NodeSet {
-        if self.n == SPILLED {
+        if self.spilled {
             spill.get(key).expect(MISSING)
         } else {
-            self.inline_set()
+            NodeSet::from_word(self.bits)
         }
     }
 
-    /// Add `id` (idempotent), spilling when a fifth member arrives.
+    /// Add `id` (idempotent), spilling when an id of 64 or more arrives.
     #[inline]
     pub fn insert(&mut self, spill: &mut SpillTable, key: u64, id: u16) {
-        if self.n == SPILLED {
+        if self.spilled {
             spill.get_mut(key).expect(MISSING).insert(id);
-            return;
-        }
-        let n = self.n as usize;
-        if self.inline[..n].contains(&id) {
-            return;
-        }
-        if n < INLINE {
-            self.inline[n] = id;
-            self.n += 1;
+        } else if id < INLINE {
+            self.bits |= 1 << id;
         } else {
-            let mut s = self.inline_set();
+            let mut s = NodeSet::from_word(self.bits);
             s.insert(id);
-            self.n = SPILLED;
             spill.insert(key, s);
+            *self = SharerSet {
+                bits: 0,
+                spilled: true,
+            };
         }
     }
 
-    /// Drop `id` if present. Inline removal is a swap-remove: order is
-    /// immaterial, the set is materialized through [`NodeSet`].
+    /// Drop `id` if present.
     #[inline]
     pub fn remove(&mut self, spill: &mut SpillTable, key: u64, id: u16) {
-        if self.n == SPILLED {
+        if self.spilled {
             spill.get_mut(key).expect(MISSING).remove(id);
-            return;
-        }
-        let n = self.n as usize;
-        if let Some(i) = self.inline[..n].iter().position(|&x| x == id) {
-            self.inline[i] = self.inline[n - 1];
-            self.n -= 1;
+        } else if id < INLINE {
+            self.bits &= !(1 << id);
         }
     }
 
     /// Materialize the members and empty the set.
     #[inline]
     pub fn take(&mut self, spill: &mut SpillTable, key: u64) -> NodeSet {
-        let s = if self.n == SPILLED {
+        let s = if self.spilled {
             spill.remove(key).expect(MISSING)
         } else {
-            self.inline_set()
+            NodeSet::from_word(self.bits)
         };
-        self.n = 0;
+        *self = Self::default();
         s
     }
 
     /// Empty the set.
     #[inline]
     pub fn clear(&mut self, spill: &mut SpillTable, key: u64) {
-        if self.n == SPILLED {
+        if self.spilled {
             spill.remove(key);
         }
-        self.n = 0;
+        *self = Self::default();
     }
 }
 
@@ -127,11 +111,11 @@ mod tests {
         for key in 0..64u64 {
             let mut set = SharerSet::default();
             let mut model = NodeSet::empty();
-            // A small ID universe forces duplicates; up to 12 members
-            // take most sets past four.
-            let universe = rng.range(5, 13) as u16;
+            // Small universes force duplicates and never spill; 65 puts
+            // the first spilling id at the edge; 256 reaches id 255.
+            let universe = [12u64, 64, 65, 256][key as usize % 4];
             for _ in 0..rng.range(1, 80) {
-                let id = rng.below(universe as u64) as u16;
+                let id = rng.below(universe) as u16;
                 if rng.chance(0.6) {
                     set.insert(&mut spill, key, id);
                     model.insert(id);
@@ -140,7 +124,7 @@ mod tests {
                     model.remove(id);
                 }
                 assert_eq!(set.members(&spill, key), model, "key {key}");
-                assert_eq!(spill.contains(key), set.n == SPILLED);
+                assert_eq!(spill.contains(key), set.spilled);
             }
             if rng.chance(0.5) {
                 assert_eq!(set.take(&mut spill, key), model);
@@ -154,25 +138,27 @@ mod tests {
     }
 
     #[test]
-    fn fifth_member_spills_and_survives_removal() {
+    fn id_64_spills_and_survives_removal() {
         let mut spill = SpillTable::new();
         let mut set = SharerSet::default();
-        for id in [3u16, 9, 200, 17, 9] {
+        for id in [3u16, 9, 63, 17, 9, 0] {
             set.insert(&mut spill, 7, id); // the second 9 is a duplicate
         }
-        assert_eq!(set.n, 4);
+        assert!(!set.spilled);
         assert!(spill.is_empty());
-        set.insert(&mut spill, 7, 255);
-        assert_eq!(set.n, SPILLED);
+        let got: Vec<u16> = set.members(&spill, 7).iter().collect();
+        assert_eq!(got, vec![0, 3, 9, 17, 63]);
+        set.insert(&mut spill, 7, 64);
+        assert!(set.spilled);
         set.remove(&mut spill, 7, 3);
         set.remove(&mut spill, 7, 3);
         let got: Vec<u16> = set.members(&spill, 7).iter().collect();
-        assert_eq!(got, vec![9, 17, 200, 255]);
-        set.insert(&mut spill, 7, 3);
-        assert_eq!(set.take(&mut spill, 7).len(), 5);
+        assert_eq!(got, vec![0, 9, 17, 63, 64]);
+        set.insert(&mut spill, 7, 255);
+        assert_eq!(set.take(&mut spill, 7).len(), 6);
         assert!(spill.is_empty());
         // Emptied sets start inline again.
         set.insert(&mut spill, 7, 1);
-        assert_eq!((set.n, spill.len()), (1, 0));
+        assert_eq!((set.spilled, spill.len()), (false, 0));
     }
 }

@@ -1,20 +1,22 @@
-//! Flat hot-path containers for the coherence engines.
+//! Flat containers for the coherence engines' line and page state.
 //!
-//! Every simulated miss probes the line directory, the page table and the
-//! paged-out set; with `std::collections::HashMap` each probe pays SipHash
-//! or (with a custom hasher) still a bucket indirection per access. The
-//! two structures here are built for the access pattern the simulator
-//! actually has:
+//! Line and page numbers are dense from zero: the workload lays its
+//! working set and sync lines out consecutively, and the paper allocates
+//! pages consecutively on demand (§3). So the hot maps are plain arrays
+//! indexed by number, and hashing is kept for the cold sparse maps:
 //!
+//! * [`LineTable`] — line number → entry, one `Vec` slot per line up to
+//!   the highest line touched, `V::default()` meaning "no entry". A
+//!   lookup is one bounds check and one indexed load. Both line
+//!   directories (the COMA root table and the NUMA home table) live in
+//!   one, so no directory lookup hashes.
+//! * [`PageHomes`] — the first-touch page table, page number → home node,
+//!   the same idea one level up.
 //! * [`OpenTable`] — open addressing with linear probing over one flat
 //!   slot array, power-of-two capacity, a Fibonacci-multiply hash of the
-//!   already well-distributed `u64` keys, and backward-shift deletion (no
-//!   tombstones, so load never rots). A lookup is one multiply, one shift
-//!   and a short contiguous scan.
-//! * [`PageHomes`] — the first-touch page table. The paper allocates
-//!   pages *consecutively* on demand (§3), so page numbers are dense from
-//!   zero and the map degenerates into a plain array indexed by page
-//!   number; hashing it at all is wasted work.
+//!   `u64` keys, and backward-shift deletion (no tombstones, so load never
+//!   rots). It holds the two sparse sets: the spilled wide
+//!   sharer sets and the COMA engine's paged-out lines.
 
 use coma_types::{NodeId, MAX_LINE};
 
@@ -22,19 +24,15 @@ use coma_types::{NodeId, MAX_LINE};
 const EMPTY: u32 = u32::MAX;
 
 /// Largest insertable key. Keys are stored narrowed to `u32`: real keys
-/// are line or page numbers, so the line bound [`MAX_LINE`] covers both,
-/// and the narrow key shrinks every slot — the line directory is
-/// DRAM-resident at working-set scale, so slot bytes translate directly
-/// into host cache and TLB reach.
+/// are line numbers, so the line bound [`MAX_LINE`] covers them, and the
+/// narrow key shrinks every slot.
 const MAX_KEY: u64 = MAX_LINE;
 
 /// Knuth's multiplicative constant (2^64 / φ).
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One packed table slot: key and value side by side, so a probe that
-/// finds its key has already pulled the value into cache (split key/value
-/// arrays cost a second miss per hit on tables too big for the host LLC,
-/// which the line directory always is).
+/// finds its key has already pulled the value into cache.
 #[derive(Clone, Copy, Debug)]
 struct TableSlot<V> {
     key: u32,
@@ -162,29 +160,6 @@ impl<V: Copy + Default> OpenTable<V> {
         }
     }
 
-    /// Value for `key`, inserting `default` first if absent.
-    pub fn get_or_insert(&mut self, key: u64, default: V) -> &mut V {
-        assert!(key <= MAX_KEY, "key exceeds u32 storage range");
-        let needle = key as u32;
-        self.reserve_one();
-        let mut i = self.slot_of(key);
-        loop {
-            let k = self.slots[i].key;
-            if k == needle {
-                return &mut self.slots[i].val;
-            }
-            if k == EMPTY {
-                self.slots[i] = TableSlot {
-                    key: needle,
-                    val: default,
-                };
-                self.len += 1;
-                return &mut self.slots[i].val;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
     /// Remove `key`, returning its value if present. Uses backward-shift
     /// deletion: later entries of the probe chain are moved up so that no
     /// tombstone is ever left behind.
@@ -221,8 +196,8 @@ impl<V: Copy + Default> OpenTable<V> {
 
     /// Grow (×2) when the next insert would push load past 1/2. Linear
     /// probing degrades sharply for *unsuccessful* probes as load rises,
-    /// and the directory is probed with cold (absent) lines constantly —
-    /// buying short miss chains with memory is the right trade here.
+    /// and the paged-out set is probed with absent lines on every first
+    /// touch — buying short miss chains with memory is the right trade.
     #[inline]
     fn reserve_one(&mut self) {
         if (self.len + 1) * 2 > self.mask + 1 {
@@ -244,6 +219,56 @@ impl<V: Copy + Default> OpenTable<V> {
             }
         }
         *self = bigger;
+    }
+}
+
+/// A dense map from line number to `V`, with `V::default()` as the empty
+/// entry. It holds one slot per line from 0 to the highest line touched
+/// through [`Self::entry`], and no more: growth follows `Vec`'s amortized
+/// doubling, with no minimum capacity, so a small run (or a model
+/// checker's per-transition engine clone) keeps a small table. Lookups
+/// beyond the last slot read as empty and never grow it.
+#[derive(Clone, Debug, Default)]
+pub struct LineTable<V> {
+    slots: Vec<V>,
+}
+
+impl<V: Copy + Default> LineTable<V> {
+    pub fn new() -> Self {
+        LineTable { slots: Vec::new() }
+    }
+
+    /// The entry of `line`; `V::default()` if it was never written.
+    #[inline]
+    pub fn get(&self, line: u64) -> V {
+        self.slots.get(line as usize).copied().unwrap_or_default()
+    }
+
+    /// The slot of `line`, if the table reaches it.
+    #[inline]
+    pub fn get_mut(&mut self, line: u64) -> Option<&mut V> {
+        self.slots.get_mut(line as usize)
+    }
+
+    /// The slot of `line`, growing the table to reach it.
+    #[inline]
+    pub fn entry(&mut self, line: u64) -> &mut V {
+        let i = line as usize;
+        if i >= self.slots.len() {
+            self.grow_to(line);
+        }
+        &mut self.slots[i]
+    }
+
+    #[cold]
+    fn grow_to(&mut self, line: u64) {
+        assert!(line <= MAX_LINE, "line {line} beyond the line range");
+        self.slots.resize(line as usize + 1, V::default());
+    }
+
+    /// Every slot with its line number, ascending, empty ones included.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        (0u64..).zip(&self.slots)
     }
 }
 
@@ -296,14 +321,6 @@ mod tests {
         assert_eq!(t.get(5), Some(11));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(6), None);
-    }
-
-    #[test]
-    fn get_or_insert_keeps_existing() {
-        let mut t: OpenTable<u32> = OpenTable::new();
-        *t.get_or_insert(9, 1) += 5;
-        assert_eq!(*t.get_or_insert(9, 100), 6);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -373,6 +390,31 @@ mod tests {
     #[should_panic(expected = "u32 storage range")]
     fn oversized_key_insert_panics() {
         OpenTable::<u8>::new().insert(u64::MAX - 1, 1);
+    }
+
+    #[test]
+    fn line_table_grows_to_the_highest_line_touched() {
+        let mut t: LineTable<u32> = LineTable::new();
+        assert_eq!(t.get(1_000), 0);
+        assert!(t.get_mut(3).is_none(), "a read grew the table");
+        *t.entry(9) = 7;
+        assert_eq!(t.slots.len(), 10);
+        *t.entry(2) += 1;
+        assert_eq!(t.slots.len(), 10, "a low line grew the table");
+        assert_eq!((t.get(9), t.get(2), t.get(3), t.get(10)), (7, 1, 0, 0));
+        *t.get_mut(9).unwrap() = 8;
+        let live: Vec<(u64, u32)> = t
+            .iter()
+            .filter(|e| *e.1 != 0)
+            .map(|(l, &v)| (l, v))
+            .collect();
+        assert_eq!(live, vec![(2, 1), (9, 8)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the line range")]
+    fn line_table_rejects_lines_beyond_the_range() {
+        LineTable::<u8>::new().entry(MAX_LINE + 1);
     }
 
     #[test]

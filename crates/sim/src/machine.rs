@@ -529,8 +529,8 @@ pub fn run_simulation(workload: Workload, params: &SimParams) -> SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coma_types::MemoryPressure;
-    use coma_workloads::{AppId, Scale};
+    use coma_types::{MemoryPressure, LINE_BYTES};
+    use coma_workloads::{AppId, Op, OpStream, Scale};
 
     fn params(ppn: usize, mp: MemoryPressure) -> SimParams {
         let mut p = SimParams::default();
@@ -640,6 +640,83 @@ mod tests {
                 run_simulation(wl, &p)
             };
             assert_eq!(run(true), run(false), "{model:?}");
+        }
+    }
+
+    #[test]
+    fn audit_reaches_every_engine_arm() {
+        for model in [MemoryModel::Coma, MemoryModel::Numa, MemoryModel::Uma] {
+            for audit in [false, true] {
+                let mut p = params(1, MemoryPressure::MP_50);
+                p.memory_model = model;
+                p.audit = audit;
+                let sim = Simulation::new(AppId::Fft.build(16, 1, Scale::SMOKE), &p).unwrap();
+                let armed = match (&sim.mem, model) {
+                    (Engine::Coma(e), MemoryModel::Coma) => e.is_audited(),
+                    (Engine::Baseline(e), MemoryModel::Numa | MemoryModel::Uma) => e.is_audited(),
+                    _ => panic!("{model:?} built the wrong engine"),
+                };
+                assert_eq!(armed, audit, "{model:?}");
+            }
+        }
+    }
+
+    /// A hand-written processor stream.
+    struct Script(std::vec::IntoIter<Op>);
+
+    impl OpStream for Script {
+        fn next_op(&mut self) -> Option<Op> {
+            self.0.next()
+        }
+    }
+
+    #[test]
+    fn line_tables_grow_from_the_top_sync_line_down() {
+        // Every stream opens with a barrier, so the first lines the
+        // directories see are the barrier counter and then its flag,
+        // `last_sync_line`, the highest line of the run. The reads and
+        // writes that follow walk the working set from its top down to
+        // line 0, shared by every processor, and a lock round follows.
+        const LINES: u64 = 512;
+        let workload = || Workload {
+            name: "top-down",
+            ws_bytes: LINES * LINE_BYTES,
+            n_locks: 1,
+            streams: (0..16u64)
+                .map(|p| {
+                    let mut ops = vec![Op::Barrier(0)];
+                    for l in (0..LINES).rev().skip(p as usize).step_by(5) {
+                        let a = Addr(l * LINE_BYTES);
+                        ops.push(if (l + p) % 3 == 0 {
+                            Op::Write(a)
+                        } else {
+                            Op::Read(a)
+                        });
+                        ops.push(Op::Compute(3));
+                    }
+                    ops.extend([
+                        Op::Lock(0),
+                        Op::Write(Addr(p * LINE_BYTES)),
+                        Op::Unlock(0),
+                        Op::Barrier(1),
+                    ]);
+                    Box::new(Script(ops.into_iter())) as Box<dyn OpStream>
+                })
+                .collect(),
+        };
+        assert_eq!(workload().last_sync_line(), LineNum(LINES + 2));
+        for model in [MemoryModel::Coma, MemoryModel::Numa, MemoryModel::Uma] {
+            let run = |audit| {
+                let mut p = params(1, MemoryPressure::MP_87);
+                p.memory_model = model;
+                p.audit = audit;
+                let sim = Simulation::new(workload(), &p).unwrap();
+                sim.run_checked().expect("invariants hold at the end")
+            };
+            let audited = run(true);
+            let writes = audited.counts.total_writes();
+            assert!(writes > 200, "{model:?} run too small: {writes} writes");
+            assert_eq!(audited, run(false), "{model:?}");
         }
     }
 

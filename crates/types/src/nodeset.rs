@@ -27,6 +27,13 @@ impl NodeSet {
         NodeSet([0; 4])
     }
 
+    /// The set of indices `0..64` whose bits are set in `word` (bit `i`
+    /// stands for index `i`).
+    #[inline]
+    pub const fn from_word(word: u64) -> Self {
+        NodeSet([word, 0, 0, 0])
+    }
+
     /// Set containing exactly `i`.
     #[inline]
     pub fn singleton(i: u16) -> Self {

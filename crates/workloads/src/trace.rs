@@ -147,8 +147,13 @@ fn invalid(msg: String) -> io::Error {
 /// The file is untrusted, so anything the simulator cannot run is an
 /// [`io::ErrorKind::InvalidData`] error here rather than a crash later:
 /// a working set plus sync lines beyond the line range ([`MAX_LINE`]),
-/// a Read or Write address at or beyond `ws_bytes`, and a Lock or Unlock
-/// id at or beyond `n_locks`.
+/// a Read or Write address at or beyond `ws_bytes`, a Lock or Unlock id
+/// at or beyond `n_locks`, and unbalanced sync in one processor's stream:
+/// an Unlock of a lock it does not hold, a Lock of one it already holds,
+/// a stream that ends holding a lock, and a `k`-th Barrier (counting from
+/// 0) whose id is not `k`, the order the simulator gathers barriers in.
+/// A stream may stop before the others' last barrier. Deadlocks between
+/// processors (two locks taken in opposite orders) are not detected.
 pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
     let mut r = BufReader::new(r);
     let mut magic = [0u8; 8];
@@ -186,11 +191,15 @@ pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
     // The header counts are untrusted, so nothing is pre-sized from them:
     // a lying count ends in a read error at end of file, not a huge
     // allocation.
-    for _ in 0..n_procs {
+    for p in 0..n_procs {
         r.read_exact(&mut u64b)?;
         let count = u64::from_le_bytes(u64b);
         let mut ops = Vec::new();
         let mut last_addr = 0i64;
+        // Locks this processor holds (a short list: never sized from the
+        // untrusted `n_locks`) and the barriers it has passed.
+        let mut held: Vec<u32> = Vec::new();
+        let mut barriers = 0u64;
         for _ in 0..count {
             let mut code = [0u8];
             r.read_exact(&mut code)?;
@@ -219,12 +228,44 @@ pub fn replay<R: Read>(r: R) -> io::Result<Workload> {
                         "lock id {payload} beyond the trace's {n_locks} locks"
                     )))
                 }
-                3 => Op::Lock(payload as u32),
-                4 => Op::Unlock(payload as u32),
-                5 => Op::Barrier(payload as u32),
+                3 | 4 => {
+                    let id = payload as u32;
+                    match (code[0], held.iter().position(|&l| l == id)) {
+                        (3, None) => {
+                            held.push(id);
+                            Op::Lock(id)
+                        }
+                        (4, Some(i)) => {
+                            held.swap_remove(i);
+                            Op::Unlock(id)
+                        }
+                        (3, Some(_)) => {
+                            return Err(invalid(format!(
+                                "processor {p} locks lock {id}, which it already holds"
+                            )))
+                        }
+                        _ => {
+                            return Err(invalid(format!(
+                                "processor {p} unlocks lock {id}, which it does not hold"
+                            )))
+                        }
+                    }
+                }
+                5 if payload != barriers => {
+                    return Err(invalid(format!(
+                        "processor {p} reaches barrier {payload} as its barrier {barriers}"
+                    )))
+                }
+                5 => {
+                    barriers += 1;
+                    Op::Barrier(payload as u32)
+                }
                 c => return Err(invalid(format!("bad opcode {c}"))),
             };
             ops.push(op);
+        }
+        if let Some(l) = held.first() {
+            return Err(invalid(format!("processor {p} ends holding lock {l}")));
         }
         wl.streams.push(Box::new(ReplayStream {
             ops: ops.into_iter(),
@@ -395,6 +436,61 @@ mod tests {
         assert_invalid(&sixteen_procs(MIB, 0, 2, &ops), 156);
         assert_invalid(&sixteen_procs(MIB, 0, 1, &ops[2..]), 154);
         assert!(replay(sixteen_procs(MIB, 6, 2, &ops).as_slice()).is_ok());
+    }
+
+    /// A 16-processor trace over 1 MiB: processor `i` runs the `n_ops`
+    /// encoded ops of `streams[i]`, and the streams past the list are
+    /// empty.
+    fn sixteen_streams(n_locks: u32, streams: &[(u64, &[u8])]) -> Vec<u8> {
+        let mut buf = header(16, MIB, n_locks);
+        for i in 0..16 {
+            let (n_ops, ops) = streams.get(i).copied().unwrap_or((0, &[]));
+            buf.extend_from_slice(&n_ops.to_le_bytes());
+            buf.extend_from_slice(ops);
+        }
+        buf
+    }
+
+    #[test]
+    fn unbalanced_lock_use_is_invalid_not_a_sync_panic() {
+        // Unlock(0) with no Lock: a release by a non-holder.
+        assert_invalid(&sixteen_streams(1, &[(1, &[4, 0])]), 154);
+        // Lock(0) twice: the holder would park on itself.
+        assert_invalid(&sixteen_streams(1, &[(2, &[3, 0, 3, 0])]), 156);
+        // Unlock(1) while holding only lock 0.
+        assert_invalid(&sixteen_streams(2, &[(2, &[3, 0, 4, 1])]), 156);
+        // Nested and overlapping pairs are fine, and a lock may be
+        // taken again after its release.
+        let ops = [3, 0, 3, 1, 4, 0, 4, 1, 3, 0, 4, 0];
+        assert!(replay(sixteen_streams(2, &[(6, &ops), (6, &ops)]).as_slice()).is_ok());
+    }
+
+    #[test]
+    fn stream_ending_with_a_held_lock_is_invalid_not_a_deadlock_panic() {
+        // Processors 0 and 1 each take lock 0 and stop.
+        assert_invalid(&sixteen_streams(1, &[(1, &[3, 0]), (1, &[3, 0])]), 156);
+    }
+
+    #[test]
+    fn barriers_out_of_order_are_invalid_not_a_sync_panic() {
+        // Processor 1's first barrier is Barrier(1).
+        assert_invalid(&sixteen_streams(0, &[(1, &[5, 0]), (1, &[5, 1])]), 156);
+        // Barrier 1 skipped.
+        assert_invalid(&sixteen_streams(0, &[(2, &[5, 0, 5, 2])]), 156);
+        // In order is fine, and a stream may stop before the others.
+        let trace = sixteen_streams(0, &[(2, &[5, 0, 5, 1]), (1, &[5, 0])]);
+        assert!(replay(trace.as_slice()).is_ok());
+    }
+
+    #[test]
+    fn every_catalog_app_smoke_trace_replays() {
+        for app in AppId::ALL.into_iter().chain(AppId::TRAFFIC) {
+            let mut buf = Vec::new();
+            record(app.build(16, 42, Scale::SMOKE), &mut buf).unwrap();
+            if let Err(e) = replay(buf.as_slice()) {
+                panic!("{}: {e}", app.name());
+            }
+        }
     }
 
     #[test]

@@ -47,10 +47,14 @@ COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
 
 echo "==> all smoke: every experiment but hierarchy, in one process"
 # The in-process runner end to end: each experiment's library function
-# under one ExpCtx, ending in the whole-run cache tally.
+# under one ExpCtx, ending in the whole-run cache tally. The elapsed
+# seconds (bash SECONDS) put the cold `--bin all` wall-clock in every
+# log; it is a record, not a gate.
 ALL_OUT=$(mktemp -d)
+SECONDS=0
 COMA_SCALE=smoke COMA_OUT=$ALL_OUT \
   cargo run --release --offline -p coma-experiments --bin all -- --jobs 2
+echo "all smoke, cold: ${SECONDS} s wall-clock"
 
 echo "==> all smoke, warm: a rerun must serve every cell from the cache"
 # Pins deterministic cache keys for every sweep, thresholds included.
