@@ -210,6 +210,10 @@ pub fn run(args: &Args) -> Result<(), String> {
         r.injections, r.ownership_migrations, r.shared_drops
     );
     println!(
+        "allocation       {:>12} page-outs, {} cold allocations",
+        r.traffic.pageouts, r.cold_allocs
+    );
+    println!(
         "read latency     p50 {} ns | p90 {} ns | p99 {} ns | max {} ns",
         r.read_latency.quantile(0.50),
         r.read_latency.quantile(0.90),

@@ -28,7 +28,7 @@ mod write_path;
 use crate::directory::Directory;
 use crate::node::NodeState;
 use crate::outcome::Outcome;
-use crate::table::{OpenTable, PageHomes};
+use crate::table::{LineTable, PageHomes};
 use coma_cache::{AcceptPolicy, AcceptSlot, AmState, SlcState, Victim, VictimPolicy};
 use coma_stats::{derive_stats, EventCounts, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
@@ -48,8 +48,10 @@ pub struct CoherenceEngine {
     dir: Directory,
     /// On-demand page table: page number → first-touching (home) node.
     pages: PageHomes,
-    /// Lines currently paged out to the OS (an [`OpenTable`] used as a set).
-    paged_out: OpenTable<()>,
+    /// Lines currently paged out to the OS: `true` at a paged-out line.
+    /// One byte per line up to the highest line ever paged out; a machine
+    /// that never pages out never grows it.
+    paged_out: LineTable<bool>,
     accept_policy: AcceptPolicy,
     intra_node_transfers: bool,
     inclusive_hierarchy: bool,
@@ -110,7 +112,7 @@ impl CoherenceEngine {
             nodes,
             dir: Directory::for_geometry(&geom),
             pages: PageHomes::new(),
-            paged_out: OpenTable::new(),
+            paged_out: LineTable::new(),
             accept_policy,
             intra_node_transfers,
             inclusive_hierarchy,
@@ -238,9 +240,12 @@ impl CoherenceEngine {
         &mut self.dir
     }
 
-    /// The set of lines currently paged out to the OS (verification).
+    /// The lines currently paged out to the OS, ascending (verification).
     pub fn paged_out_lines(&self) -> impl Iterator<Item = LineNum> + '_ {
-        self.paged_out.iter().map(|(l, ())| LineNum(l))
+        self.paged_out
+            .iter()
+            .filter(|&(_, &out)| out)
+            .map(|(l, _)| LineNum(l))
     }
 
     /// Home node of a line's page, allocating the page on first touch.
@@ -348,8 +353,7 @@ impl CoherenceEngine {
             }
         }
         // Paged-out lines are dead.
-        for (l, ()) in self.paged_out.iter() {
-            let line = LineNum(l);
+        for line in self.paged_out_lines() {
             if self.dir.contains(line) {
                 return Err(format!("{line:?} both paged out and live"));
             }

@@ -83,7 +83,7 @@ impl CoherenceEngine {
             }
             None => {
                 let home = self.home_of(line, n);
-                out.pagein = self.paged_out.remove(line.0).is_some();
+                out.pagein = self.paged_out.get_mut(line.0).is_some_and(std::mem::take);
                 if out.pagein {
                     self.emit(ProtocolEvent::ColdAlloc);
                 }

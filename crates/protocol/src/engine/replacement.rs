@@ -140,7 +140,7 @@ impl CoherenceEngine {
                     self.nodes[from].invalidate_private(line);
                 }
                 self.dir.remove(line);
-                self.paged_out.insert(line.0, ());
+                *self.paged_out.entry(line.0) = true;
                 self.emit(ProtocolEvent::Pageout);
                 out.pageout = true;
             }

@@ -101,7 +101,7 @@ impl CoherenceEngine {
             }
             None => {
                 let home = self.home_of(line, n);
-                out.pagein = self.paged_out.remove(line.0).is_some();
+                out.pagein = self.paged_out.get_mut(line.0).is_some_and(std::mem::take);
                 self.fill_am(n, line, AmState::Exclusive, &mut out);
                 self.dir.insert_sole(line, NodeId(n as u16));
                 self.emit(ProtocolEvent::ColdAlloc);

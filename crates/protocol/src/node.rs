@@ -16,8 +16,8 @@
 use coma_cache::{AttractionMemory, Flc, Slc, SlcState, VictimPolicy};
 use coma_types::{LineNum, MachineGeometry};
 
-/// Knuth's multiplicative constant (2^64 / φ), as used by the protocol's
-/// open-addressing tables.
+/// Knuth's multiplicative constant (2^64 / φ): a Fibonacci hash of the
+/// line number picks its filter slot.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Exact counting filter over a node's SLC-resident lines.

@@ -7,11 +7,14 @@
 //! reach. Members 0–63 are kept inline as one 64-bit mask, which covers
 //! every machine of at most 64 nodes (COMA) or 64 processors (NUMA)
 //! whatever its sharing; a set that an id of 64 or more joins parks a
-//! `NodeSet` in a side table keyed like the directory itself, and stays
-//! spilled until taken or cleared — demotion would buy bytes back for a
-//! case too rare to matter at the cost of churn on every removal.
+//! `NodeSet` in the slot of its line in a side [`LineTable`], and stays
+//! spilled until taken or cleared, which empty the slot again — demotion
+//! would buy bytes back for a case too rare to matter at the cost of
+//! churn on every removal. The side table holds 32 bytes per line up to
+//! the highest line whose set ever spilled, and smaller machines never
+//! write it.
 
-use crate::table::OpenTable;
+use crate::table::LineTable;
 use coma_types::NodeSet;
 
 /// Ids below this bound fit the inline mask.
@@ -19,12 +22,13 @@ const INLINE: u16 = 64;
 
 const MISSING: &str = "spilled sharer set missing";
 
-/// Sets too wide for inline storage, keyed by the owning entry's key.
-pub type SpillTable = OpenTable<NodeSet>;
+/// Sets too wide for inline storage, indexed by the owning entry's line;
+/// the empty set is an empty slot.
+pub type SpillTable = LineTable<NodeSet>;
 
 /// A set of node or processor IDs: an inline bit mask while every member
-/// is below 64, a [`SpillTable`] entry once a wider id joins. Every
-/// operation takes the spill table and the key of the directory entry
+/// is below 64, a [`SpillTable`] slot once a wider id joins. Every
+/// operation takes the spill table and the line of the directory entry
 /// that holds the set.
 ///
 /// Packed to 2-byte alignment so the set is 10 bytes and a directory
@@ -34,7 +38,8 @@ pub type SpillTable = OpenTable<NodeSet>;
 pub struct SharerSet {
     /// Bit `i` set ⇔ id `i` is a member; unused while spilled.
     bits: u64,
-    /// The members live in the spill table.
+    /// The members live in the spill table, whose slot of the set's
+    /// line is reachable from then on; a missing slot panics.
     spilled: bool,
 }
 
@@ -43,7 +48,7 @@ impl SharerSet {
     #[inline]
     pub fn members(&self, spill: &SpillTable, key: u64) -> NodeSet {
         if self.spilled {
-            spill.get(key).expect(MISSING)
+            *spill.slot(key).expect(MISSING)
         } else {
             NodeSet::from_word(self.bits)
         }
@@ -57,9 +62,9 @@ impl SharerSet {
         } else if id < INLINE {
             self.bits |= 1 << id;
         } else {
-            let mut s = NodeSet::from_word(self.bits);
+            let s = spill.entry(key);
+            *s = NodeSet::from_word(self.bits);
             s.insert(id);
-            spill.insert(key, s);
             *self = SharerSet {
                 bits: 0,
                 spilled: true,
@@ -81,7 +86,7 @@ impl SharerSet {
     #[inline]
     pub fn take(&mut self, spill: &mut SpillTable, key: u64) -> NodeSet {
         let s = if self.spilled {
-            spill.remove(key).expect(MISSING)
+            std::mem::take(spill.get_mut(key).expect(MISSING))
         } else {
             NodeSet::from_word(self.bits)
         };
@@ -92,10 +97,7 @@ impl SharerSet {
     /// Empty the set.
     #[inline]
     pub fn clear(&mut self, spill: &mut SpillTable, key: u64) {
-        if self.spilled {
-            spill.remove(key);
-        }
-        *self = Self::default();
+        self.take(spill, key);
     }
 }
 
@@ -103,6 +105,11 @@ impl SharerSet {
 mod tests {
     use super::*;
     use coma_types::Rng64;
+
+    /// No slot of `spill` holds a member.
+    fn all_empty(spill: &SpillTable) -> bool {
+        spill.iter().all(|(_, s)| s.is_empty())
+    }
 
     #[test]
     fn matches_a_plain_node_set_across_the_spill_boundary() {
@@ -124,7 +131,9 @@ mod tests {
                     model.remove(id);
                 }
                 assert_eq!(set.members(&spill, key), model, "key {key}");
-                assert_eq!(spill.contains(key), set.spilled);
+                if !set.spilled {
+                    assert!(spill.get(key).is_empty(), "unspilled set's slot in use");
+                }
             }
             if rng.chance(0.5) {
                 assert_eq!(set.take(&mut spill, key), model);
@@ -132,9 +141,9 @@ mod tests {
                 set.clear(&mut spill, key);
             }
             assert_eq!(set.members(&spill, key), NodeSet::empty());
-            assert!(!spill.contains(key), "emptied set left a spill entry");
+            assert!(spill.get(key).is_empty(), "emptied set left a spill entry");
         }
-        assert!(spill.is_empty());
+        assert!(all_empty(&spill));
     }
 
     #[test]
@@ -145,7 +154,7 @@ mod tests {
             set.insert(&mut spill, 7, id); // the second 9 is a duplicate
         }
         assert!(!set.spilled);
-        assert!(spill.is_empty());
+        assert!(all_empty(&spill));
         let got: Vec<u16> = set.members(&spill, 7).iter().collect();
         assert_eq!(got, vec![0, 3, 9, 17, 63]);
         set.insert(&mut spill, 7, 64);
@@ -156,9 +165,19 @@ mod tests {
         assert_eq!(got, vec![0, 9, 17, 63, 64]);
         set.insert(&mut spill, 7, 255);
         assert_eq!(set.take(&mut spill, 7).len(), 6);
-        assert!(spill.is_empty());
+        assert!(all_empty(&spill));
         // Emptied sets start inline again.
         set.insert(&mut spill, 7, 1);
-        assert_eq!((set.spilled, spill.len()), (false, 0));
+        assert!(!set.spilled && all_empty(&spill));
+    }
+
+    #[test]
+    #[should_panic(expected = "spilled sharer set missing")]
+    fn spilled_set_without_a_slot_fails_loudly() {
+        let mut spill = SpillTable::new();
+        let mut set = SharerSet::default();
+        set.insert(&mut spill, 3, 64);
+        // A table that never reached line 9 cannot hold line 9's set.
+        set.members(&spill, 9);
     }
 }

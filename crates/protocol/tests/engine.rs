@@ -333,3 +333,51 @@ fn invariants_hold_under_random_storm() {
     }
     e.check_invariants().unwrap();
 }
+
+/// Fill AM set 0 of every node of `engine(1, MP_87)` with responsible
+/// lines written by processor 0, then write one more line of the set.
+/// Returns the engine and the line the OS paged out.
+fn page_out_one_line() -> (CoherenceEngine, LineNum) {
+    let mut e = engine(1, MemoryPressure::MP_87);
+    let geom = *e.geometry();
+    let slots = (geom.n_nodes * geom.am_assoc) as u64;
+    let lines: Vec<LineNum> = (0..=slots).map(|k| LineNum(k * geom.am_sets)).collect();
+    for (k, &l) in lines.iter().enumerate() {
+        let out = e.write(ProcId(0), l);
+        // Only the write past the set's machine-wide capacity finds no
+        // acceptor for its victim.
+        assert_eq!(out.pageout, k as u64 == slots, "write {k} of {l:?}");
+        assert!(!out.pagein);
+    }
+    let dead: Vec<LineNum> = lines
+        .iter()
+        .copied()
+        .filter(|&l| !e.directory().contains(l))
+        .collect();
+    assert_eq!(dead.len(), 1, "exactly one line leaves the machine");
+    assert_eq!(e.paged_out_lines().collect::<Vec<_>>(), dead);
+    e.check_invariants().unwrap();
+    (e, dead[0])
+}
+
+#[test]
+fn paged_out_line_pages_back_in_once() {
+    for write in [false, true] {
+        let (mut e, line) = page_out_one_line();
+        let touch = |e: &mut CoherenceEngine| {
+            if write {
+                e.write(ProcId(0), line)
+            } else {
+                e.read(ProcId(0), line)
+            }
+        };
+        assert!(touch(&mut e).pagein, "write {write}: no page-in");
+        assert!(e.directory().contains(line));
+        assert!(
+            e.paged_out_lines().all(|l| l != line),
+            "write {write}: the paged-in line is still paged out"
+        );
+        e.check_invariants().unwrap();
+        assert!(!touch(&mut e).pagein, "write {write}: paged in twice");
+    }
+}

@@ -32,8 +32,8 @@ pub struct NodeSnap {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Snapshot {
     pub nodes: Vec<NodeSnap>,
-    /// Directory entries `(line, owner, sharer set)`, sorted by line
-    /// (the directory hashes, so its iteration order is not canonical).
+    /// Directory entries `(line, owner, sharer set)`, sorted by line (the
+    /// directory iterates in ascending line order).
     pub dir: Vec<(u64, u16, NodeSet)>,
     /// Lines currently paged out to the OS, sorted.
     pub paged_out: Vec<u64>,
@@ -61,14 +61,12 @@ impl Snapshot {
                 }
             })
             .collect();
-        let mut dir: Vec<(u64, u16, NodeSet)> = e
+        let dir = e
             .directory()
             .iter()
             .map(|(l, info)| (l.0, info.owner.0, info.sharers))
             .collect();
-        dir.sort_unstable();
-        let mut paged_out: Vec<u64> = e.paged_out_lines().map(|l| l.0).collect();
-        paged_out.sort_unstable();
+        let paged_out = e.paged_out_lines().map(|l| l.0).collect();
         Snapshot {
             nodes,
             dir,

@@ -34,14 +34,18 @@ COMA_SCALE=smoke COMA_THREADS=4 cargo test -q --offline -p coma --test sweep_det
 echo "==> protocol verification smoke: bounded model check + 10k fuzz ops"
 cargo run --release --offline -p coma-cli --bin coma -- verify --mode smoke
 
-echo "==> hierarchy smoke: 64- and 256-proc 2-level machines end to end"
+echo "==> hierarchy smoke: 64- and 256-proc tree machines end to end"
 # Hierarchical configs through the CLI (validate + route-aware timing
 # walk), up to the largest supported machine, and one tree-vs-flat
-# sweep cell through the cached sweep engine.
+# sweep cell through the cached sweep engine. The 256-node Water run
+# crosses the directory's spilled sharer sets and, at 13/16 pressure,
+# pages lines out and back in.
 cargo run --release --offline -p coma-cli --bin coma -- \
   run --app fft --procs 64 --ppn 4 --groups 4 --scale smoke
 cargo run --release --offline -p coma-cli --bin coma -- \
   run --app fft --procs 256 --ppn 4 --groups 16 --scale smoke
+cargo run --release --offline -p coma-cli --bin coma -- \
+  run --app water-n2 --procs 256 --ppn 1 --groups 64 --levels 3 --mp 13/16 --scale smoke
 COMA_SCALE=smoke COMA_OUT=$(mktemp -d) \
   cargo run --release --offline -p coma-experiments --bin hierarchy -- --smoke
 

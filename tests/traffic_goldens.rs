@@ -151,3 +151,67 @@ fn golden_fft_256p_16_groups_totals() {
     assert_eq!(r.cold_allocs, 51_202);
     assert_eq!(r.exec_time_ns, 16_231_824);
 }
+
+/// Water n2 on 128 single-processor nodes: 128 nodes, MP 13/16, the
+/// hierarchy experiment's 32-group, 3-level tree (seed 42, SMOKE).
+fn water_128_params() -> SimParams {
+    let mut params = SimParams::default();
+    params.machine.n_procs = 128;
+    params.machine.procs_per_node = 1;
+    params.machine.memory_pressure = MemoryPressure::MP_81;
+    params.machine.topology = Topology {
+        n_groups: 32,
+        levels: 3,
+    };
+    params
+}
+
+/// Byte-identical COMA totals past the directory's 64-node inline
+/// sharer mask: molecules read by every node spill their sharer sets,
+/// and at 13/16 pressure some AM sets fill machine-wide, so lines are
+/// paged out to the OS and paged back in.
+#[test]
+fn golden_water_n2_128_nodes_coma_totals() {
+    let r = run_simulation(
+        AppId::WaterN2.build(128, 42, Scale::SMOKE),
+        &water_128_params(),
+    );
+    assert_eq!(r.counts.total_reads(), 41_314);
+    assert_eq!(r.counts.total_writes(), 3_834);
+    assert_eq!(r.counts.read_node_misses(), 35_618);
+    assert_eq!(r.traffic.read_bytes, 2_564_496);
+    assert_eq!(r.traffic.write_bytes, 174_416);
+    assert_eq!(r.traffic.replace_bytes, 2_577_592);
+    assert_eq!(r.traffic.read_txns, 35_618);
+    assert_eq!(r.traffic.write_txns, 3_306);
+    assert_eq!(r.traffic.replace_txns, 36_919);
+    assert_eq!(r.traffic.pageouts, 43);
+    assert_eq!(r.injections, 35_617);
+    assert_eq!(r.ownership_migrations, 1_259);
+    assert_eq!(r.shared_drops, 33_395);
+    assert_eq!(r.cold_allocs, 1_097);
+    assert_eq!(r.exec_time_ns, 13_100_157);
+}
+
+/// The NUMA twin on a flat bus: 128 processors put the home
+/// directory's reader sets past its 64-processor inline mask.
+#[test]
+fn golden_water_n2_128_procs_numa_totals() {
+    let mut params = water_128_params();
+    params.machine.topology = Topology::flat();
+    params.memory_model = MemoryModel::Numa;
+    let r = run_simulation(AppId::WaterN2.build(128, 42, Scale::SMOKE), &params);
+    assert_eq!(r.counts.total_reads(), 41_314);
+    assert_eq!(r.counts.total_writes(), 3_834);
+    assert_eq!(r.counts.read_node_misses(), 15_585);
+    assert_eq!(r.traffic.read_bytes, 1_122_120);
+    assert_eq!(r.traffic.write_bytes, 26_608);
+    assert_eq!(r.traffic.replace_bytes, 51_840);
+    assert_eq!(r.traffic.read_txns, 15_585);
+    assert_eq!(r.traffic.write_txns, 3_310);
+    assert_eq!(r.traffic.replace_txns, 720);
+    assert_eq!(r.traffic.pageouts, 0);
+    assert_eq!(r.injections, 0);
+    assert_eq!(r.cold_allocs, 0);
+    assert_eq!(r.exec_time_ns, 3_152_813);
+}
