@@ -278,9 +278,9 @@ impl BaselineEngine {
         if self.flcs[p].read_hit(line) {
             return Outcome::at(Level::Flc);
         }
-        if self.slcs[p].lookup(line).is_valid() {
-            let writable = self.slcs[p].peek(line) == SlcState::Modified;
-            self.flcs[p].fill(line, writable);
+        let held = self.slcs[p].lookup(line);
+        if held.is_valid() {
+            self.flcs[p].fill(line, held == SlcState::Modified);
             return Outcome::at(Level::Slc);
         }
 
@@ -313,14 +313,15 @@ impl BaselineEngine {
         if self.flcs[p].write_hit(line) {
             return Outcome::at(Level::Flc);
         }
-        if self.slcs[p].lookup(line) == SlcState::Modified {
+        let held = self.slcs[p].lookup(line);
+        if held == SlcState::Modified {
             self.flcs[p].fill(line, true);
             return Outcome::at(Level::Slc);
         }
 
         let me = self.node_of(proc);
         let home = self.home_of(line, me);
-        let had_copy = self.slcs[p].peek(line) == SlcState::Shared;
+        let had_copy = held == SlcState::Shared;
         let had_others = self.invalidate_others(line, proc);
 
         let level = self.supply_level(home, me);

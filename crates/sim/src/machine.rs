@@ -6,8 +6,9 @@
 //! [`OpArena`] (one fixed-width record per memory/sync operation, with
 //! the preceding compute gap packed inline — see `coma-workloads`), so
 //! the hot loop reads an array instead of re-running generator logic,
-//! and pure compute gaps fuse with the operation they precede whenever
-//! the processor would step straight through anyway (DESIGN.md §13).
+//! and each pure compute gap is folded into its processor's wake-up
+//! time when the processor is scheduled, so every operation is one
+//! step (DESIGN.md §13).
 
 use crate::resources::MachineResources;
 use crate::sync::{BarrierState, LockState};
@@ -165,12 +166,11 @@ pub struct Simulation {
     /// One-past-last record index per processor.
     end: Box<[u32]>,
     /// Set when a record's inline gap has been consumed but its
-    /// operation not yet executed (the processor parked in between).
+    /// operation not yet executed.
     gap_done: Box<[bool]>,
-    /// Fold a record's compute gap and its operation into one step when
-    /// the processor would step straight through anyway. Always on in
-    /// real runs; the differential tests switch it off to replay the
-    /// one-event-per-gap reference schedule.
+    /// Fold a record's compute gap into the processor's wake-up time
+    /// (`wake_at`). Always on in real runs; the differential tests
+    /// switch it off to replay the one-event-per-gap reference schedule.
     fuse_gaps: bool,
     wbs: WriteBufferArray,
     breakdown: BreakdownSoA,
@@ -240,10 +240,6 @@ impl Simulation {
             });
         }
         let res = MachineResources::new(&geom, &params.latency);
-        let mut queue = EventQueue::new();
-        for p in 0..n_procs {
-            queue.push(0, ProcId(p as u16));
-        }
         let lock_addrs = (0..workload.n_locks)
             .map(|i| workload.lock_addr(i))
             .collect();
@@ -254,7 +250,7 @@ impl Simulation {
         let ops = OpArena::compile(workload.streams);
         let pos = (0..n_procs).map(|p| ops.span(p).0).collect();
         let end = (0..n_procs).map(|p| ops.span(p).1).collect();
-        Ok(Simulation {
+        let mut sim = Simulation {
             mem,
             res,
             lat: params.latency.clone(),
@@ -267,7 +263,7 @@ impl Simulation {
             breakdown: BreakdownSoA::new(n_procs),
             counts: AccessCounts::default(),
             read_latency: coma_stats::LatencyHisto::new(),
-            queue,
+            queue: EventQueue::new(),
             locks: vec![LockState::default(); workload.n_locks as usize],
             barrier: BarrierState::new(n_procs),
             lock_addrs,
@@ -276,16 +272,41 @@ impl Simulation {
             finish: vec![0; n_procs].into_boxed_slice(),
             n_done: 0,
             n_procs,
-        })
+        };
+        for p in (0..n_procs).map(|p| ProcId(p as u16)) {
+            let t = sim.wake_at(p, 0);
+            sim.queue.push(t, p);
+        }
+        Ok(sim)
     }
 
-    /// Disable the fused compute-gap fast path, restoring the reference
-    /// schedule in which every gap is its own event. Identical results
-    /// either way (pinned by the `gap_fusion` differential tests); only
-    /// the number of driver iterations differs.
+    /// Stop folding compute gaps into wake-up times, restoring the
+    /// reference schedule in which every gap is its own event. Identical
+    /// results either way (pinned by the `gap_fusion` differential
+    /// tests); only the number of driver iterations differs.
     #[doc(hidden)]
     pub fn set_fuse_gaps(&mut self, on: bool) {
         self.fuse_gaps = on;
+    }
+
+    /// The time at which `p`, able to continue at `t`, next has work
+    /// for the event loop: `t` plus the inline compute gap of its next
+    /// record, which is charged to `p`'s busy time here and marked
+    /// consumed. A gap advances nothing but `p`'s own clock and busy
+    /// counter, so running it at schedule time rather than as its own
+    /// event leaves the order of every side-effecting event unchanged.
+    /// Every site that schedules a processor goes through here.
+    #[inline]
+    fn wake_at(&mut self, p: ProcId, t: Nanos) -> Nanos {
+        let pi = p.as_usize();
+        let pos = self.pos[pi];
+        if !self.fuse_gaps || pos == self.end[pi] {
+            return t;
+        }
+        let gap = self.ops.get(pos).gap_ns();
+        self.breakdown.busy_ns[pi] += gap;
+        self.gap_done[pi] = true;
+        t + gap
     }
 
     /// Timed protocol read with stall accounting.
@@ -321,7 +342,8 @@ impl Simulation {
             let start = now.max(parked);
             self.breakdown.sync_ns[q.as_usize()] += start - parked;
             let done = self.do_read(q, self.barrier_flag, start);
-            self.queue.push(done, q);
+            let wake = self.wake_at(q, done);
+            self.queue.push(wake, q);
         }
     }
 
@@ -339,7 +361,7 @@ impl Simulation {
         }
     }
 
-    /// Execute one compiled record of processor `p` popped at time `t`.
+    /// Execute one compiled record of processor `p` popped at time `now`.
     ///
     /// Returns the time at which `p` itself resumes, or `None` if it
     /// parked (lock, barrier) or finished. Wake-ups for *other*
@@ -347,20 +369,15 @@ impl Simulation {
     /// caller's to schedule, so the run loop can keep stepping `p`
     /// without queue traffic while it remains the earliest wake-up.
     ///
-    /// A record's inline compute gap fuses with its operation: the gap
-    /// advances time locally, and when `(t + gap, p)` still precedes
-    /// every pending wake-up the operation executes in the same call —
-    /// the gap never becomes a queue event. When the processor would
-    /// *not* step straight through, the gap is consumed (`gap_done`) and
-    /// the operation waits for the next pop, which is exactly the
-    /// schedule the unfused path produces; either way the sequence of
-    /// side-effecting events is identical, because a pure gap touches
-    /// nothing but this processor's clock and busy counter.
-    fn step(&mut self, p: ProcId, t: Nanos) -> Option<Nanos> {
+    /// A record's inline compute gap has already been folded into `now`
+    /// by `wake_at`. Only the unfused reference schedule reaches a
+    /// record with its gap unconsumed; it then consumes the gap alone and
+    /// returns, leaving the operation to the next step.
+    fn step(&mut self, p: ProcId, now: Nanos) -> Option<Nanos> {
         let pi = p.as_usize();
         let pos = self.pos[pi];
         if pos == self.end[pi] {
-            self.finish_proc(p, t);
+            self.finish_proc(p, now);
             return None;
         }
         let rec = self.ops.get(pos);
@@ -369,21 +386,14 @@ impl Simulation {
             // A gap too long to pack inline: one pure time advance.
             self.breakdown.busy_ns[pi] += rec.payload();
             self.pos[pi] = pos + 1;
-            return Some(t + rec.payload());
+            return Some(now + rec.payload());
         }
-        let mut now = t;
         let gap = rec.gap_ns();
         if gap > 0 && !self.gap_done[pi] {
+            debug_assert!(!self.fuse_gaps, "P{pi}: a wake site left a gap unfolded");
             self.breakdown.busy_ns[pi] += gap;
-            let resumed = now + gap;
-            if self.fuse_gaps && self.queue.precedes(resumed, p) {
-                // Fast path: the processor is still the machine-wide
-                // earliest at `resumed`, so run the operation now.
-                now = resumed;
-            } else {
-                self.gap_done[pi] = true;
-                return Some(resumed);
-            }
+            self.gap_done[pi] = true;
+            return Some(now + gap);
         }
         self.gap_done[pi] = false;
         self.pos[pi] = pos + 1;
@@ -425,7 +435,8 @@ impl Simulation {
                     self.breakdown.sync_ns[next.as_usize()] += start - parked;
                     // The new holder re-acquires the (invalidated) lock line.
                     let acquired = self.rmw(next, self.lock_addrs[id], start);
-                    self.queue.push(acquired, next);
+                    let wake = self.wake_at(next, acquired);
+                    self.queue.push(wake, next);
                 }
                 Some(done)
             }
@@ -464,15 +475,16 @@ impl Simulation {
     }
 
     fn run_loop(&mut self) {
-        // Follow-through: after a step, `p`'s continuation `(next, p)`
-        // often still lexicographically precedes every pending wake-up —
-        // pushing it and popping would hand it straight back. Stepping on
-        // directly is therefore the *identical* event order with the
-        // queue round-trip elided. How often depends on the workload:
-        // 14 % of steps on 64-processor FFT, 38 % on 16-processor BFS
-        // (DESIGN §13.6 has the counts).
+        // Follow-through: after a step, `p`'s continuation `(next, p)`,
+        // its next compute gap folded in, may still lexicographically
+        // precede every pending wake-up — pushing it and popping would
+        // hand it straight back. Stepping on directly is therefore the
+        // *identical* event order with the queue round-trip elided. How
+        // often depends on the workload: 8 % of steps on 64-processor
+        // FFT, 39 % on 16-processor BFS (DESIGN §13.6 has the counts).
         while let Some((mut t, p)) = self.queue.pop() {
             while let Some(next) = self.step(p, t) {
+                let next = self.wake_at(p, next);
                 if !self.queue.precedes(next, p) {
                     self.queue.push(next, p);
                     break;

@@ -21,10 +21,17 @@ arrives. Then, for each metric: both sides' median and quartiles
 (`statistics.quantiles(..., method="inclusive")`, i.e. linear
 interpolation) and the number of pairs the change won, in the direction
 `BENCHMARK.json` declares for the metric (ties count for neither side).
-Last comes the verdict for `--metric`, the rule of the choosing-metrics
+Then comes the verdict for `--metric`, the rule of the choosing-metrics
 guide, section 8: a gain needs the change ahead in at least nine tenths
 of all pairs, and the medians apart, in the better direction, by more
 than the base's interquartile range.
+
+Last, one line per `end_to_end` metric of `BENCHMARK.json` judges "no
+regression" by that metric's own `bound`: the change's median relative
+to the base's, and `worse` when it is worse by more than the bound,
+`unresolved` when the base's interquartile range, relative to its
+median, is wider than the bound (unless every change run beats every
+base run), and `ok` otherwise.
 
 Without `--workdir` the work directory is a temporary one, deleted at the
 end; with it, the target directories stay there so a rerun builds
@@ -77,6 +84,30 @@ def verdict(base, change, better):
     return gain, text
 
 
+def regression(base, change, better, bound):
+    """(word, relative median change, relative base IQR) by `bound`.
+
+    The word is `worse` when the change's median is worse than the
+    base's by more than `bound` (a fraction of the base's median),
+    `unresolved` when the base's own interquartile range is wider than
+    that, unless every change run beats every base run, and `ok`
+    otherwise.
+    """
+    mb = statistics.median(base)
+    rel = statistics.median(change) / mb - 1
+    q1, q3 = quartiles(base)
+    spread = (q3 - q1) / abs(mb)
+    if better == "higher":
+        worse_by, clear = -rel, min(change) > max(base)
+    else:
+        worse_by, clear = rel, max(change) < min(base)
+    if worse_by > bound:
+        return "worse", rel, spread
+    if spread > bound and not clear:
+        return "unresolved", rel, spread
+    return "ok", rel, spread
+
+
 def git(*args, cwd):
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, text=True, stdout=subprocess.PIPE
@@ -116,6 +147,7 @@ def run_pairs(args):
     better = {
         m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]
     }
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     workdir = args.workdir or tempfile.mkdtemp(prefix="simbench-pairs-")
     os.makedirs(workdir, exist_ok=True)
     worktrees = []
@@ -174,6 +206,17 @@ def run_pairs(args):
         print(f"verdict for {args.metric}: {text}")
     else:
         print(f"verdict: {args.metric} is not among this run's metrics")
+    for name, bound in bounds.items():
+        if (name, "base") not in values:
+            print(f"no regression, {name}: not among this run's metrics")
+            continue
+        word, rel, spread = regression(
+            values[name, "base"], values[name, "change"], better[name], bound
+        )
+        print(
+            f"no regression, {name}: change median {rel:+.1%} of base "
+            f"(bound {bound:.0%}, base IQR {spread:.1%} of median): {word}"
+        )
     if any(r["failed"] or not r["correct"] for rs in runs.values() for r in rs):
         sys.exit("some runs reported failed operations or a wrong report")
 
@@ -222,6 +265,26 @@ def self_test():
     assert verdict([1, 1, 1, 1], [2, 2, 2, 0], "higher")[0] is False
     assert verdict([1, 1, 1, 1], [2, 2, 2, 2], "higher")[0] is True
     assert quartiles([3.0]) == (3.0, 3.0)
+
+    # No regression by a 25 % bound, one case per word. Worse: the
+    # change's median is 30 % below a tight base.
+    tight = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+    slow = [x * 0.7 for x in tight]
+    word, rel, _ = regression(tight, slow, "higher", 0.25)
+    assert word == "worse" and abs(rel + 0.3) < 1e-9, (word, rel)
+    # The same drop is a regression of a lower-is-better metric only
+    # when it goes up: 30 % less setup time is fine.
+    assert regression(tight, slow, "lower", 0.25)[0] == "ok"
+    # Unresolved: 10 % worse, but the base's IQR is 40 % of its median.
+    wide = [6.0, 8.0, 10.0, 12.0, 14.0, 6.0, 8.0, 10.0, 12.0, 14.0]
+    lagging = [x * 0.9 for x in wide]
+    word, _, spread = regression(wide, lagging, "higher", 0.25)
+    assert word == "unresolved" and abs(spread - 0.4) < 1e-9, (word, spread)
+    # ... unless every change run beats every base run.
+    assert regression(wide, [x + 20 for x in wide], "higher", 0.25)[0] == "ok"
+    # Ok: 10 % worse on a tight base stays within the bound.
+    word, rel, _ = regression(tight, [x * 0.9 for x in tight], "higher", 0.25)
+    assert word == "ok" and abs(rel + 0.1) < 1e-9, (word, rel)
     print("simbench_pairs self-test: ok")
 
 
