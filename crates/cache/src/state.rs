@@ -40,12 +40,6 @@ impl AmState {
     pub fn is_responsible(self) -> bool {
         matches!(self, AmState::Owner | AmState::Exclusive)
     }
-
-    /// May a processor in this node write without a global transaction?
-    #[inline]
-    pub fn is_writable(self) -> bool {
-        self == AmState::Exclusive
-    }
 }
 
 impl fmt::Display for AmState {
@@ -77,11 +71,6 @@ impl SlcState {
     pub fn is_valid(self) -> bool {
         self != SlcState::Invalid
     }
-
-    #[inline]
-    pub fn is_writable(self) -> bool {
-        self == SlcState::Modified
-    }
 }
 
 impl fmt::Display for SlcState {
@@ -106,16 +95,12 @@ mod tests {
         assert!(!AmState::Shared.is_responsible());
         assert!(AmState::Owner.is_responsible());
         assert!(AmState::Exclusive.is_responsible());
-        assert!(AmState::Exclusive.is_writable());
-        assert!(!AmState::Owner.is_writable());
     }
 
     #[test]
     fn slc_state_predicates() {
         assert!(!SlcState::Invalid.is_valid());
         assert!(SlcState::Shared.is_valid());
-        assert!(!SlcState::Shared.is_writable());
-        assert!(SlcState::Modified.is_writable());
     }
 
     #[test]

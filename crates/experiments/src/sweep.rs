@@ -34,6 +34,7 @@
 use crate::columnar::ColType::{self, F64, U64};
 use crate::columnar::{ColBuilder, ColFile};
 use crate::{ExpCtx, RunSpec, Source};
+pub use coma_sim::canon::model_code;
 use coma_sim::canon::{config_hash, fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use coma_sim::MemoryModel;
 use coma_stats::SimReport;
@@ -47,7 +48,7 @@ use std::sync::Mutex;
 /// Code-version salt folded into every cache key. Bump this whenever a
 /// change anywhere in the simulator alters what any configuration
 /// produces — old entries then miss (stale keys) instead of being served.
-pub const CODE_SALT: u64 = 1;
+pub const CODE_SALT: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Scheduler
@@ -341,17 +342,11 @@ pub const COORDS: &[(&str, Coord)] = &[
     ("key", spec_key),
 ];
 
-/// The memory models in `model` code order.
-const MODELS: [MemoryModel; 3] = [MemoryModel::Coma, MemoryModel::Numa, MemoryModel::Uma];
-
-/// The store's `model` code: 0 for COMA, 1 for NUMA, 2 for UMA.
-pub fn model_code(model: MemoryModel) -> u64 {
-    MODELS.iter().position(|&m| m == model).unwrap() as u64
-}
-
 /// Inverse of [`model_code`]; `None` for an unknown code.
 pub fn model_from_code(code: u64) -> Option<MemoryModel> {
-    MODELS.get(usize::try_from(code).ok()?).copied()
+    [MemoryModel::Coma, MemoryModel::Numa, MemoryModel::Uma]
+        .into_iter()
+        .find(|&m| model_code(m) == code)
 }
 
 /// One cell's result: its word in every [`COLUMNS`] entry, in order.

@@ -181,5 +181,5 @@ fn catalog_key_is_pinned() {
     let mut c = ctx("pinned");
     c.scale = Scale::PAPER;
     let spec = RunSpec::new(AppId::Barnes, 1, MemoryPressure::MP_6);
-    assert_eq!(spec_key(&c, &spec), 0xfea8ec3420898a63);
+    assert_eq!(spec_key(&c, &spec), 0x224b2b702ab07168);
 }

@@ -7,11 +7,11 @@
 //! consistent with the per-node attraction memories, which the engine's
 //! invariant checker verifies.
 //!
-//! In a hierarchical topology the directory also answers the one
+//! In a hierarchical topology a line's root entry also answers the one
 //! question a tree directory's presence bits would: how far a write
-//! upgrade's invalidation must climb ([`Directory::farthest_present`]).
-//! The answer is derived from the root entry on demand, so no per-level
-//! state exists to fall out of step with it.
+//! upgrade's invalidation must climb ([`LineInfo::farthest_present`]).
+//! The answer is derived from the entry on demand, so no per-level state
+//! exists to fall out of step with it.
 //!
 //! The root table is a [`LineTable`] indexed by line number: these
 //! lookups sit on the hot path of every simulated miss, and line numbers
@@ -20,7 +20,7 @@
 
 use crate::sharers::{SharerSet, SpillTable};
 use crate::table::LineTable;
-use coma_types::{LineNum, MachineGeometry, NodeId, NodeSet, Topology};
+use coma_types::{LineNum, NodeId, NodeSet, Placement};
 
 /// Where a live line's copies are.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -41,6 +41,32 @@ impl LineInfo {
     /// allocation; cost proportional to the population count).
     pub fn sharer_nodes(self) -> impl Iterator<Item = NodeId> {
         self.sharers.iter().map(NodeId)
+    }
+
+    /// Among the groups holding a copy of the line, the one *farthest*
+    /// from `from_group` (greatest LCA height, lowest group index on
+    /// ties). This is the question a hierarchical write upgrade asks —
+    /// "how high must my invalidation climb?". `None` on flat machines.
+    pub fn farthest_present(self, place: &Placement, from_group: usize) -> Option<usize> {
+        let topo = place.topology();
+        if topo.is_flat() {
+            return None;
+        }
+        // At most 64 groups (`MachineConfig::validate`).
+        let mut mask = 1u64 << place.group_of(self.owner);
+        for s in self.sharer_nodes() {
+            mask |= 1 << place.group_of(s);
+        }
+        let mut best: Option<(usize, usize)> = None; // (height, group)
+        while mask != 0 {
+            let g = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let h = topo.lca_height(from_group, g);
+            if best.is_none_or(|(bh, _)| h > bh) {
+                best = Some((h, g));
+            }
+        }
+        best.map(|(_, g)| g)
     }
 }
 
@@ -73,48 +99,17 @@ fn live_mut(map: &mut LineTable<RootEntry>, line: LineNum) -> Option<&mut RootEn
 }
 
 /// The machine-wide line directory: the root table plus the spill
-/// table for wide sharer sets, and the tree shape that
-/// [`Directory::farthest_present`] measures distance in.
-#[derive(Clone, Debug)]
+/// table for wide sharer sets.
+#[derive(Clone, Debug, Default)]
 pub struct Directory {
     map: LineTable<RootEntry>,
     /// Number of live lines.
     live: usize,
     /// Sharer sets of lines too wide for inline storage (see [`SharerSet`]).
     spill: SpillTable,
-    topo: Topology,
-    nodes_per_group: usize,
-}
-
-impl Default for Directory {
-    /// A flat single-bus directory.
-    fn default() -> Self {
-        Directory {
-            map: LineTable::new(),
-            live: 0,
-            spill: SpillTable::new(),
-            topo: Topology::flat(),
-            nodes_per_group: usize::MAX, // any node maps to group 0
-        }
-    }
 }
 
 impl Directory {
-    /// Directory for a machine geometry.
-    pub fn for_geometry(geom: &MachineGeometry) -> Self {
-        Directory {
-            topo: geom.topology,
-            nodes_per_group: geom.nodes_per_group(),
-            ..Self::default()
-        }
-    }
-
-    /// Cluster group of a node.
-    #[inline]
-    pub fn group_of(&self, node: NodeId) -> usize {
-        node.0 as usize / self.nodes_per_group
-    }
-
     /// Materialize the full [`LineInfo`] a live entry denotes.
     #[inline]
     fn info_of(&self, line: u64, e: RootEntry) -> LineInfo {
@@ -122,31 +117,6 @@ impl Directory {
             owner: NodeId(e.owner_p1 - 1),
             sharers: e.sharers.members(&self.spill, line),
         }
-    }
-
-    /// Among the groups holding a copy of the line `info` describes,
-    /// the one *farthest* from `from_group` (greatest LCA height, lowest
-    /// group index on ties). This is the question a hierarchical write
-    /// upgrade asks — "how high must my invalidation climb?" — answered
-    /// from the root owner/sharer sets. `None` on flat machines.
-    pub fn farthest_present(&self, info: LineInfo, from_group: usize) -> Option<usize> {
-        if self.topo.is_flat() {
-            return None;
-        }
-        let mut mask = 1u64 << self.group_of(info.owner);
-        for s in info.sharer_nodes() {
-            mask |= 1 << self.group_of(s);
-        }
-        let mut best: Option<(usize, usize)> = None; // (height, group)
-        while mask != 0 {
-            let g = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let h = self.topo.lca_height(from_group, g);
-            if best.map(|(bh, _)| h > bh).unwrap_or(true) {
-                best = Some((h, g));
-            }
-        }
-        best.map(|(_, g)| g)
     }
 
     /// Look up a live line.
@@ -241,7 +211,7 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coma_types::{MachineConfig, Rng64};
+    use coma_types::{MachineConfig, Rng64, Topology};
 
     #[test]
     fn sole_insert_then_sharers() {
@@ -394,14 +364,14 @@ mod tests {
         );
     }
 
-    /// A directory for `n_procs` single-processor nodes on `topology`.
-    fn dir_on(n_procs: usize, topology: Topology) -> Directory {
+    /// The placement of `n_procs` single-processor nodes on `topology`.
+    fn place_on(n_procs: usize, topology: Topology) -> Placement {
         let cfg = MachineConfig {
             n_procs,
             topology,
             ..Default::default()
         };
-        Directory::for_geometry(&cfg.geometry(4 << 20).unwrap())
+        Placement::new(&cfg.geometry(4 << 20).unwrap())
     }
 
     fn info(owner: u16, sharers: &[u16]) -> LineInfo {
@@ -417,42 +387,41 @@ mod tests {
 
     #[test]
     fn flat_machine_has_no_farthest_group() {
-        let d = Directory::default();
-        assert_eq!(d.farthest_present(info(0, &[5, 9]), 0), None);
-        let d = dir_on(16, Topology::flat());
-        assert_eq!(d.farthest_present(info(3, &[7]), 0), None);
+        let p = place_on(16, Topology::flat());
+        assert_eq!(info(0, &[5, 9]).farthest_present(&p, 0), None);
+        assert_eq!(info(3, &[7]).farthest_present(&p, 0), None);
     }
 
     #[test]
     fn owner_only_line_is_farthest_in_the_owners_group() {
         // 8 nodes in 4 groups of 2 under one root level.
-        let d = dir_on(8, Topology::two_level(4));
-        assert_eq!(d.farthest_present(info(0, &[]), 0), Some(0));
-        assert_eq!(d.farthest_present(info(5, &[]), 0), Some(2));
-        assert_eq!(d.farthest_present(info(5, &[]), 2), Some(2));
+        let p = place_on(8, Topology::two_level(4));
+        assert_eq!(info(0, &[]).farthest_present(&p, 0), Some(0));
+        assert_eq!(info(5, &[]).farthest_present(&p, 0), Some(2));
+        assert_eq!(info(5, &[]).farthest_present(&p, 2), Some(2));
     }
 
     #[test]
     fn equal_heights_pick_the_lowest_group() {
         // Every pair of distinct groups meets at the single root level.
-        let d = dir_on(8, Topology::two_level(4));
+        let p = place_on(8, Topology::two_level(4));
         let line = info(6, &[2, 5]); // groups 3, 1 and 2
-        assert_eq!(d.farthest_present(line, 0), Some(1));
-        assert_eq!(d.farthest_present(line, 1), Some(2));
-        assert_eq!(d.farthest_present(line, 3), Some(1));
+        assert_eq!(line.farthest_present(&p, 0), Some(1));
+        assert_eq!(line.farthest_present(&p, 1), Some(2));
+        assert_eq!(line.farthest_present(&p, 3), Some(1));
     }
 
     #[test]
     fn deep_tree_picks_the_highest_lca() {
         // 16 nodes in 8 groups over 3 levels (fanout 2); copies in
         // groups 0 (node 0) and 5 (node 10).
-        let d = dir_on(16, Topology::tree(8, 3));
+        let p = place_on(16, Topology::tree(8, 3));
         let line = info(0, &[10]);
-        assert_eq!(d.farthest_present(line, 0), Some(5)); // height 3
-        assert_eq!(d.farthest_present(line, 1), Some(5)); // 1 vs 3
-        assert_eq!(d.farthest_present(line, 4), Some(0)); // 3 vs 1
-        assert_eq!(d.farthest_present(line, 5), Some(0));
-        assert_eq!(d.farthest_present(line, 7), Some(0)); // 3 vs 2
+        assert_eq!(line.farthest_present(&p, 0), Some(5)); // height 3
+        assert_eq!(line.farthest_present(&p, 1), Some(5)); // 1 vs 3
+        assert_eq!(line.farthest_present(&p, 4), Some(0)); // 3 vs 1
+        assert_eq!(line.farthest_present(&p, 5), Some(0));
+        assert_eq!(line.farthest_present(&p, 7), Some(0)); // 3 vs 2
     }
 
     #[test]
@@ -465,7 +434,7 @@ mod tests {
             Topology::tree(6, 2),
         ] {
             let n_nodes = 48;
-            let d = dir_on(n_nodes, topo);
+            let p = place_on(n_nodes, topo);
             let group = |n: u16| n as usize / (n_nodes / topo.n_groups);
             for _ in 0..500 {
                 let owner = rng.below(n_nodes as u64) as u16;
@@ -479,7 +448,7 @@ mod tests {
                     .map(group)
                     .max_by_key(|&g| (topo.lca_height(from, g), std::cmp::Reverse(g)));
                 assert_eq!(
-                    d.farthest_present(info(owner, &sharers), from),
+                    info(owner, &sharers).farthest_present(&p, from),
                     expect,
                     "{topo:?} owner {owner} sharers {sharers:?} from group {from}"
                 );

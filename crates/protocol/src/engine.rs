@@ -7,8 +7,9 @@
 //! (and resource contention) on top of the outcomes.
 //!
 //! This module is the thin coordinator: machine state, construction,
-//! accessors and the invariant checker. The protocol logic proper is
-//! split by concern into the child modules:
+//! accessors and the [`MemorySystem`] implementation with the invariant
+//! checker. The protocol logic proper is split by concern into the child
+//! modules:
 //!
 //! * `read_path` — processor reads, from FLC hit down to the global
 //!   bus read;
@@ -17,8 +18,8 @@
 //! * `replacement` — AM victim selection fallout: the accept-based
 //!   injection protocol, ownership migration and page-out.
 //!
-//! All statistics are counts of [`ProtocolEvent`]s in one array: the
-//! protocol code reports *what happened* and `coma-stats` derives the
+//! All statistics are counts of [`ProtocolEvent`]s in one [`EventLog`]:
+//! the protocol code reports *what happened* and `coma-stats` derives the
 //! traffic bytes and counters from the counts when the report is built.
 
 mod read_path;
@@ -26,15 +27,14 @@ mod replacement;
 mod write_path;
 
 use crate::directory::Directory;
+use crate::memory::MemorySystem;
 use crate::node::NodeState;
 use crate::outcome::Outcome;
 use crate::table::{LineTable, PageHomes};
 use coma_cache::{AcceptPolicy, AcceptSlot, AmState, SlcState, Victim, VictimPolicy};
-use coma_stats::{derive_stats, EventCounts, Level, ProtocolCounters, ProtocolEvent, Traffic};
-use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
-
-/// Lines per page (4096 / 64).
-const PAGE_LINES_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
+use coma_stats::{EventLog, Level, ProtocolCounters, ProtocolEvent, Traffic};
+use coma_types::{LineNum, MachineGeometry, NodeId, Placement, ProcId};
+use std::any::Any;
 
 /// The machine-wide coherence state machine.
 ///
@@ -55,14 +55,9 @@ pub struct CoherenceEngine {
     accept_policy: AcceptPolicy,
     intra_node_transfers: bool,
     inclusive_hierarchy: bool,
-    /// Precomputed `proc → (node, index-in-node)` so the per-access hot
-    /// path never divides (ProcId::node is a `/`, index_in_node a `%`).
-    proc_map: Box<[(u16, u16)]>,
-    /// Occurrences of every protocol event: the engine's only statistics.
-    events: EventCounts,
-    /// Report views derived from `events` by [`Self::flush_stats`].
-    traffic: Traffic,
-    counters: ProtocolCounters,
+    place: Placement,
+    /// The engine's only statistics.
+    log: EventLog,
     /// Live invariant auditor armed (see [`Self::set_audit`]).
     audit: bool,
 }
@@ -98,50 +93,19 @@ impl CoherenceEngine {
         let nodes = (0..geom.n_nodes)
             .map(|_| NodeState::new(&geom, victim_policy))
             .collect();
-        let proc_map = (0..geom.n_procs)
-            .map(|p| {
-                let proc = ProcId(p as u16);
-                (
-                    proc.node(geom.procs_per_node).0,
-                    proc.index_in_node(geom.procs_per_node) as u16,
-                )
-            })
-            .collect();
         CoherenceEngine {
             geom,
             nodes,
-            dir: Directory::for_geometry(&geom),
-            pages: PageHomes::new(),
-            paged_out: LineTable::new(),
+            dir: Directory::default(),
+            pages: PageHomes::default(),
+            paged_out: LineTable::default(),
             accept_policy,
             intra_node_transfers,
             inclusive_hierarchy,
-            proc_map,
-            events: EventCounts::default(),
-            traffic: Traffic::default(),
-            counters: ProtocolCounters::default(),
+            place: Placement::new(&geom),
+            log: EventLog::default(),
             audit: false,
         }
-    }
-
-    /// Perform a processor read of `line`, then (if the live auditor is
-    /// armed) re-verify every machine-wide invariant when the access
-    /// performed at least one protocol transaction.
-    #[inline]
-    pub fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        if self.audit {
-            return self.audited(|e| e.read_inner(proc, line));
-        }
-        self.read_inner(proc, line)
-    }
-
-    /// Perform a processor write of `line`; audited like [`Self::read`].
-    #[inline]
-    pub fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        if self.audit {
-            return self.audited(|e| e.write_inner(proc, line));
-        }
-        self.write_inner(proc, line)
     }
 
     /// Live invariant audit: run `access`, then, if it emitted a protocol
@@ -149,9 +113,9 @@ impl CoherenceEngine {
     /// [`Self::check_invariants`]. Pure hits emit nothing and stay cheap.
     #[cold]
     fn audited(&mut self, access: impl FnOnce(&mut Self) -> Outcome) -> Outcome {
-        let before: u64 = self.events.iter().sum();
+        let before = self.log.total();
         let out = access(self);
-        if self.events.iter().sum::<u64>() != before {
+        if self.log.total() != before {
             if let Err(e) = self.check_invariants() {
                 panic!("live audit: protocol invariant violated: {e}");
             }
@@ -167,54 +131,6 @@ impl CoherenceEngine {
     /// Is the live invariant auditor armed?
     pub fn is_audited(&self) -> bool {
         self.audit
-    }
-
-    /// Count one protocol event.
-    #[inline]
-    fn emit(&mut self, ev: ProtocolEvent) {
-        self.events[ev.idx()] += 1;
-    }
-
-    /// Derive [`Self::traffic`] and [`Self::counters`] from the event
-    /// counts (the driver does so once, when it builds the report).
-    pub fn flush_stats(&mut self) {
-        (self.traffic, self.counters) = derive_stats(&self.events);
-    }
-
-    /// Global bus traffic, decomposed as in Figures 3–4, as of the last
-    /// [`Self::flush_stats`].
-    #[inline]
-    pub fn traffic(&self) -> &Traffic {
-        &self.traffic
-    }
-
-    /// Replacement / allocation event counters, as of the last
-    /// [`Self::flush_stats`].
-    #[inline]
-    pub fn counters(&self) -> &ProtocolCounters {
-        &self.counters
-    }
-
-    /// Does any private cache in `node_idx` still hold `line`? Gated on
-    /// the node's residency filter, so the usual no case is one probe.
-    fn slc_holds(&self, node_idx: usize, line: LineNum) -> bool {
-        self.nodes[node_idx].slc_holds(line)
-    }
-
-    #[inline]
-    pub fn geometry(&self) -> &MachineGeometry {
-        &self.geom
-    }
-
-    #[inline]
-    fn node_of(&self, proc: ProcId) -> usize {
-        self.proc_map[proc.as_usize()].0 as usize
-    }
-
-    /// The processor's index within its node (precomputed, no division).
-    #[inline]
-    fn pidx_of(&self, proc: ProcId) -> usize {
-        self.proc_map[proc.as_usize()].1 as usize
     }
 
     /// Access to node state for diagnostics and invariant checks.
@@ -234,6 +150,11 @@ impl CoherenceEngine {
         &self.dir
     }
 
+    /// Does the hierarchy keep SLC ⊆ AM (see [`Self::with_inclusion`])?
+    pub fn is_inclusive(&self) -> bool {
+        self.inclusive_hierarchy
+    }
+
     /// Mutable directory access; same fault-injection caveat as
     /// [`Self::node_mut`].
     pub fn directory_mut(&mut self) -> &mut Directory {
@@ -247,17 +168,49 @@ impl CoherenceEngine {
             .filter(|&(_, &out)| out)
             .map(|(l, _)| LineNum(l))
     }
+}
 
-    /// Home node of a line's page, allocating the page on first touch.
+impl MemorySystem for CoherenceEngine {
+    /// Perform a processor read of `line`, then (if the live auditor is
+    /// armed) re-verify every machine-wide invariant when the access
+    /// performed at least one protocol transaction.
     #[inline]
-    fn home_of(&mut self, line: LineNum, toucher: usize) -> usize {
-        let page = line.0 >> PAGE_LINES_SHIFT;
-        self.pages.home_of(page, NodeId(toucher as u16)).as_usize()
+    fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
+        if self.audit {
+            return self.audited(|e| e.read_inner(proc, line));
+        }
+        self.read_inner(proc, line)
+    }
+
+    /// Perform a processor write of `line`; audited like [`Self::read`].
+    #[inline]
+    fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
+        if self.audit {
+            return self.audited(|e| e.write_inner(proc, line));
+        }
+        self.write_inner(proc, line)
+    }
+
+    fn geometry(&self) -> &MachineGeometry {
+        &self.geom
+    }
+
+    fn flush_stats(&mut self) {
+        self.log.flush();
+    }
+
+    /// Global bus traffic, decomposed as in Figures 3–4.
+    fn traffic(&self) -> &Traffic {
+        self.log.traffic()
+    }
+
+    fn counters(&self) -> &ProtocolCounters {
+        self.log.counters()
     }
 
     /// Verify every cross-structure invariant; returns a description of
-    /// the first violation. Used by tests and (in debug builds) sims.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// the first violation. Used by tests and the live auditor.
+    fn check_invariants(&self) -> Result<(), String> {
         // Directory ↔ AM consistency.
         for (line, info) in self.dir.iter() {
             let owner = info.owner.as_usize();
@@ -270,7 +223,8 @@ impl CoherenceEngine {
             }
             for sh in info.sharer_nodes() {
                 let s = self.nodes[sh.as_usize()].am.state(line);
-                let slc_only = !self.inclusive_hierarchy && self.slc_holds(sh.as_usize(), line);
+                let slc_only =
+                    !self.inclusive_hierarchy && self.nodes[sh.as_usize()].slc_holds(line);
                 if s != AmState::Shared && !(s == AmState::Invalid && slc_only) {
                     return Err(format!("{line:?}: sharer {sh} has state {s}"));
                 }
@@ -369,7 +323,7 @@ impl CoherenceEngine {
     }
 
     /// Census over all AMs: `(shared, owner, exclusive)` entries.
-    pub fn am_census(&self) -> (usize, usize, usize) {
+    fn am_census(&self) -> (usize, usize, usize) {
         let mut t = (0, 0, 0);
         for n in &self.nodes {
             let (s, o, e) = n.am.census();
@@ -378,5 +332,9 @@ impl CoherenceEngine {
             t.2 += e;
         }
         t
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }

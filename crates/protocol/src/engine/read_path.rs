@@ -4,11 +4,11 @@
 use super::*;
 
 impl CoherenceEngine {
-    /// Perform a processor read of `line` (unaudited; the public
-    /// [`CoherenceEngine::read`] wraps this with the live auditor).
+    /// Perform a processor read of `line` (unaudited; the engine's
+    /// [`MemorySystem::read`] wraps this with the live auditor).
     pub(super) fn read_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        let n = self.node_of(proc);
-        let pidx = self.pidx_of(proc);
+        let n = self.place.node_of(proc).as_usize();
+        let pidx = self.place.index_in_node(proc);
 
         if self.nodes[n].flcs[pidx].read_hit(line) {
             return Outcome::at(Level::Flc);
@@ -20,23 +20,20 @@ impl CoherenceEngine {
         }
 
         let mut out;
-        if self.intra_node_transfers {
-            if let Some(peer) = self.nodes[n].dirty_peer(line, pidx) {
-                // Dirty intra-node supply: peer downgrades, data written
-                // back into the AM (which must hold the line Exclusive).
-                self.nodes[n].slcs[peer].downgrade(line);
-                self.nodes[n].flcs[peer].downgrade(line);
+        if let Some(peer) = self.nodes[n].dirty_peer(line, pidx) {
+            // The dirty peer downgrades, its data written back into the
+            // AM (which must hold the line Exclusive). With intra-node
+            // transfers the peer supplies; without, the AM does below —
+            // functionally identical, timed as an AM hit.
+            self.nodes[n].slcs[peer].downgrade(line);
+            self.nodes[n].flcs[peer].downgrade(line);
+            if self.intra_node_transfers {
                 debug_assert_eq!(self.nodes[n].am.state(line), AmState::Exclusive);
                 out = Outcome::at(Level::PeerSlc);
                 out.peer_slc = Some(peer);
                 self.fill_private_read(n, pidx, line, &mut out);
                 return out;
             }
-        } else if let Some(peer) = self.nodes[n].dirty_peer(line, pidx) {
-            // Without direct transfers the peer writes back first and the
-            // AM supplies; functionally identical, timed as an AM hit.
-            self.nodes[n].slcs[peer].downgrade(line);
-            self.nodes[n].flcs[peer].downgrade(line);
         }
 
         if self.nodes[n].am.touch(line).is_valid() {
@@ -79,19 +76,19 @@ impl CoherenceEngine {
                 self.fill_am(n, line, AmState::Shared, &mut out);
                 self.dir.add_sharer(line, NodeId(n as u16));
                 out.remote_node = Some(NodeId(owner as u16));
-                self.emit(ProtocolEvent::ReadFill);
+                self.log.emit(ProtocolEvent::ReadFill);
             }
             None => {
-                let home = self.home_of(line, n);
+                let home = self.pages.home_of(line, NodeId(n as u16)).as_usize();
                 out.pagein = self.paged_out.get_mut(line.0).is_some_and(std::mem::take);
                 if out.pagein {
-                    self.emit(ProtocolEvent::ColdAlloc);
+                    self.log.emit(ProtocolEvent::ColdAlloc);
                 }
                 if home == n {
                     // Local on-demand materialization: no bus traffic.
                     self.fill_am(n, line, AmState::Exclusive, &mut out);
                     self.dir.insert_sole(line, NodeId(n as u16));
-                    self.emit(ProtocolEvent::ColdAlloc);
+                    self.log.emit(ProtocolEvent::ColdAlloc);
                     out.level = Level::Am;
                 } else {
                     // The page frame lives at `home`: materialize the
@@ -100,9 +97,9 @@ impl CoherenceEngine {
                     self.dir.insert_sole(line, NodeId(home as u16));
                     self.fill_am(n, line, AmState::Shared, &mut out);
                     self.dir.add_sharer(line, NodeId(n as u16));
-                    self.emit(ProtocolEvent::ColdAlloc);
+                    self.log.emit(ProtocolEvent::ColdAlloc);
                     out.remote_node = Some(NodeId(home as u16));
-                    self.emit(ProtocolEvent::ReadFill);
+                    self.log.emit(ProtocolEvent::ReadFill);
                 }
             }
         }

@@ -19,7 +19,7 @@ impl CoherenceEngine {
         // Dirty data must not be lost: fold it back before the AM entry
         // goes (the write-back is part of the replacement).
         self.nodes[node_idx].downgrade_private(line);
-        self.slc_holds(node_idx, line)
+        self.nodes[node_idx].slc_holds(line)
     }
 
     /// An SLC eviction may have destroyed a node's last copy of a line it
@@ -28,7 +28,7 @@ impl CoherenceEngine {
     pub(super) fn retire_slc_only_sharer(&mut self, n: usize, line: LineNum) {
         if !self.inclusive_hierarchy
             && !self.nodes[n].am.state(line).is_valid()
-            && !self.slc_holds(n, line)
+            && !self.nodes[n].slc_holds(line)
         {
             self.dir.remove_sharer(line, NodeId(n as u16));
         }
@@ -50,7 +50,7 @@ impl CoherenceEngine {
                 if !keeps {
                     self.dir.remove_sharer(l, NodeId(node_idx as u16));
                 }
-                self.emit(ProtocolEvent::SharedDrop);
+                self.log.emit(ProtocolEvent::SharedDrop);
             }
             Victim::Inject(l, _) => {
                 self.nodes[node_idx].am.remove(l);
@@ -67,23 +67,26 @@ impl CoherenceEngine {
     /// replicas (non-inclusive hierarchies).
     fn inject(&mut self, from: usize, line: LineNum, from_keeps_slc: bool, out: &mut Outcome) {
         // 1. Ownership migration: a Shared replica anywhere can simply
-        //    take over responsibility — no data slot is consumed.
-        if let Some(info) = self.dir.get(line) {
-            debug_assert_eq!(info.owner.as_usize(), from, "injecting non-owned line");
-            if !info.sharers.is_empty() {
-                let new_owner = info.sharer_nodes().next().expect("sharers non-empty");
-                self.nodes[new_owner.as_usize()]
-                    .am
-                    .set_state(line, AmState::Owner);
-                self.dir.set_owner(line, new_owner);
-                if from_keeps_slc {
-                    self.dir.add_sharer(line, NodeId(from as u16));
-                }
-                self.emit(ProtocolEvent::OwnershipMigration);
-                out.ownership_migrated = true;
-                out.migrated_to = Some(new_owner);
-                return;
+        //    take over responsibility — no data slot is consumed. Only an
+        //    AM replica can; a sharer holding SLC-only copies
+        //    (non-inclusive hierarchies) has no AM slot to own the line.
+        let info = self.dir.get(line).expect("injecting a dead line");
+        debug_assert_eq!(info.owner.as_usize(), from, "injecting non-owned line");
+        let replica = info
+            .sharer_nodes()
+            .find(|s| self.nodes[s.as_usize()].am.state(line) == AmState::Shared);
+        if let Some(new_owner) = replica {
+            self.nodes[new_owner.as_usize()]
+                .am
+                .set_state(line, AmState::Owner);
+            self.dir.set_owner(line, new_owner);
+            if from_keeps_slc {
+                self.dir.add_sharer(line, NodeId(from as u16));
             }
+            self.log.emit(ProtocolEvent::OwnershipMigration);
+            out.ownership_migrated = true;
+            out.migrated_to = Some(new_owner);
+            return;
         }
 
         // 2. Snoop arbitration for a receiver, scanning nodes after the
@@ -119,29 +122,35 @@ impl CoherenceEngine {
                     if !keeps {
                         self.dir.remove_sharer(v, NodeId(acceptor as u16));
                     }
-                    self.emit(ProtocolEvent::SharedDrop);
+                    self.log.emit(ProtocolEvent::SharedDrop);
                 }
-                // Sole AM copy at the acceptor; Owner if the displacing
-                // node retains SLC-only replicas, else Exclusive.
+                // Sole AM copy at the acceptor; Owner if some node (the
+                // displacing one among them) retains SLC-only replicas,
+                // else Exclusive.
+                self.dir.set_owner(line, NodeId(acceptor as u16));
                 if from_keeps_slc {
-                    self.nodes[acceptor].am.insert(line, AmState::Owner);
-                    self.dir.set_owner(line, NodeId(acceptor as u16));
                     self.dir.add_sharer(line, NodeId(from as u16));
-                } else {
-                    self.nodes[acceptor].am.insert(line, AmState::Exclusive);
-                    self.dir.set_owner(line, NodeId(acceptor as u16));
                 }
-                self.emit(ProtocolEvent::Injection);
+                let state = match self.dir.get(line) {
+                    Some(info) if !info.sharers.is_empty() => AmState::Owner,
+                    _ => AmState::Exclusive,
+                };
+                self.nodes[acceptor].am.insert(line, state);
+                self.log.emit(ProtocolEvent::Injection);
                 out.injected_to = Some(NodeId(acceptor as u16));
             }
             None => {
                 // Every slot machine-wide is responsible: OS page-out.
+                // The line dies, and with it every SLC-only copy.
                 if from_keeps_slc {
                     self.nodes[from].invalidate_private(line);
                 }
+                for s in info.sharer_nodes() {
+                    self.nodes[s.as_usize()].invalidate_private(line);
+                }
                 self.dir.remove(line);
                 *self.paged_out.entry(line.0) = true;
-                self.emit(ProtocolEvent::Pageout);
+                self.log.emit(ProtocolEvent::Pageout);
                 out.pageout = true;
             }
         }

@@ -7,11 +7,11 @@ use super::*;
 
 impl CoherenceEngine {
     /// Perform a processor write of `line` (ownership acquisition; the
-    /// store data itself is not modeled). Unaudited; the public
-    /// [`CoherenceEngine::write`] wraps this with the live auditor.
+    /// store data itself is not modeled). Unaudited; the engine's
+    /// [`MemorySystem::write`] wraps this with the live auditor.
     pub(super) fn write_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        let n = self.node_of(proc);
-        let pidx = self.pidx_of(proc);
+        let n = self.place.node_of(proc).as_usize();
+        let pidx = self.place.index_in_node(proc);
 
         if self.nodes[n].flcs[pidx].write_hit(line) {
             return Outcome::at(Level::Flc);
@@ -53,9 +53,8 @@ impl CoherenceEngine {
         // How far the invalidation must climb: to the group holding the
         // copy farthest from the writer, derived from the root entry.
         // Flat machines broadcast to everyone and get no scope.
-        out.inval_scope = self
-            .dir
-            .farthest_present(info, self.dir.group_of(NodeId(n as u16)))
+        out.inval_scope = info
+            .farthest_present(&self.place, self.place.group_of(NodeId(n as u16)))
             .map(|g| NodeId((g * self.geom.nodes_per_group()) as u16));
         for sh in info.sharer_nodes() {
             let s = sh.as_usize();
@@ -73,7 +72,7 @@ impl CoherenceEngine {
         self.dir.clear_sharers(line);
         self.nodes[n].am.set_state(line, AmState::Exclusive);
         out.upgrade = true;
-        self.emit(ProtocolEvent::Upgrade);
+        self.log.emit(ProtocolEvent::Upgrade);
         out
     }
 
@@ -97,21 +96,21 @@ impl CoherenceEngine {
                 self.dir.insert_sole(line, NodeId(n as u16));
                 out.read_exclusive = true;
                 out.remote_node = Some(NodeId(owner as u16));
-                self.emit(ProtocolEvent::ReadExclusive);
+                self.log.emit(ProtocolEvent::ReadExclusive);
             }
             None => {
-                let home = self.home_of(line, n);
+                let home = self.pages.home_of(line, NodeId(n as u16)).as_usize();
                 out.pagein = self.paged_out.get_mut(line.0).is_some_and(std::mem::take);
                 self.fill_am(n, line, AmState::Exclusive, &mut out);
                 self.dir.insert_sole(line, NodeId(n as u16));
-                self.emit(ProtocolEvent::ColdAlloc);
+                self.log.emit(ProtocolEvent::ColdAlloc);
                 if home == n {
                     out.level = Level::Am; // local cold allocation
                 } else {
                     // Data pulled from the home node's page frame.
                     out.read_exclusive = true;
                     out.remote_node = Some(NodeId(home as u16));
-                    self.emit(ProtocolEvent::ReadExclusive);
+                    self.log.emit(ProtocolEvent::ReadExclusive);
                 }
             }
         }

@@ -7,9 +7,12 @@
 //! accumulated [`Traffic`] and [`ProtocolCounters`] at the end. Adding a
 //! new architecture (a flat COMA, a directory NUMA with a remote cache)
 //! means implementing this trait, not editing the simulation driver.
+//!
+//! This module holds the trait and its `Box` forwarding only: each
+//! engine's `impl MemorySystem` block, next to its state, is the one
+//! definition of its operations, so callers bring the trait into scope
+//! to read, write or inspect an engine.
 
-use crate::engine::CoherenceEngine;
-use crate::numa::BaselineEngine;
 use crate::outcome::Outcome;
 use coma_stats::{ProtocolCounters, Traffic};
 use coma_types::{LineNum, MachineGeometry, ProcId};
@@ -59,78 +62,6 @@ pub trait MemorySystem {
     fn as_any(&self) -> &dyn Any;
 }
 
-impl MemorySystem for CoherenceEngine {
-    fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        CoherenceEngine::read(self, proc, line)
-    }
-
-    fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        CoherenceEngine::write(self, proc, line)
-    }
-
-    fn geometry(&self) -> &MachineGeometry {
-        CoherenceEngine::geometry(self)
-    }
-
-    fn flush_stats(&mut self) {
-        CoherenceEngine::flush_stats(self)
-    }
-
-    fn traffic(&self) -> &Traffic {
-        CoherenceEngine::traffic(self)
-    }
-
-    fn counters(&self) -> &ProtocolCounters {
-        CoherenceEngine::counters(self)
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        CoherenceEngine::check_invariants(self)
-    }
-
-    fn am_census(&self) -> (usize, usize, usize) {
-        CoherenceEngine::am_census(self)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-impl MemorySystem for BaselineEngine {
-    fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        BaselineEngine::read(self, proc, line)
-    }
-
-    fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        BaselineEngine::write(self, proc, line)
-    }
-
-    fn geometry(&self) -> &MachineGeometry {
-        BaselineEngine::geometry(self)
-    }
-
-    fn flush_stats(&mut self) {
-        BaselineEngine::flush_stats(self)
-    }
-
-    fn traffic(&self) -> &Traffic {
-        BaselineEngine::traffic(self)
-    }
-
-    fn counters(&self) -> &ProtocolCounters {
-        BaselineEngine::counters(self)
-    }
-
-    fn check_invariants(&self) -> Result<(), String> {
-        BaselineEngine::check_invariants(self)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
     fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         (**self).read(proc, line)
@@ -172,7 +103,8 @@ impl<M: MemorySystem + ?Sized> MemorySystem for Box<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numa::BaselineKind;
+    use crate::numa::{BaselineEngine, BaselineKind};
+    use crate::CoherenceEngine;
     use coma_cache::{AcceptPolicy, VictimPolicy};
     use coma_types::{MachineConfig, MemoryPressure};
 

@@ -3,15 +3,18 @@
 //!
 //! The node also keeps a [`ResidencyFilter`] — an exact-counting,
 //! conservative summary of which lines are resident in *any* of the
-//! node's SLCs. The coherence engine consults it before probing the
-//! private caches on the remote paths (peer-SLC search, invalidation,
-//! downgrade): those probes almost always miss, and each one is a cold
-//! host-cache access into a per-processor slab. A zero count proves the
-//! line is in no SLC of the node — and, because the FLCs are strict
-//! subsets of their SLCs, in no FLC either — so the probe loop can be
-//! skipped without changing a single protocol transition. A non-zero
-//! count (real residency or a hash collision) falls through to the exact
-//! probes, so behaviour is byte-identical either way.
+//! node's SLCs. The filter is private to the node: its private-cache
+//! probes on the remote paths ([`NodeState::slc_holds`],
+//! [`NodeState::dirty_peer`] and the invalidation and downgrade helpers)
+//! consult it first, because those probes almost always miss and each
+//! one is a cold host-cache access into a per-processor slab. A zero
+//! count proves the line is in no SLC of the node — and, because the
+//! FLCs are strict subsets of their SLCs, in no FLC either — so the
+//! probe loop can be skipped without changing a single protocol
+//! transition. A non-zero count (real residency or a hash collision)
+//! falls through to the exact probes, so behaviour is byte-identical
+//! either way. The filter pays for itself at 4 processors per node
+//! (DESIGN.md §9 has the measurement without it).
 
 use coma_cache::{AttractionMemory, Flc, Slc, SlcState, VictimPolicy};
 use coma_types::{LineNum, MachineGeometry};
@@ -126,13 +129,6 @@ impl NodeState {
             self.filter.remove(victim);
         }
         evicted
-    }
-
-    /// Could any SLC of this node hold `line`? `false` is exact; `true`
-    /// may be a hash collision.
-    #[inline]
-    pub fn may_hold_private(&self, line: LineNum) -> bool {
-        self.filter.may_hold(line)
     }
 
     /// Does some SLC of this node actually hold `line` (valid state)?
@@ -307,7 +303,7 @@ mod tests {
         let mut n = node();
         // Fresh fill: filter sees the line.
         assert!(n.slc_fill(0, LineNum(10), SlcState::Shared).is_none());
-        assert!(n.may_hold_private(LineNum(10)));
+        assert!(n.filter.may_hold(LineNum(10)));
         // Update in place: count unchanged (still consistent).
         assert!(n.slc_fill(0, LineNum(10), SlcState::Modified).is_none());
         n.filter_consistent().unwrap();

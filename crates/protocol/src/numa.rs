@@ -18,14 +18,14 @@
 //! return the same [`Outcome`]s, so the simulator's timing model applies
 //! unchanged.
 
+use crate::memory::MemorySystem;
 use crate::outcome::Outcome;
 use crate::sharers::{SharerSet, SpillTable};
 use crate::table::{LineTable, PageHomes};
 use coma_cache::{Flc, Slc, SlcState};
-use coma_stats::{derive_stats, EventCounts, Level, ProtocolCounters, ProtocolEvent, Traffic};
-use coma_types::{LineNum, MachineGeometry, NodeId, ProcId, LINE_SHIFT, PAGE_SHIFT};
-
-const PAGE_LINES_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
+use coma_stats::{EventLog, Level, ProtocolCounters, ProtocolEvent, Traffic};
+use coma_types::{LineNum, MachineGeometry, NodeId, Placement, ProcId};
+use std::any::Any;
 
 /// Sharing state of one line across the private SLCs. The directory
 /// holds one entry per line and is probed on every SLC miss, so the
@@ -82,14 +82,10 @@ pub struct BaselineEngine {
     dir: LineTable<DirEntry>,
     /// Reader sets of lines too wide for inline storage (see [`SharerSet`]).
     spill: SpillTable,
-    /// Precomputed `proc → node`, so the miss paths never divide.
-    node_map: Box<[NodeId]>,
-    /// Occurrences of every protocol event: the engine's only statistics.
-    events: EventCounts,
-    /// Report views derived from `events` by [`Self::flush_stats`] (the
-    /// same decomposition as the COMA bus).
-    traffic: Traffic,
-    counters: ProtocolCounters,
+    place: Placement,
+    /// The engine's only statistics (the same decomposition as the COMA
+    /// bus).
+    log: EventLog,
     /// Live invariant auditor armed (see [`Self::set_audit`]).
     audit: bool,
 }
@@ -103,24 +99,20 @@ impl BaselineEngine {
                 .map(|_| Slc::new(geom.slc_sets, geom.slc_assoc))
                 .collect(),
             flcs: (0..geom.n_procs).map(|_| Flc::new(geom.flc_sets)).collect(),
-            pages: PageHomes::new(),
-            dir: LineTable::new(),
-            spill: SpillTable::new(),
-            node_map: (0..geom.n_procs)
-                .map(|p| ProcId(p as u16).node(geom.procs_per_node))
-                .collect(),
-            events: EventCounts::default(),
-            traffic: Traffic::default(),
-            counters: ProtocolCounters::default(),
+            pages: PageHomes::default(),
+            dir: LineTable::default(),
+            spill: SpillTable::default(),
+            place: Placement::new(&geom),
+            log: EventLog::default(),
             audit: false,
         }
     }
 
     /// Arm or disarm the live invariant auditor: when armed, every
     /// access that missed the private caches is followed by
-    /// [`Self::check_invariants`], and a violation panics. Hits move
-    /// only recency, which the check does not read, so skipping them
-    /// loses nothing.
+    /// [`MemorySystem::check_invariants`], and a violation panics. Hits
+    /// move only recency, which the check does not read, so skipping
+    /// them loses nothing.
     pub fn set_audit(&mut self, on: bool) {
         self.audit = on;
     }
@@ -139,55 +131,6 @@ impl BaselineEngine {
             }
         }
         out
-    }
-
-    /// The processor's node (precomputed, no division).
-    #[inline]
-    fn node_of(&self, proc: ProcId) -> NodeId {
-        self.node_map[proc.as_usize()]
-    }
-
-    pub fn geometry(&self) -> &MachineGeometry {
-        &self.geom
-    }
-
-    /// Count one protocol event.
-    #[inline]
-    fn emit(&mut self, ev: ProtocolEvent) {
-        self.events[ev.idx()] += 1;
-    }
-
-    /// Derive [`Self::traffic`] and [`Self::counters`] from the event
-    /// counts (the driver does so once, when it builds the report).
-    pub fn flush_stats(&mut self) {
-        (self.traffic, self.counters) = derive_stats(&self.events);
-    }
-
-    /// Interconnect traffic, decomposed as on the COMA bus, as of the
-    /// last [`Self::flush_stats`].
-    #[inline]
-    pub fn traffic(&self) -> &Traffic {
-        &self.traffic
-    }
-
-    /// Protocol event counters (only `remote_writebacks` is ever nonzero
-    /// for the baselines), as of the last [`Self::flush_stats`].
-    #[inline]
-    pub fn counters(&self) -> &ProtocolCounters {
-        &self.counters
-    }
-
-    /// Dirty write-backs to a remote home (NUMA's replacement analogue).
-    #[inline]
-    pub fn remote_writebacks(&self) -> u64 {
-        self.events[ProtocolEvent::RemoteWriteback.idx()]
-    }
-
-    /// Home node of a line (first touch allocates the page).
-    #[inline]
-    fn home_of(&mut self, line: LineNum, toucher: NodeId) -> NodeId {
-        let page = line.0 >> PAGE_LINES_SHIFT;
-        self.pages.home_of(page, toucher)
     }
 
     /// Level at which the home's DRAM answers for this node.
@@ -218,10 +161,10 @@ impl BaselineEngine {
             }
             if st == SlcState::Modified {
                 // Dirty write-back to the home.
-                let node = self.node_of(me);
-                let home = self.home_of(victim, node);
+                let node = self.place.node_of(me);
+                let home = self.pages.home_of(victim, node);
                 if self.supply_level(home, node) == Level::Remote {
-                    self.emit(ProtocolEvent::RemoteWriteback);
+                    self.log.emit(ProtocolEvent::RemoteWriteback);
                 }
                 out.slc_writeback = true;
             }
@@ -252,27 +195,6 @@ impl BaselineEngine {
         had_any
     }
 
-    /// Processor read, then the live audit if armed.
-    #[inline]
-    pub fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        let out = self.read_inner(proc, line);
-        if self.audit {
-            return self.audit(out);
-        }
-        out
-    }
-
-    /// Processor write (ownership acquisition), then the live audit if
-    /// armed.
-    #[inline]
-    pub fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        let out = self.write_inner(proc, line);
-        if self.audit {
-            return self.audit(out);
-        }
-        out
-    }
-
     fn read_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let p = proc.as_usize();
         if self.flcs[p].read_hit(line) {
@@ -284,8 +206,8 @@ impl BaselineEngine {
             return Outcome::at(Level::Slc);
         }
 
-        let me = self.node_of(proc);
-        let home = self.home_of(line, me);
+        let me = self.place.node_of(proc);
+        let home = self.pages.home_of(line, me);
         // If some processor holds it dirty, it is written back through the
         // home first (we charge one remote transfer when the home is far).
         let e = self.dir.entry(line.0);
@@ -301,7 +223,7 @@ impl BaselineEngine {
         let mut out = Outcome::at(level);
         if level == Level::Remote {
             out.remote_node = Some(home);
-            self.emit(ProtocolEvent::ReadFill);
+            self.log.emit(ProtocolEvent::ReadFill);
         }
         self.fill_slc(p, line, SlcState::Shared, &mut out);
         self.flcs[p].fill(line, false);
@@ -319,8 +241,8 @@ impl BaselineEngine {
             return Outcome::at(Level::Slc);
         }
 
-        let me = self.node_of(proc);
-        let home = self.home_of(line, me);
+        let me = self.place.node_of(proc);
+        let home = self.pages.home_of(line, me);
         let had_copy = held == SlcState::Shared;
         let had_others = self.invalidate_others(line, proc);
 
@@ -330,14 +252,14 @@ impl BaselineEngine {
             out.remote_node = Some(home);
             if had_copy {
                 out.upgrade = true;
-                self.emit(ProtocolEvent::Upgrade);
+                self.log.emit(ProtocolEvent::Upgrade);
             } else {
                 out.read_exclusive = true;
-                self.emit(ProtocolEvent::ReadExclusive);
+                self.log.emit(ProtocolEvent::ReadExclusive);
             }
         } else if had_others {
             // Local home but other caches invalidated: command traffic.
-            self.emit(ProtocolEvent::Upgrade);
+            self.log.emit(ProtocolEvent::Upgrade);
             out.upgrade = true;
         }
         let e = self.dir.entry(line.0);
@@ -347,9 +269,51 @@ impl BaselineEngine {
         self.flcs[p].fill(line, true);
         out
     }
+}
+
+impl MemorySystem for BaselineEngine {
+    /// Processor read, then the live audit if armed.
+    #[inline]
+    fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
+        let out = self.read_inner(proc, line);
+        if self.audit {
+            return self.audit(out);
+        }
+        out
+    }
+
+    /// Processor write (ownership acquisition), then the live audit if
+    /// armed.
+    #[inline]
+    fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
+        let out = self.write_inner(proc, line);
+        if self.audit {
+            return self.audit(out);
+        }
+        out
+    }
+
+    fn geometry(&self) -> &MachineGeometry {
+        &self.geom
+    }
+
+    fn flush_stats(&mut self) {
+        self.log.flush();
+    }
+
+    /// Interconnect traffic, decomposed as on the COMA bus.
+    fn traffic(&self) -> &Traffic {
+        self.log.traffic()
+    }
+
+    /// Protocol event counters (only `remote_writebacks` is ever nonzero
+    /// for the baselines).
+    fn counters(&self) -> &ProtocolCounters {
+        self.log.counters()
+    }
 
     /// Directory ↔ SLC consistency check (tests and the live auditor).
-    pub fn check_invariants(&self) -> Result<(), String> {
+    fn check_invariants(&self) -> Result<(), String> {
         for (l, e) in self.dir.iter() {
             let line = LineNum(l);
             let readers = e.readers.members(&self.spill, l);
@@ -392,6 +356,10 @@ impl BaselineEngine {
             }
         }
         Ok(())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -484,7 +452,8 @@ mod tests {
         // writeback happened if capacity was exceeded.
         e.check_invariants().unwrap();
         if slc_lines < 64 {
-            assert!(e.remote_writebacks() > 0);
+            e.flush_stats();
+            assert!(e.counters().remote_writebacks > 0);
         }
     }
 

@@ -18,9 +18,9 @@ pub struct Outcome {
     pub upgrade: bool,
     /// Farthest node (by tree distance) whose copy an upgrade
     /// invalidated: the first node of the group that
-    /// [`crate::Directory::farthest_present`] picks from the line's root
-    /// entry. The invalidation must climb to the LCA of writer and this
-    /// node. `None` on flat machines (the broadcast reaches everyone
+    /// [`crate::directory::LineInfo::farthest_present`] picks from the
+    /// line's root entry. The invalidation must climb to the LCA of
+    /// writer and this node. `None` on flat machines (the broadcast reaches everyone
     /// anyway).
     pub inval_scope: Option<NodeId>,
     /// A read-exclusive data fetch happened (write miss).

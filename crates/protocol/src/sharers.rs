@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn matches_a_plain_node_set_across_the_spill_boundary() {
         let mut rng = Rng64::new(0x5AA2_E125);
-        let mut spill = SpillTable::new();
+        let mut spill = SpillTable::default();
         for key in 0..64u64 {
             let mut set = SharerSet::default();
             let mut model = NodeSet::empty();
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn id_64_spills_and_survives_removal() {
-        let mut spill = SpillTable::new();
+        let mut spill = SpillTable::default();
         let mut set = SharerSet::default();
         for id in [3u16, 9, 63, 17, 9, 0] {
             set.insert(&mut spill, 7, id); // the second 9 is a duplicate
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "spilled sharer set missing")]
     fn spilled_set_without_a_slot_fails_loudly() {
-        let mut spill = SpillTable::new();
+        let mut spill = SpillTable::default();
         let mut set = SharerSet::default();
         set.insert(&mut spill, 3, 64);
         // A table that never reached line 9 cannot hold line 9's set.

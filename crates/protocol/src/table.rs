@@ -13,9 +13,9 @@
 //!   spilled wide sharer sets and the COMA engine's paged-out lines, so
 //!   no line lookup hashes.
 //! * [`PageHomes`] — the first-touch page table, page number → home
-//!   node, a [`LineTable`] one level up.
+//!   node, a [`LineTable`] one level up, looked up by line.
 
-use coma_types::{NodeId, MAX_LINE};
+use coma_types::{LineNum, NodeId, LINE_SHIFT, MAX_LINE, PAGE_SHIFT};
 
 /// A dense map from line number to `V`, with `V::default()` as the empty
 /// entry. It holds one slot per line from 0 to the highest line touched
@@ -29,10 +29,6 @@ pub struct LineTable<V> {
 }
 
 impl<V: Copy + Default> LineTable<V> {
-    pub fn new() -> Self {
-        LineTable { slots: Vec::new() }
-    }
-
     /// The entry of `line`; `V::default()` if it was never written.
     #[inline]
     pub fn get(&self, line: u64) -> V {
@@ -73,7 +69,9 @@ impl<V: Copy + Default> LineTable<V> {
     }
 }
 
-/// The first-touch page table: page number → home node.
+/// The first-touch page table: page number → home node. Both engines
+/// allocate a page on demand to the node that first touches it and keep
+/// it there (paper §3.1).
 #[derive(Clone, Debug, Default)]
 pub struct PageHomes {
     /// Home node per page, stored as `home + 1` (`0` = untouched).
@@ -81,14 +79,14 @@ pub struct PageHomes {
 }
 
 impl PageHomes {
-    pub fn new() -> Self {
-        PageHomes::default()
-    }
+    /// Lines per page is `1 << LINES_SHIFT` (4096 / 64).
+    const LINES_SHIFT: u32 = PAGE_SHIFT - LINE_SHIFT;
 
-    /// Home node of `page`, allocating it to `toucher` on first touch.
+    /// Home node of `line`'s page, allocating the page to `toucher` on
+    /// first touch.
     #[inline]
-    pub fn home_of(&mut self, page: u64, toucher: NodeId) -> NodeId {
-        let h = self.homes.entry(page);
+    pub fn home_of(&mut self, line: LineNum, toucher: NodeId) -> NodeId {
+        let h = self.homes.entry(line.0 >> Self::LINES_SHIFT);
         if *h == 0 {
             *h = toucher.0 + 1;
         }
@@ -102,7 +100,7 @@ mod tests {
 
     #[test]
     fn line_table_grows_to_the_highest_line_touched() {
-        let mut t: LineTable<u32> = LineTable::new();
+        let mut t: LineTable<u32> = LineTable::default();
         assert_eq!(t.get(1_000), 0);
         assert!(t.get_mut(3).is_none(), "a read grew the table");
         *t.entry(9) = 7;
@@ -125,17 +123,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond the line range")]
     fn line_table_rejects_lines_beyond_the_range() {
-        LineTable::<u8>::new().entry(MAX_LINE + 1);
+        LineTable::<u8>::default().entry(MAX_LINE + 1);
     }
 
     #[test]
     fn page_homes_first_touch_wins() {
-        let mut p = PageHomes::new();
-        assert_eq!(p.home_of(0, NodeId(3)), NodeId(3));
-        assert_eq!(p.home_of(0, NodeId(5)), NodeId(3));
-        assert_eq!(p.home_of(700, NodeId(1)), NodeId(1));
-        assert_eq!(p.home_of(699, NodeId(0)), NodeId(0));
-        assert_eq!(p.home_of(3, NodeId(255)), NodeId(255));
-        assert_eq!(p.home_of(3, NodeId(0)), NodeId(255));
+        let mut p = PageHomes::default();
+        let home = |p: &mut PageHomes, line, toucher| p.home_of(LineNum(line), NodeId(toucher));
+        assert_eq!(home(&mut p, 0, 3), NodeId(3));
+        assert_eq!(home(&mut p, 63, 5), NodeId(3), "line 63 is on page 0");
+        assert_eq!(home(&mut p, 64, 5), NodeId(5), "line 64 starts page 1");
+        assert_eq!(home(&mut p, 700 * 64 + 9, 1), NodeId(1));
+        assert_eq!(home(&mut p, 699 * 64, 0), NodeId(0));
+        assert_eq!(home(&mut p, 3 * 64, 255), NodeId(255));
+        assert_eq!(home(&mut p, 3 * 64 + 63, 0), NodeId(255));
     }
 }

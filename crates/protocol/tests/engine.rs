@@ -3,7 +3,7 @@
 //! inclusion modes and the cross-structure invariants.
 
 use coma_cache::{AcceptPolicy, AmState, VictimPolicy};
-use coma_protocol::CoherenceEngine;
+use coma_protocol::{CoherenceEngine, MemorySystem};
 use coma_stats::Level;
 use coma_types::{LineNum, MachineConfig, MemoryPressure, NodeId, ProcId};
 
@@ -294,6 +294,31 @@ fn non_inclusive_slc_only_copy_still_gets_invalidated() {
     let out = e.read(ProcId(1), line);
     assert_eq!(out.level, Level::Remote, "stale SLC copy served a read");
     e.check_invariants().unwrap();
+}
+
+/// A sharer whose copies are SLC-only has no AM slot to take over the
+/// line: displacing the owner must not migrate ownership to it.
+#[test]
+fn non_inclusive_owner_never_migrates_to_an_slc_only_sharer() {
+    let mut e = non_inclusive_engine(MemoryPressure::MP_87);
+    let line = LineNum(0);
+    e.read(ProcId(0), line);
+    e.read(ProcId(1), line);
+    let sets = e.geometry().am_sets;
+    let assoc = e.geometry().am_assoc as u64;
+    // Node 1's AM replica goes; its SLC copy stays.
+    for k in 1..=assoc + 1 {
+        e.write(ProcId(1), LineNum(k * sets));
+    }
+    assert_eq!(e.node(1).am.state(line), AmState::Invalid);
+    // Now displace the owner's copy from node 0's AM.
+    for k in assoc + 2..=2 * assoc + 2 {
+        e.write(ProcId(0), LineNum(k * sets));
+    }
+    assert_eq!(e.node(0).am.state(line), AmState::Invalid);
+    e.check_invariants().unwrap();
+    let owner = e.directory().get(line).expect("line still live").owner;
+    assert!(e.node(owner.as_usize()).am.state(line).is_responsible());
 }
 
 #[test]

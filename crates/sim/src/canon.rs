@@ -109,7 +109,9 @@ fn accept_code(p: AcceptPolicy) -> u64 {
     }
 }
 
-fn model_code(m: MemoryModel) -> u64 {
+/// The memory model's code in the hash: 0 for COMA, 1 for NUMA, 2 for
+/// UMA. Sweep stores write the same code in their `model` column.
+pub fn model_code(m: MemoryModel) -> u64 {
     match m {
         MemoryModel::Coma => 0,
         MemoryModel::Numa => 1,

@@ -13,7 +13,7 @@
 use coma_protocol::Outcome;
 use coma_stats::Level;
 use coma_timing::{HierarchicalFabric, Resource};
-use coma_types::{LatencyConfig, MachineGeometry, Nanos, ProcId};
+use coma_types::{LatencyConfig, MachineGeometry, Nanos, NodeId, Placement, ProcId};
 
 /// All contended hardware of the machine.
 pub struct MachineResources {
@@ -26,10 +26,7 @@ pub struct MachineResources {
     pub dram: Vec<Resource>,
     /// SLC port, per processor.
     pub slc: Vec<Resource>,
-    procs_per_node: usize,
-    nodes_per_group: usize,
-    /// Precomputed `proc → node`, so the per-access walk never divides.
-    node_of: Box<[u16]>,
+    place: Placement,
 }
 
 impl MachineResources {
@@ -39,18 +36,8 @@ impl MachineResources {
             ctrl: (0..geom.n_nodes).map(|_| Resource::new()).collect(),
             dram: (0..geom.n_nodes).map(|_| Resource::new()).collect(),
             slc: (0..geom.n_procs).map(|_| Resource::new()).collect(),
-            procs_per_node: geom.procs_per_node,
-            nodes_per_group: geom.nodes_per_group(),
-            node_of: (0..geom.n_procs)
-                .map(|p| ProcId(p as u16).node(geom.procs_per_node).0)
-                .collect(),
+            place: Placement::new(geom),
         }
-    }
-
-    /// Cluster group of a node (always 0 on the flat machine).
-    #[inline]
-    fn group(&self, node: usize) -> usize {
-        node / self.nodes_per_group
     }
 
     /// Completion time of an access that started at `now`, walking the
@@ -65,7 +52,8 @@ impl MachineResources {
         lat: &LatencyConfig,
     ) -> Nanos {
         let p = proc.as_usize();
-        let n = self.node_of[p] as usize;
+        let node = self.place.node_of(proc);
+        let n = node.as_usize();
 
         // A node-controller pass costs `ctrl_ns` of latency; the lookup
         // and return passes of one access are queued as a single
@@ -81,7 +69,7 @@ impl MachineResources {
                 // lookup; the peer's SLC port supplies the data.
                 self.slc[p].acquire(now, lat.slc_occ_ns);
                 let t = self.ctrl[n].serve(now, ctrl2, lat.ctrl_ns);
-                let peer_proc = n * self.procs_per_node + out.peer_slc.unwrap_or(0);
+                let peer_proc = self.place.proc_at(node, out.peer_slc.unwrap_or(0));
                 let t = self.slc[peer_proc].serve(t, lat.slc_occ_ns, lat.slc_ns);
                 t + lat.ctrl_ns
             }
@@ -94,14 +82,11 @@ impl MachineResources {
             }
             Level::Remote => {
                 self.slc[p].acquire(now, lat.slc_occ_ns);
-                let g = self.group(n);
+                let g = self.place.group_of(node);
                 if out.upgrade && !out.read_exclusive {
                     // Invalidation: climbs only as high as the farthest
                     // copy's group (flat: the one broadcast).
-                    let scope = out
-                        .inval_scope
-                        .map(|k| self.group(k.as_usize()))
-                        .unwrap_or(g);
+                    let scope = out.inval_scope.map_or(g, |k| self.place.group_of(k));
                     let t = self.ctrl[n].serve(now, ctrl2, lat.ctrl_ns);
                     let t = self.bus.transfer(t, g, scope, lat.bus_occ_ns, lat.bus_ns);
                     t + lat.ctrl_ns
@@ -109,11 +94,11 @@ impl MachineResources {
                     // Data fetch from the remote (owner/home) node,
                     // request and response each routed through the levels
                     // between the two groups.
-                    let r = out
+                    let remote = out
                         .remote_node
-                        .map(|k| k.as_usize())
-                        .unwrap_or((n + 1) % self.ctrl.len());
-                    let gr = self.group(r);
+                        .unwrap_or(NodeId(((n + 1) % self.ctrl.len()) as u16));
+                    let r = remote.as_usize();
+                    let gr = self.place.group_of(remote);
                     let t = self.ctrl[n].serve(now, ctrl2, lat.ctrl_ns);
                     let t = self.bus.transfer(t, g, gr, lat.bus_occ_ns, lat.bus_ns);
                     let t = self.ctrl[r].serve(t, ctrl2, lat.ctrl_ns);
@@ -139,18 +124,16 @@ impl MachineResources {
             // Injection: one more fabric transfer plus the acceptor's
             // controller and DRAM time (replacements are buffered, so the
             // requester does not wait for them).
-            let k = k.as_usize();
-            self.bus
-                .post(t, self.group(n), self.group(k), lat.bus_occ_ns);
-            self.ctrl[k].acquire(t, lat.ctrl_occ_ns);
-            self.dram[k].acquire(t, lat.dram_occ_ns);
+            let g = self.place.group_of(node);
+            self.bus.post(t, g, self.place.group_of(k), lat.bus_occ_ns);
+            self.ctrl[k.as_usize()].acquire(t, lat.ctrl_occ_ns);
+            self.dram[k.as_usize()].acquire(t, lat.dram_occ_ns);
         }
         if out.ownership_migrated {
-            let dst = out
-                .migrated_to
-                .map(|k| self.group(k.as_usize()))
-                .unwrap_or_else(|| self.group(n));
-            self.bus.post(t, self.group(n), dst, lat.bus_occ_ns);
+            let dst = out.migrated_to.unwrap_or(node);
+            let g = self.place.group_of(node);
+            self.bus
+                .post(t, g, self.place.group_of(dst), lat.bus_occ_ns);
         }
         if out.pageout || out.pagein {
             // OS involvement: dominates everything else on this access.
@@ -169,7 +152,7 @@ impl MachineResources {
 mod tests {
     use super::*;
     use coma_stats::Level;
-    use coma_types::{MachineConfig, MemoryPressure, NodeId};
+    use coma_types::{MachineConfig, MemoryPressure};
 
     fn setup(ppn: usize) -> (MachineResources, LatencyConfig) {
         let cfg = MachineConfig::paper(ppn, MemoryPressure::MP_50);

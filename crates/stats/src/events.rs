@@ -1,7 +1,6 @@
 //! The observability seam between the protocol engines and everything
 //! that counts: a memory system counts [`ProtocolEvent`]s into one
-//! [`EventCounts`] array, and [`derive_stats`] turns the array into the
-//! report's numbers.
+//! [`EventLog`], which derives the report's numbers from the counts.
 //!
 //! The engines report *what happened* exactly once per event, as one
 //! array increment; what an event costs in bus bytes and which counter
@@ -14,7 +13,7 @@ use crate::traffic::{Traffic, CMD_TXN_BYTES, DATA_TXN_BYTES};
 ///
 /// Each variant corresponds to exactly one global-interconnect transaction
 /// or bookkeeping fact; the mapping to bytes/segments (Figures 3–4) lives
-/// in [`derive_stats`], not the protocol.
+/// in this module, not the protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProtocolEvent {
     /// A remote read fill supplied a Shared copy (data transaction).
@@ -39,7 +38,7 @@ pub enum ProtocolEvent {
 }
 
 impl ProtocolEvent {
-    /// Number of distinct event kinds (length of [`EventCounts`]).
+    /// Number of distinct event kinds.
     pub const COUNT: usize = 9;
 
     /// All event kinds, in [`Self::idx`] order.
@@ -55,16 +54,57 @@ impl ProtocolEvent {
         ProtocolEvent::RemoteWriteback,
     ];
 
-    /// Index into an [`EventCounts`] array.
+    /// Index into an event-count array.
     #[inline]
     pub fn idx(self) -> usize {
         self as usize
     }
 }
 
-/// Occurrences of each event kind, indexed by [`ProtocolEvent::idx`]:
-/// the one statistics store a memory system keeps.
-pub type EventCounts = [u64; ProtocolEvent::COUNT];
+/// Occurrences of each event kind, indexed by [`ProtocolEvent::idx`].
+type EventCounts = [u64; ProtocolEvent::COUNT];
+
+/// A memory system's statistics: the count of every protocol event and
+/// the report views derived from the counts. Both engines keep one, so
+/// a COMA-vs-NUMA comparison divides numbers counted and derived by the
+/// same code.
+#[derive(Clone, Debug, Default)]
+pub struct EventLog {
+    counts: EventCounts,
+    traffic: Traffic,
+    counters: ProtocolCounters,
+}
+
+impl EventLog {
+    /// Count one protocol event.
+    #[inline]
+    pub fn emit(&mut self, ev: ProtocolEvent) {
+        self.counts[ev.idx()] += 1;
+    }
+
+    /// Events counted so far, of every kind.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Derive [`Self::traffic`] and [`Self::counters`] from the counts.
+    /// It overwrites the views, so calling it again is harmless.
+    pub fn flush(&mut self) {
+        (self.traffic, self.counters) = derive_stats(&self.counts);
+    }
+
+    /// Interconnect traffic, as of the last [`Self::flush`].
+    #[inline]
+    pub fn traffic(&self) -> &Traffic {
+        &self.traffic
+    }
+
+    /// Replacement / allocation counters, as of the last [`Self::flush`].
+    #[inline]
+    pub fn counters(&self) -> &ProtocolCounters {
+        &self.counters
+    }
+}
 
 /// Replacement / allocation event counters (beyond bus traffic).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,7 +126,7 @@ pub struct ProtocolCounters {
 /// The paper's traffic decomposition and the replacement counters of a
 /// run, derived from its event counts. This is the only place the
 /// events-to-bytes mapping is written.
-pub fn derive_stats(counts: &EventCounts) -> (Traffic, ProtocolCounters) {
+fn derive_stats(counts: &EventCounts) -> (Traffic, ProtocolCounters) {
     let n = |ev: ProtocolEvent| counts[ev.idx()];
     let fills = n(ProtocolEvent::ReadFill);
     let upgrades = n(ProtocolEvent::Upgrade);
@@ -178,6 +218,22 @@ mod tests {
         let (t, c) = derive_stats(&once(&[ProtocolEvent::RemoteWriteback]));
         assert_eq!(t.replace_bytes, DATA_TXN_BYTES);
         assert_eq!(c.remote_writebacks, 1);
+    }
+
+    #[test]
+    fn log_views_follow_the_counts_at_each_flush() {
+        let mut log = EventLog::default();
+        log.emit(ProtocolEvent::ReadFill);
+        log.emit(ProtocolEvent::RemoteWriteback);
+        assert_eq!(log.total(), 2);
+        assert_eq!(log.traffic().total_bytes(), 0, "views moved before a flush");
+        log.flush();
+        log.flush();
+        let (t, c) = derive_stats(&once(&[
+            ProtocolEvent::ReadFill,
+            ProtocolEvent::RemoteWriteback,
+        ]));
+        assert_eq!((*log.traffic(), *log.counters()), (t, c));
     }
 
     #[test]

@@ -103,15 +103,6 @@ impl LatencyHisto {
         w.push(self.max_ns);
         w
     }
-
-    /// Non-empty buckets as `(range_hi_ns, count)` pairs, ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = (Nanos, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_hi(i), c))
-    }
 }
 
 #[cfg(test)]
@@ -161,15 +152,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 2);
         assert_eq!(a.max_ns(), 1000);
-    }
-
-    #[test]
-    fn buckets_iteration() {
-        let mut h = LatencyHisto::new();
-        h.record(0);
-        h.record(100);
-        h.record(100);
-        let v: Vec<(u64, u64)> = h.buckets().collect();
-        assert_eq!(v, vec![(1, 1), (128, 2)]);
     }
 }

@@ -26,7 +26,7 @@ pub mod traffic;
 
 pub use chart::{Bar, BarChart, BarGroup};
 pub use counts::{AccessCounts, Level};
-pub use events::{derive_stats, EventCounts, ProtocolCounters, ProtocolEvent};
+pub use events::{EventLog, ProtocolCounters, ProtocolEvent};
 pub use exec::ExecBreakdown;
 pub use histo::LatencyHisto;
 pub use report::SimReport;

@@ -51,12 +51,6 @@ impl Addr {
 }
 
 impl LineNum {
-    /// First byte address of this line.
-    #[inline]
-    pub fn base_addr(self) -> Addr {
-        Addr(self.0 << LINE_SHIFT)
-    }
-
     /// Cache set index for a cache with `n_sets` sets.
     ///
     /// Set count does not have to be a power of two: the attraction-memory
@@ -104,14 +98,6 @@ mod tests {
         assert_eq!(Addr(0).page(), 0);
         assert_eq!(Addr(4095).page(), 0);
         assert_eq!(Addr(4096).page(), 1);
-    }
-
-    #[test]
-    fn line_base_roundtrip() {
-        for n in [0u64, 1, 7, 1023, 1 << 30] {
-            let l = LineNum(n);
-            assert_eq!(l.base_addr().line(), l);
-        }
     }
 
     #[test]

@@ -89,8 +89,9 @@ pub enum ConfigError {
     },
     /// More nodes than the sharer sets can represent.
     TooManyNodes { n_nodes: usize, max: usize },
-    /// More cluster groups than the `u64` group mask that the directory
-    /// folds a line's copies into (`Directory::farthest_present`) holds.
+    /// More cluster groups than the `u64` group mask that a write
+    /// upgrade folds a line's copies into (`LineInfo::farthest_present`)
+    /// holds.
     TooManyGroups { n_groups: usize, max: usize },
     /// Every group must contain the same whole number of nodes.
     GroupsDontDivideNodes { n_nodes: usize, n_groups: usize },

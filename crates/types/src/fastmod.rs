@@ -35,12 +35,6 @@ impl FastMod {
         FastMod { d, m }
     }
 
-    /// The divisor this instance reduces by.
-    #[inline]
-    pub fn divisor(self) -> u64 {
-        self.d
-    }
-
     /// `x % d`, without a division instruction.
     #[inline]
     pub fn reduce(self, x: u64) -> u64 {

@@ -19,6 +19,7 @@ pub mod config;
 pub mod fastmod;
 pub mod ids;
 pub mod nodeset;
+pub mod placement;
 pub mod pressure;
 pub mod rng;
 pub mod time;
@@ -29,6 +30,7 @@ pub use config::{ConfigError, LatencyConfig, MachineConfig, MachineGeometry};
 pub use fastmod::FastMod;
 pub use ids::{NodeId, ProcId};
 pub use nodeset::NodeSet;
+pub use placement::Placement;
 pub use pressure::{full_replication_threshold, MemoryPressure};
 pub use rng::{Rng64, ZipfSampler};
 pub use time::Nanos;

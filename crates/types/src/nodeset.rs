@@ -34,14 +34,6 @@ impl NodeSet {
         NodeSet([word, 0, 0, 0])
     }
 
-    /// Set containing exactly `i`.
-    #[inline]
-    pub fn singleton(i: u16) -> Self {
-        let mut s = Self::empty();
-        s.insert(i);
-        s
-    }
-
     #[inline]
     fn split(i: u16) -> (usize, u64) {
         assert!((i as usize) < Self::CAPACITY, "index {i} out of range");
@@ -89,16 +81,6 @@ impl NodeSet {
             words: self.0,
             word: 0,
         }
-    }
-
-    /// Union with another set.
-    #[inline]
-    pub fn union(&self, other: &NodeSet) -> NodeSet {
-        let mut out = *self;
-        for (w, o) in out.0.iter_mut().zip(other.0) {
-            *w |= o;
-        }
-        out
     }
 }
 
@@ -178,15 +160,6 @@ mod tests {
             let s: NodeSet = (0..16u16).filter(|i| mask & (1 << i) != 0).collect();
             assert_eq!(s.iter().next(), Some(mask.trailing_zeros() as u16));
         }
-    }
-
-    #[test]
-    fn singleton_and_union() {
-        let a = NodeSet::singleton(5);
-        let b = NodeSet::singleton(200);
-        let u = a.union(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![5, 200]);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![5]);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! is a single multiply-xor-shift pipeline per draw, and — unlike
 //! process-global RNGs — costs nothing to seed per processor.
 
+use std::sync::Arc;
+
 /// A SplitMix64 pseudo-random generator.
 #[derive(Clone, Debug)]
 pub struct Rng64 {
@@ -83,9 +85,12 @@ impl Rng64 {
 /// Workload models use this for hot-spot access patterns (e.g. upper
 /// octree levels in Barnes, popular scene objects in Raytrace), where a
 /// small set of lines is touched far more often than the tail.
+///
+/// A clone shares the CDF (one `f64` per element), so handing each
+/// processor its own sampler costs O(1).
 #[derive(Clone, Debug)]
 pub struct ZipfSampler {
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
 }
 
 impl ZipfSampler {
@@ -104,7 +109,7 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfSampler { cdf }
+        ZipfSampler { cdf: cdf.into() }
     }
 
     /// Number of elements in the support.

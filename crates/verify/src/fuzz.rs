@@ -270,8 +270,9 @@ impl Oracle {
             Ok(r) => r?,
             Err(p) => return Err(format!("engine panic: {}", crate::panic_message(&*p))),
         }
-        Snapshot::capture(model.engine())
-            .check(true)
+        let engine = model.engine();
+        Snapshot::capture(engine)
+            .check(engine.is_inclusive())
             .map_err(|e| format!("{op}: invariant violated: {e}"))
     }
 }

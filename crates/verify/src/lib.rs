@@ -40,7 +40,7 @@ pub mod mutant;
 pub mod snapshot;
 
 use coma_cache::{AcceptPolicy, VictimPolicy};
-use coma_protocol::{CoherenceEngine, Outcome};
+use coma_protocol::{CoherenceEngine, MemorySystem, Outcome};
 use coma_types::{LineNum, MachineGeometry, ProcId};
 
 /// Extract a printable message from a caught panic payload.
@@ -83,11 +83,11 @@ pub trait ProtocolModel: Clone {
 
 impl ProtocolModel for CoherenceEngine {
     fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        CoherenceEngine::read(self, proc, line)
+        MemorySystem::read(self, proc, line)
     }
 
     fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        CoherenceEngine::write(self, proc, line)
+        MemorySystem::write(self, proc, line)
     }
 
     fn engine(&self) -> &CoherenceEngine {

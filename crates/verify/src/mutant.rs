@@ -10,7 +10,7 @@
 
 use crate::ProtocolModel;
 use coma_cache::{AmState, Victim};
-use coma_protocol::{CoherenceEngine, Outcome};
+use coma_protocol::{CoherenceEngine, MemorySystem, Outcome};
 use coma_types::{LineNum, NodeId, NodeSet, ProcId};
 
 /// Which protocol bug to seed.
@@ -71,7 +71,7 @@ impl MutantEngine {
 
 impl ProtocolModel for MutantEngine {
     fn read(&mut self, proc: ProcId, line: LineNum) -> Outcome {
-        self.inner.read(proc, line)
+        MemorySystem::read(&mut self.inner, proc, line)
     }
 
     fn write(&mut self, proc: ProcId, line: LineNum) -> Outcome {
@@ -88,7 +88,7 @@ impl ProtocolModel for MutantEngine {
                 s
             })
             .unwrap_or_default();
-        let out = self.inner.write(proc, line);
+        let out = MemorySystem::write(&mut self.inner, proc, line);
         self.corrupt_after_write(writer_node, line, pre);
         out
     }

@@ -15,7 +15,7 @@
 //! implementation.
 
 use coma_cache::{AmState, SlcState};
-use coma_protocol::CoherenceEngine;
+use coma_protocol::{CoherenceEngine, MemorySystem};
 use coma_types::{LineNum, NodeSet};
 
 /// One node's cache contents. AM and SLC vectors are in the caches'

@@ -15,6 +15,7 @@
 //!   replicas are what collapses.
 
 use coma_cache::AmState;
+use coma_protocol::MemorySystem;
 use coma_types::{full_replication_threshold, LineNum, ProcId};
 use coma_verify::{CheckConfig, Snapshot};
 

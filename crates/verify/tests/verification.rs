@@ -7,7 +7,7 @@ use coma_types::{LineNum, ProcId};
 use coma_verify::checker::{check, explore, CheckConfig};
 use coma_verify::fuzz::{fuzz, FuzzConfig};
 use coma_verify::mutant::{MutantEngine, Mutation};
-use coma_verify::ProtocolModel;
+use coma_verify::{clean_engine, ProtocolModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[test]
@@ -21,18 +21,25 @@ fn clean_protocol_exhausts_two_node_space() {
 #[test]
 fn clean_protocol_survives_pressured_model_check() {
     // 3 lines over 2×2 AM slots: replacement, injection and page-out are
-    // all reachable within depth 5.
-    let r = check(&CheckConfig::pressured(2, 1, 3));
-    assert!(r.violation.is_none(), "{}", r.violation.unwrap());
-    assert!(r.states_explored > 1000, "pressure not reached: {r:?}");
+    // all reachable within depth 5, in both hierarchy modes.
+    for inclusive in [true, false] {
+        let r = check(&CheckConfig {
+            inclusive,
+            ..CheckConfig::pressured(2, 1, 3)
+        });
+        assert!(r.violation.is_none(), "{}", r.violation.unwrap());
+        assert!(r.states_explored > 1000, "pressure not reached: {r:?}");
+    }
 }
 
 #[test]
 fn fuzzer_sustains_100k_ops_against_oracle() {
     let cfg = FuzzConfig::pressured(100_000, 42);
-    let r = fuzz(&cfg, &|| cfg.build_engine());
-    assert!(r.failure.is_none(), "{}", r.failure.unwrap());
-    assert_eq!(r.ops_run, 100_000);
+    for inclusive in [true, false] {
+        let r = fuzz(&cfg, &|| clean_engine(cfg.geom, inclusive));
+        assert!(r.failure.is_none(), "{}", r.failure.unwrap());
+        assert_eq!(r.ops_run, 100_000);
+    }
 }
 
 #[test]

@@ -86,7 +86,7 @@ struct KvZipf {
     rounds: u32,
     write_frac: f64,
     client_skew: f64,
-    zipf: Arc<ZipfSampler>,
+    zipf: ZipfSampler,
     /// Popularity rank → key id (shared seeded permutation).
     perm: Arc<Vec<u32>>,
     index: Region,
@@ -152,7 +152,7 @@ pub fn build_spec(
     let mut perm: Vec<u32> = (0..n_keys as u32).collect();
     prng.shuffle(&mut perm);
     let perm = Arc::new(perm);
-    let zipf = Arc::new(ZipfSampler::new(n_keys as usize, spec.zipf_s));
+    let zipf = ZipfSampler::new(n_keys as usize, spec.zipf_s);
 
     let (write_frac, client_skew) = (spec.write_frac, spec.client_skew);
     let streams = super::build_streams(nprocs, seed, SALT, (1, 4), |me| KvZipf {

@@ -27,7 +27,7 @@ pub mod volrend;
 pub mod water;
 
 use crate::op::OpStream;
-use crate::stream::{proc_rng, PhaseGen, Scale, Stream};
+use crate::stream::{proc_rng, PhaseGen, Stream};
 
 /// Build one boxed stream per processor from a per-processor model
 /// constructor, with the application's instruction-gap range applied.
@@ -42,11 +42,10 @@ where
     G: PhaseGen + 'static,
     F: Fn(usize) -> G,
 {
-    let _ = Scale::PAPER; // (referenced for doc visibility)
     (0..nprocs)
         .map(|me| {
             let rng = proc_rng(seed, salt, me);
-            Box::new(Stream::with_gap(make(me), rng, gap.0, gap.1)) as Box<dyn OpStream>
+            Box::new(Stream::new(make(me), rng, gap)) as Box<dyn OpStream>
         })
         .collect()
 }

@@ -16,7 +16,6 @@ use crate::region::{Layout, Region};
 use crate::stream::{OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
 use coma_types::ZipfSampler;
-use std::sync::Arc;
 
 const SALT: u64 = 0x4A71;
 const BASE_ITERS: u32 = 16;
@@ -29,7 +28,7 @@ struct Raytrace {
     iters: u32,
     scene: Region,
     own_tile: Region,
-    zipf: Arc<ZipfSampler>,
+    zipf: ZipfSampler,
 }
 
 impl PhaseGen for Raytrace {
@@ -75,8 +74,7 @@ pub fn build(nprocs: usize, seed: u64, scale: Scale, ws_bytes: u64) -> Workload 
     let image = layout.alloc_bytes(image_bytes);
     let tiles = image.partition(nprocs);
     // Strong head skew: upper BVH levels are traversed by every ray.
-    // One sampler shared by every processor, not one CDF copy each.
-    let zipf = Arc::new(ZipfSampler::new(scene.lines() as usize, 1.2));
+    let zipf = ZipfSampler::new(scene.lines() as usize, 1.2);
     let streams = super::build_streams(nprocs, seed, SALT, (60, 140), |me| Raytrace {
         me,
         iters: scale.iters(BASE_ITERS),

@@ -40,11 +40,6 @@ impl StrideWalker {
         self.cursor = (self.cursor + self.stride) % self.region.lines();
         a
     }
-
-    /// Reset to the beginning of the sweep.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
 }
 
 /// Walks a region as a sequence of fixed-size blocks (tiles): all lines of
@@ -120,15 +115,6 @@ mod tests {
         let r = Region::new(0, 8);
         let mut w = StrideWalker::starting_at(r, 1, 5);
         assert_eq!(w.next_addr().0, 5 * 64);
-    }
-
-    #[test]
-    fn reset_restarts() {
-        let r = Region::new(0, 8);
-        let mut w = StrideWalker::new(r, 1);
-        w.next_addr();
-        w.reset();
-        assert_eq!(w.next_addr().0, 0);
     }
 
     #[test]

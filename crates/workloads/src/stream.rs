@@ -213,20 +213,12 @@ pub struct Stream<G: PhaseGen> {
 }
 
 impl<G: PhaseGen> Stream<G> {
-    /// Wrap a model with a per-processor RNG.
-    pub fn new(gen: G, rng: Rng64) -> Self {
-        Stream {
-            gen,
-            buf: OpBuf::new(rng),
-            iter: 0,
-        }
-    }
-
-    /// Wrap and set the default instruction gap first.
-    pub fn with_gap(gen: G, rng: Rng64, lo: u32, hi: u32) -> Self {
-        let mut s = Self::new(gen, rng);
-        s.buf.set_gap(lo, hi);
-        s
+    /// Wrap a model with a per-processor RNG and its default
+    /// instruction-gap range `gap = (lo, hi)`.
+    pub fn new(gen: G, rng: Rng64, gap: (u32, u32)) -> Self {
+        let mut buf = OpBuf::new(rng);
+        buf.set_gap(gap.0, gap.1);
+        Stream { gen, buf, iter: 0 }
     }
 }
 
@@ -286,7 +278,7 @@ mod tests {
 
     #[test]
     fn stream_runs_all_iterations_then_ends() {
-        let mut s = Stream::new(TwoIter, Rng64::new(1));
+        let mut s = Stream::new(TwoIter, Rng64::new(1), (2, 6));
         let mut reads = 0;
         let mut barriers = Vec::new();
         while let Some(op) = s.next_op() {

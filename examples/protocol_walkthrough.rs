@@ -8,7 +8,7 @@
 //! ```
 
 use coma::cache::{AcceptPolicy, VictimPolicy};
-use coma::protocol::CoherenceEngine;
+use coma::protocol::{CoherenceEngine, MemorySystem};
 use coma::types::{LineNum, MachineConfig, MemoryPressure, ProcId};
 
 fn states(e: &CoherenceEngine, line: LineNum) -> String {

@@ -70,4 +70,14 @@ if ! grep -qF "result cache: 614/614 cells served from cache" <<<"$warm"; then
   exit 1
 fi
 
+echo "==> rust lines per crate (a record, not a gate)"
+# The size of the code base, for CHANGES.md's before/after figures.
+total=0
+for d in crates/* src tests examples; do
+  n=$(find "$d" -name '*.rs' -print0 | xargs -0 cat | wc -l)
+  printf '%-20s %6d\n' "$d" "$n"
+  total=$((total + n))
+done
+printf '%-20s %6d\n' total "$total"
+
 echo "OK: all checks passed"

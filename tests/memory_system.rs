@@ -5,6 +5,7 @@
 
 use coma::protocol::{BaselineEngine, BaselineKind, CoherenceEngine, MemorySystem};
 use coma::sim::{run_simulation, MemoryModel, SimParams, Simulation};
+use coma::stats::{Level, SimReport};
 use coma::types::{LineNum, MachineConfig, MemoryPressure, ProcId, Rng64};
 use coma::workloads::{AppId, Scale};
 
@@ -165,6 +166,17 @@ fn golden_ocean_4ppn_totals_unchanged() {
     assert_eq!(r.exec_time_ns, 3_597_413);
 }
 
+/// Barnes on 16 processors, 4 per node, at 87.5 % MP with `assoc`-way
+/// AMs and `tweak` applied to the machine (seed 42, SMOKE).
+fn barnes_4ppn_mp87(assoc: usize, tweak: impl FnOnce(&mut MachineConfig)) -> SimReport {
+    let mut params = SimParams::default();
+    params.machine.procs_per_node = 4;
+    params.machine.memory_pressure = MemoryPressure::MP_87;
+    params.machine.am_assoc = assoc;
+    tweak(&mut params.machine);
+    run_simulation(AppId::Barnes.build(16, 42, Scale::SMOKE), &params)
+}
+
 /// Byte-identical totals for Barnes at the paper's Fig-4 blowup point
 /// (ppn=4, 87.5% MP, default 4-way AM): the configuration where conflict
 /// misses dominate — replacement traffic and injections are at their
@@ -172,11 +184,7 @@ fn golden_ocean_4ppn_totals_unchanged() {
 /// recovery story byte-for-byte.
 #[test]
 fn golden_barnes_4ppn_mp87_4way_totals_unchanged() {
-    let mut params = SimParams::default();
-    params.machine.procs_per_node = 4;
-    params.machine.memory_pressure = MemoryPressure::MP_87;
-    params.machine.am_assoc = 4;
-    let r = run_simulation(AppId::Barnes.build(16, 42, Scale::SMOKE), &params);
+    let r = barnes_4ppn_mp87(4, |_| {});
     assert_eq!(r.counts.total_reads(), 64_892);
     assert_eq!(r.counts.total_writes(), 7_620);
     assert_eq!(r.counts.read_node_misses(), 17_679);
@@ -193,17 +201,50 @@ fn golden_barnes_4ppn_mp87_4way_totals_unchanged() {
     assert_eq!(r.exec_time_ns, 5_967_601);
 }
 
+/// Barnes at the same ppn=4, 87.5 % MP, 4-way point with SLC/AM
+/// inclusion off (the `inclusion` experiment's knob): SLC copies outlive
+/// their AM entries, so this pins the non-inclusive sharer bookkeeping
+/// and the residency-filter probes no other golden reaches.
+#[test]
+fn golden_barnes_4ppn_mp87_4way_noninclusive_totals_unchanged() {
+    let r = barnes_4ppn_mp87(4, |m| m.inclusive_hierarchy = false);
+    assert_eq!(r.counts.total_reads(), 64_892);
+    assert_eq!(r.counts.read_node_misses(), 12_546);
+    assert_eq!(r.traffic.read_bytes, 903_312);
+    assert_eq!(r.traffic.write_bytes, 28_304);
+    assert_eq!(r.traffic.replace_bytes, 394_928);
+    assert_eq!(r.injections, 5_405);
+    assert_eq!(r.ownership_migrations, 721);
+    assert_eq!(r.shared_drops, 8_812);
+    assert_eq!(r.cold_allocs, 3_594);
+    assert_eq!(r.exec_time_ns, 4_194_787);
+}
+
+/// The same point with intra-node peer-SLC transfers off (`ablation`
+/// variant 6): every private-cache miss goes to the AM or the bus, so
+/// this pins the path a wide node takes without peer supplies.
+#[test]
+fn golden_barnes_4ppn_mp87_4way_no_peer_transfers_totals_unchanged() {
+    let r = barnes_4ppn_mp87(4, |m| m.intra_node_transfers = false);
+    assert_eq!(r.counts.total_reads(), 64_892);
+    assert_eq!(r.counts.read_node_misses(), 17_715);
+    assert_eq!(r.traffic.read_bytes, 1_275_480);
+    assert_eq!(r.traffic.write_bytes, 26_560);
+    assert_eq!(r.traffic.replace_bytes, 753_288);
+    assert_eq!(r.injections, 10_384);
+    assert_eq!(r.ownership_migrations, 705);
+    assert_eq!(r.shared_drops, 13_976);
+    assert_eq!(r.cold_allocs, 3_594);
+    assert_eq!(r.exec_time_ns, 5_998_828);
+}
+
 /// The 8-way twin of the test above: doubling AM associativity at the
 /// same pressure recovers most of the conflict-miss blowup (replacement
 /// transactions drop 10 975 → 1 872, node misses 17 679 → 11 204),
 /// which is the paper's §4.2 associativity argument in miniature.
 #[test]
 fn golden_barnes_4ppn_mp87_8way_totals_unchanged() {
-    let mut params = SimParams::default();
-    params.machine.procs_per_node = 4;
-    params.machine.memory_pressure = MemoryPressure::MP_87;
-    params.machine.am_assoc = 8;
-    let r = run_simulation(AppId::Barnes.build(16, 42, Scale::SMOKE), &params);
+    let r = barnes_4ppn_mp87(8, |_| {});
     assert_eq!(r.counts.total_reads(), 64_892);
     assert_eq!(r.counts.total_writes(), 7_620);
     assert_eq!(r.counts.read_node_misses(), 11_204);
@@ -237,4 +278,52 @@ fn golden_numa_totals_unchanged_by_refactor() {
     assert_eq!(r.traffic.replace_txns, 1);
     assert_eq!(r.injections, 0);
     assert_eq!(r.exec_time_ns, 6_958_843);
+}
+
+/// NUMA homes are first-touch and fixed: on a 4-processors-per-node
+/// machine, every line's home is the node of the first processor that
+/// touched any line of its 4 KiB page, for every later access. A
+/// `Remote` outcome names the home; an `Am` outcome is served by the
+/// requester's own node, which must then be the home.
+#[test]
+fn numa_homes_are_the_first_touchers_node_per_page() {
+    let cfg = MachineConfig {
+        n_procs: 16,
+        procs_per_node: 4,
+        memory_pressure: MemoryPressure::MP_50,
+        ..Default::default()
+    };
+    let mut m = BaselineEngine::new(cfg.geometry(256 * 1024).unwrap(), BaselineKind::Numa);
+    // 4 KiB pages of 64-byte lines.
+    let page_of = |l: LineNum| l.0 / 64;
+    let mut homes = std::collections::HashMap::new();
+    let mut rng = Rng64::new(0x40E5);
+    let (mut remote, mut local) = (0, 0);
+    for _ in 0..40_000 {
+        let p = ProcId(rng.below(16) as u16);
+        let l = LineNum(rng.below(64 * 48));
+        let node = p.node(4);
+        let home = *homes.entry(page_of(l)).or_insert(node);
+        let out = if rng.chance(0.3) {
+            m.write(p, l)
+        } else {
+            m.read(p, l)
+        };
+        match out.level {
+            Level::Remote => {
+                assert_eq!(out.remote_node, Some(home), "{p:?} {l:?}");
+                remote += 1;
+            }
+            Level::Am => {
+                assert_eq!(node, home, "{p:?} {l:?} served locally off its home");
+                local += 1;
+            }
+            _ => {}
+        }
+    }
+    m.check_invariants().unwrap();
+    assert!(
+        remote > 1_000 && local > 1_000,
+        "{remote} remote, {local} local"
+    );
 }

@@ -3,7 +3,7 @@
 //! deterministic RNG (`coma::types::Rng64`).
 
 use coma::cache::{AcceptPolicy, AmState, VictimPolicy};
-use coma::protocol::CoherenceEngine;
+use coma::protocol::{CoherenceEngine, MemorySystem};
 use coma::types::{LineNum, MachineConfig, MemoryPressure, ProcId, Rng64};
 
 fn engine(ppn: usize, mp_num: u32) -> CoherenceEngine {
