@@ -10,6 +10,7 @@
 //! accept-based replacement strategy (Invalid slots before Shared slots,
 //! so that injections never cascade).
 
+use crate::index::LineIndex;
 use crate::policy::{AcceptPolicy, VictimPolicy};
 use crate::set_assoc::SetAssoc;
 use crate::state::AmState;
@@ -50,47 +51,67 @@ impl AttractionMemory {
         }
     }
 
-    /// Current state of a line (Invalid if absent). Does not touch LRU.
+    /// Current state of a line (Invalid if absent), by line number alone:
+    /// the cold form for checkers and tests. Does not touch LRU.
     pub fn state(&self, line: LineNum) -> AmState {
-        self.array.peek(line).unwrap_or(AmState::Invalid)
+        self.array
+            .peek(line, self.array.set_of(line))
+            .unwrap_or(AmState::Invalid)
+    }
+
+    /// Current state of a line (Invalid if absent). Does not touch LRU.
+    #[inline]
+    pub fn peek(&self, ix: LineIndex) -> AmState {
+        self.array.peek(ix.line, ix.am).unwrap_or(AmState::Invalid)
     }
 
     /// State of a line, marking it most-recently-used.
-    pub fn touch(&mut self, line: LineNum) -> AmState {
-        self.array.lookup(line).unwrap_or(AmState::Invalid)
+    #[inline]
+    pub fn touch(&mut self, ix: LineIndex) -> AmState {
+        self.array
+            .lookup(ix.line, ix.am)
+            .unwrap_or(AmState::Invalid)
     }
 
     /// Transition a resident line to a new valid state; no-op if absent.
-    pub fn set_state(&mut self, line: LineNum, state: AmState) {
+    pub fn set_state(&mut self, ix: LineIndex, state: AmState) {
         if state.is_valid() {
-            self.array.set_state(line, state);
+            if let Some(s) = self.array.state_mut(ix.line, ix.am) {
+                *s = state;
+            }
         } else {
-            self.array.remove(line);
+            self.array.remove(ix.line, ix.am);
         }
     }
 
     /// Remove a line (invalidation); returns its previous state.
-    pub fn remove(&mut self, line: LineNum) -> AmState {
-        self.array.remove(line).unwrap_or(AmState::Invalid)
+    #[inline]
+    pub fn remove(&mut self, ix: LineIndex) -> AmState {
+        self.array
+            .remove(ix.line, ix.am)
+            .unwrap_or(AmState::Invalid)
     }
 
-    /// Decide what must be displaced so that `line` can be inserted into
-    /// its set. Does **not** perform the insertion or the displacement.
-    /// One scan of the set — which visits in recency order, so the *last*
-    /// visit of a kind is its LRU — collects the overall and Shared-only
-    /// LRU entries that both victim policies choose between.
-    pub fn make_room(&self, line: LineNum) -> Victim {
-        if self.array.has_free_slot(line) {
-            return Victim::FreeSlot;
-        }
+    /// Decide what must be displaced so that `ix`'s line can be inserted
+    /// into its set. Does **not** perform the insertion or the
+    /// displacement. One scan of the set — which visits in recency
+    /// order, so the *last* visit of a kind is its LRU — counts the
+    /// occupancy and collects the overall and Shared-only LRU entries
+    /// that both victim policies choose between.
+    pub fn make_room(&self, ix: LineIndex) -> Victim {
+        let mut occupied = 0usize;
         let mut lru_any: Option<(LineNum, AmState)> = None;
         let mut lru_shared: Option<LineNum> = None;
-        self.array.scan_set(line, |l, s| {
+        self.array.scan_set(ix.line, ix.am, |l, s| {
+            occupied += 1;
             lru_any = Some((l, s));
             if s == AmState::Shared {
                 lru_shared = Some(l);
             }
         });
+        if occupied < self.array.assoc() {
+            return Victim::FreeSlot;
+        }
         let (lru_line, lru_state) = lru_any.expect("full set is non-empty");
         match self.victim_policy {
             VictimPolicy::SharedFirst => match lru_shared {
@@ -113,15 +134,15 @@ impl AttractionMemory {
     /// mechanism avoids avalanching replacements).
     ///
     /// A node that already holds the line cannot be its receiver.
-    pub fn accept_slot(&self, line: LineNum, policy: AcceptPolicy) -> Option<AcceptSlot> {
+    pub fn accept_slot(&self, ix: LineIndex, policy: AcceptPolicy) -> Option<AcceptSlot> {
         // One scan answers all three questions: already resident?, set
         // occupancy, and the LRU Shared replica (the last Shared visited,
         // since the scan runs most-recent first) if any.
         let mut resident = false;
         let mut occupied = 0usize;
         let mut lru_shared: Option<LineNum> = None;
-        self.array.scan_set(line, |l, s| {
-            resident |= l == line;
+        self.array.scan_set(ix.line, ix.am, |l, s| {
+            resident |= l == ix.line;
             occupied += 1;
             if s == AmState::Shared {
                 lru_shared = Some(l);
@@ -156,9 +177,9 @@ impl AttractionMemory {
     }
 
     /// Insert a line known to be absent, into a set known to have room.
-    pub fn insert(&mut self, line: LineNum, state: AmState) {
+    pub fn insert(&mut self, ix: LineIndex, state: AmState) {
         debug_assert!(state.is_valid());
-        self.array.insert(line, state);
+        self.array.insert(ix.line, ix.am, state);
     }
 
     /// Resident line count.
@@ -213,29 +234,40 @@ mod tests {
         AttractionMemory::new(n_sets, assoc, VictimPolicy::SharedFirst)
     }
 
+    /// `l`'s index in `a` (the other levels' fields are unused here).
+    fn ix(a: &AttractionMemory, l: u64) -> LineIndex {
+        let line = LineNum(l);
+        LineIndex {
+            line,
+            am: (l % a.n_sets()) as usize,
+            slc: 0,
+            flc: 0,
+        }
+    }
+
     #[test]
     fn empty_set_has_free_slot() {
         let a = am(4, 2);
-        assert_eq!(a.make_room(LineNum(0)), Victim::FreeSlot);
+        assert_eq!(a.make_room(ix(&a, 0)), Victim::FreeSlot);
     }
 
     #[test]
     fn shared_victim_preferred_over_owner() {
         let mut a = am(1, 2);
-        a.insert(LineNum(0), AmState::Owner);
-        a.insert(LineNum(1), AmState::Shared);
+        a.insert(ix(&a, 0), AmState::Owner);
+        a.insert(ix(&a, 1), AmState::Shared);
         // Owner is older (LRU) but Shared is the victim under SharedFirst.
-        assert_eq!(a.make_room(LineNum(2)), Victim::DropShared(LineNum(1)));
+        assert_eq!(a.make_room(ix(&a, 2)), Victim::DropShared(LineNum(1)));
     }
 
     #[test]
     fn all_responsible_forces_injection() {
         let mut a = am(1, 2);
-        a.insert(LineNum(0), AmState::Exclusive);
-        a.insert(LineNum(1), AmState::Owner);
+        a.insert(ix(&a, 0), AmState::Exclusive);
+        a.insert(ix(&a, 1), AmState::Owner);
         // LRU is line 0 (inserted first, never touched).
         assert_eq!(
-            a.make_room(LineNum(2)),
+            a.make_room(ix(&a, 2)),
             Victim::Inject(LineNum(0), AmState::Exclusive)
         );
     }
@@ -243,10 +275,10 @@ mod tests {
     #[test]
     fn strict_lru_injects_even_with_shared_present() {
         let mut a = AttractionMemory::new(1, 2, VictimPolicy::StrictLru);
-        a.insert(LineNum(0), AmState::Owner);
-        a.insert(LineNum(1), AmState::Shared);
+        a.insert(ix(&a, 0), AmState::Owner);
+        a.insert(ix(&a, 1), AmState::Shared);
         assert_eq!(
-            a.make_room(LineNum(2)),
+            a.make_room(ix(&a, 2)),
             Victim::Inject(LineNum(0), AmState::Owner)
         );
     }
@@ -254,9 +286,9 @@ mod tests {
     #[test]
     fn accept_prefers_invalid_slot() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Shared);
+        a.insert(ix(&a, 1), AmState::Shared);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
+            a.accept_slot(ix(&a, 2), AcceptPolicy::InvalidThenShared),
             Some(AcceptSlot::Invalid)
         );
     }
@@ -264,10 +296,10 @@ mod tests {
     #[test]
     fn accept_overwrites_shared_when_full() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Shared);
-        a.insert(LineNum(3), AmState::Owner);
+        a.insert(ix(&a, 1), AmState::Shared);
+        a.insert(ix(&a, 3), AmState::Owner);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
+            a.accept_slot(ix(&a, 2), AcceptPolicy::InvalidThenShared),
             Some(AcceptSlot::Shared(LineNum(1)))
         );
     }
@@ -275,10 +307,10 @@ mod tests {
     #[test]
     fn accept_refuses_all_responsible_set() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Owner);
-        a.insert(LineNum(3), AmState::Exclusive);
+        a.insert(ix(&a, 1), AmState::Owner);
+        a.insert(ix(&a, 3), AmState::Exclusive);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
+            a.accept_slot(ix(&a, 2), AcceptPolicy::InvalidThenShared),
             None
         );
     }
@@ -286,9 +318,9 @@ mod tests {
     #[test]
     fn holder_cannot_accept_its_own_line() {
         let mut a = am(1, 4);
-        a.insert(LineNum(2), AmState::Shared);
+        a.insert(ix(&a, 2), AmState::Shared);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::InvalidThenShared),
+            a.accept_slot(ix(&a, 2), AcceptPolicy::InvalidThenShared),
             None
         );
     }
@@ -296,9 +328,9 @@ mod tests {
     #[test]
     fn shared_then_invalid_sacrifices_replica_first() {
         let mut a = am(1, 2);
-        a.insert(LineNum(1), AmState::Shared);
+        a.insert(ix(&a, 1), AmState::Shared);
         assert_eq!(
-            a.accept_slot(LineNum(2), AcceptPolicy::SharedThenInvalid),
+            a.accept_slot(ix(&a, 2), AcceptPolicy::SharedThenInvalid),
             Some(AcceptSlot::Shared(LineNum(1)))
         );
     }
@@ -306,18 +338,18 @@ mod tests {
     #[test]
     fn census_counts_states() {
         let mut a = am(4, 2);
-        a.insert(LineNum(0), AmState::Shared);
-        a.insert(LineNum(1), AmState::Owner);
-        a.insert(LineNum(2), AmState::Exclusive);
-        a.insert(LineNum(3), AmState::Exclusive);
+        a.insert(ix(&a, 0), AmState::Shared);
+        a.insert(ix(&a, 1), AmState::Owner);
+        a.insert(ix(&a, 2), AmState::Exclusive);
+        a.insert(ix(&a, 3), AmState::Exclusive);
         assert_eq!(a.census(), (1, 1, 2));
     }
 
     #[test]
     fn set_state_invalid_removes() {
         let mut a = am(4, 2);
-        a.insert(LineNum(0), AmState::Shared);
-        a.set_state(LineNum(0), AmState::Invalid);
+        a.insert(ix(&a, 0), AmState::Shared);
+        a.set_state(ix(&a, 0), AmState::Invalid);
         assert_eq!(a.state(LineNum(0)), AmState::Invalid);
         assert_eq!(a.len(), 0);
     }
@@ -325,9 +357,9 @@ mod tests {
     #[test]
     fn touch_changes_lru_victim() {
         let mut a = am(1, 2);
-        a.insert(LineNum(0), AmState::Shared);
-        a.insert(LineNum(1), AmState::Shared);
-        a.touch(LineNum(0)); // now line 1 is LRU
-        assert_eq!(a.make_room(LineNum(2)), Victim::DropShared(LineNum(1)));
+        a.insert(ix(&a, 0), AmState::Shared);
+        a.insert(ix(&a, 1), AmState::Shared);
+        a.touch(ix(&a, 0)); // now line 1 is LRU
+        assert_eq!(a.make_room(ix(&a, 2)), Victim::DropShared(LineNum(1)));
     }
 }

@@ -6,7 +6,8 @@
 //! count as *busy* time; writes complete locally only when the slot is
 //! writable, otherwise they drain through the write buffer into the SLC.
 
-use coma_types::{FastMod, LineNum};
+use crate::index::LineIndex;
+use coma_types::LineNum;
 
 #[derive(Clone, Copy, Debug)]
 struct Slot {
@@ -14,13 +15,12 @@ struct Slot {
     writable: bool,
 }
 
-/// A direct-mapped first-level cache.
+/// A direct-mapped first-level cache. Probed on every memory reference,
+/// so it takes the slot from the access's [`LineIndex`] rather than
+/// reducing the line itself.
 #[derive(Clone, Debug)]
 pub struct Flc {
     slots: Vec<Option<Slot>>,
-    /// Division-free slot mapping: the FLC is probed on every single
-    /// memory reference, so even one hardware modulo here is measurable.
-    idx_mod: FastMod,
 }
 
 impl Flc {
@@ -29,48 +29,61 @@ impl Flc {
         assert!(n_sets > 0);
         Flc {
             slots: vec![None; n_sets as usize],
-            idx_mod: FastMod::new(n_sets),
         }
     }
 
+    /// The slot of `ix`, which must be its line's own.
     #[inline]
-    fn idx(&self, line: LineNum) -> usize {
-        self.idx_mod.reduce(line.0) as usize
+    fn idx(&self, ix: LineIndex) -> usize {
+        debug_assert_eq!(
+            ix.flc as u64,
+            ix.line.0 % self.slots.len() as u64,
+            "FLC slot {} is not {:?}'s own",
+            ix.flc,
+            ix.line
+        );
+        ix.flc
     }
 
     /// Is the line resident (readable)?
     #[inline]
-    pub fn read_hit(&self, line: LineNum) -> bool {
-        matches!(self.slots[self.idx(line)], Some(s) if s.line == line)
+    pub fn read_hit(&self, ix: LineIndex) -> bool {
+        matches!(self.slots[self.idx(ix)], Some(s) if s.line == ix.line)
     }
 
     /// Is the line resident with write permission?
     #[inline]
-    pub fn write_hit(&self, line: LineNum) -> bool {
-        matches!(self.slots[self.idx(line)], Some(s) if s.line == line && s.writable)
+    pub fn write_hit(&self, ix: LineIndex) -> bool {
+        matches!(self.slots[self.idx(ix)], Some(s) if s.line == ix.line && s.writable)
     }
 
     /// Fill a line after an SLC (or deeper) access; displaces whatever was
     /// in the slot (FLC is a subset of the SLC, so silent displacement is
     /// safe — the SLC still holds the displaced line).
-    pub fn fill(&mut self, line: LineNum, writable: bool) {
-        let i = self.idx(line);
-        self.slots[i] = Some(Slot { line, writable });
+    #[inline]
+    pub fn fill(&mut self, ix: LineIndex, writable: bool) {
+        let i = self.idx(ix);
+        self.slots[i] = Some(Slot {
+            line: ix.line,
+            writable,
+        });
     }
 
     /// Invalidate a line (inclusion: the SLC lost it, or coherence).
-    pub fn invalidate(&mut self, line: LineNum) {
-        let i = self.idx(line);
-        if matches!(self.slots[i], Some(s) if s.line == line) {
+    #[inline]
+    pub fn invalidate(&mut self, ix: LineIndex) {
+        let i = self.idx(ix);
+        if matches!(self.slots[i], Some(s) if s.line == ix.line) {
             self.slots[i] = None;
         }
     }
 
     /// Downgrade write permission (coherence: another processor reads).
-    pub fn downgrade(&mut self, line: LineNum) {
-        let i = self.idx(line);
+    #[inline]
+    pub fn downgrade(&mut self, ix: LineIndex) {
+        let i = self.idx(ix);
         if let Some(s) = &mut self.slots[i] {
-            if s.line == line {
+            if s.line == ix.line {
                 s.writable = false;
             }
         }
@@ -88,47 +101,57 @@ impl Flc {
 mod tests {
     use super::*;
 
+    /// `l`'s index in a 64-slot FLC (the other levels' fields are unused).
+    fn ix(l: u64) -> LineIndex {
+        LineIndex {
+            line: LineNum(l),
+            am: 0,
+            slc: 0,
+            flc: (l % 64) as usize,
+        }
+    }
+
     #[test]
     fn fill_then_hit() {
         let mut f = Flc::new(64);
-        assert!(!f.read_hit(LineNum(10)));
-        f.fill(LineNum(10), false);
-        assert!(f.read_hit(LineNum(10)));
-        assert!(!f.write_hit(LineNum(10)));
+        assert!(!f.read_hit(ix(10)));
+        f.fill(ix(10), false);
+        assert!(f.read_hit(ix(10)));
+        assert!(!f.write_hit(ix(10)));
     }
 
     #[test]
     fn writable_fill_gives_write_hit() {
         let mut f = Flc::new(64);
-        f.fill(LineNum(10), true);
-        assert!(f.write_hit(LineNum(10)));
+        f.fill(ix(10), true);
+        assert!(f.write_hit(ix(10)));
     }
 
     #[test]
     fn conflicting_line_displaces() {
         let mut f = Flc::new(64);
-        f.fill(LineNum(10), false);
-        f.fill(LineNum(74), false); // 74 % 64 == 10
-        assert!(!f.read_hit(LineNum(10)));
-        assert!(f.read_hit(LineNum(74)));
+        f.fill(ix(10), false);
+        f.fill(ix(74), false); // 74 % 64 == 10
+        assert!(!f.read_hit(ix(10)));
+        assert!(f.read_hit(ix(74)));
     }
 
     #[test]
     fn invalidate_only_matching_line() {
         let mut f = Flc::new(64);
-        f.fill(LineNum(10), true);
-        f.invalidate(LineNum(74)); // maps to same slot but different line
-        assert!(f.read_hit(LineNum(10)));
-        f.invalidate(LineNum(10));
-        assert!(!f.read_hit(LineNum(10)));
+        f.fill(ix(10), true);
+        f.invalidate(ix(74)); // maps to same slot but different line
+        assert!(f.read_hit(ix(10)));
+        f.invalidate(ix(10));
+        assert!(!f.read_hit(ix(10)));
     }
 
     #[test]
     fn downgrade_keeps_read() {
         let mut f = Flc::new(64);
-        f.fill(LineNum(5), true);
-        f.downgrade(LineNum(5));
-        assert!(f.read_hit(LineNum(5)));
-        assert!(!f.write_hit(LineNum(5)));
+        f.fill(ix(5), true);
+        f.downgrade(ix(5));
+        assert!(f.read_hit(ix(5)));
+        assert!(!f.write_hit(ix(5)));
     }
 }

@@ -10,7 +10,9 @@
 //!   organized as a huge set-associative cache with the four COMA states
 //!   Exclusive / Owner / Shared / Invalid ([`AttractionMemory`]).
 //!
-//! All three are built on the same generic [`SetAssoc`] array. The AM's
+//! The SLC and the AM are built on the same generic [`SetAssoc`] array,
+//! and every cache takes the accessed line's set from a [`LineIndex`],
+//! reduced once per access by the machine's [`Indexer`]. The AM's
 //! replacement behaviour — Shared victims preferred over Owner/Exclusive,
 //! and incoming injected lines accepted into Invalid slots before Shared
 //! slots — is what the paper calls the *accept-based replacement strategy*
@@ -20,6 +22,7 @@
 
 pub mod am;
 pub mod flc;
+pub mod index;
 pub mod policy;
 pub mod set_assoc;
 pub mod slc;
@@ -27,6 +30,7 @@ pub mod state;
 
 pub use am::{AcceptSlot, AttractionMemory, Victim};
 pub use flc::Flc;
+pub use index::{Indexer, LineIndex};
 pub use policy::{AcceptPolicy, VictimPolicy};
 pub use set_assoc::SetAssoc;
 pub use slc::Slc;

@@ -21,13 +21,18 @@
 //! (`0` = empty): the simulated address space is allocated consecutively
 //! from zero (paper §3), so real line numbers are far below `u32` range,
 //! and the narrower key doubles how much of an attraction memory fits in
-//! the host's caches and TLB reach. The rotation memmove is at most
-//! `assoc - 1` slots within one or two lines.
+//! the host's caches and TLB reach. A rotation moves at most `assoc`
+//! slots within one or two lines through a register-carried loop; a
+//! `memmove` call would cost more than the copy.
 //!
-//! Set indexing uses a precomputed [`FastMod`] because set counts are not
-//! powers of two (the paper's "odd cache sizes").
+//! Every probe takes the line's set index from the caller. Set counts
+//! are not powers of two (the paper's "odd cache sizes"), and every cache
+//! of a level has the same geometry, so [`crate::Indexer`] reduces each
+//! accessed line once per access for all of them. The array only checks
+//! the index (in debug builds) and computes it itself, with a plain
+//! modulo, in [`SetAssoc::set_of`] for the cold line-keyed callers.
 
-use coma_types::{FastMod, LineNum, MAX_LINE};
+use coma_types::{LineNum, MAX_LINE};
 
 /// Stored key for an empty slot; occupied slots hold `line + 1`, so
 /// lines run up to [`MAX_LINE`]. Simulated working sets top out orders
@@ -67,7 +72,6 @@ fn probe_key(line: LineNum) -> u32 {
 pub struct SetAssoc<S> {
     n_sets: u64,
     assoc: usize,
-    set_mod: FastMod,
     /// `n_sets * assoc` slots; each stride holds its valid entries at the
     /// front, most-recent first, then empty padding.
     slots: Vec<Slot<S>>,
@@ -85,14 +89,7 @@ impl<S: Copy + Default> SetAssoc<S> {
         SetAssoc {
             n_sets,
             assoc,
-            set_mod: FastMod::new(n_sets),
-            slots: vec![
-                Slot {
-                    key: EMPTY,
-                    state: S::default()
-                };
-                slots
-            ],
+            slots: vec![Slot::empty(); slots],
             len: 0,
         }
     }
@@ -118,23 +115,25 @@ impl<S: Copy + Default> SetAssoc<S> {
         self.len == 0
     }
 
-    /// Set index for a line.
+    /// Set index for a line (the cold path: hot callers pass the index
+    /// their [`crate::Indexer`] computed).
     #[inline]
-    pub fn set_of(&self, line: LineNum) -> u64 {
-        self.set_mod.reduce(line.0)
+    pub fn set_of(&self, line: LineNum) -> usize {
+        (line.0 % self.n_sets) as usize
     }
 
-    /// Stride base of the set that `line` maps to.
+    /// Stride base of `set`, which must be `line`'s own set.
     #[inline]
-    fn base_of(&self, line: LineNum) -> usize {
-        self.set_of(line) as usize * self.assoc
+    fn base(&self, line: LineNum, set: usize) -> usize {
+        debug_assert_eq!(set, self.set_of(line), "set {set} is not {line:?}'s own");
+        set * self.assoc
     }
 
-    /// Slot index of `line` if resident.
+    /// Slot index of `line` if resident in its set `set`.
     #[inline]
-    fn find(&self, line: LineNum) -> Option<usize> {
+    fn find(&self, line: LineNum, set: usize) -> Option<usize> {
         let key = probe_key(line);
-        let base = self.base_of(line);
+        let base = self.base(line, set);
         for i in base..base + self.assoc {
             let k = self.slots[i].key;
             if k == key {
@@ -147,69 +146,64 @@ impl<S: Copy + Default> SetAssoc<S> {
         None
     }
 
+    /// Put `slot` at the front of the stride starting at `base`, shifting
+    /// the entries in `[base, end)` one slot down, and return the slot
+    /// pushed out at `end - 1` (an empty one if the run ended earlier).
+    #[inline]
+    fn push_front(&mut self, base: usize, end: usize, mut carry: Slot<S>) -> Slot<S> {
+        for slot in &mut self.slots[base..end] {
+            std::mem::swap(slot, &mut carry);
+            if carry.key == EMPTY {
+                break;
+            }
+        }
+        carry
+    }
+
     /// State of a line without touching LRU state.
     #[inline]
-    pub fn peek(&self, line: LineNum) -> Option<S> {
-        self.find(line).map(|i| self.slots[i].state)
+    pub fn peek(&self, line: LineNum, set: usize) -> Option<S> {
+        self.find(line, set).map(|i| self.slots[i].state)
     }
 
     /// State of a line, marking it most-recently-used on hit.
     #[inline]
-    pub fn lookup(&mut self, line: LineNum) -> Option<S> {
-        let i = self.find(line)?;
+    pub fn lookup(&mut self, line: LineNum, set: usize) -> Option<S> {
+        let i = self.find(line, set)?;
         let hit = self.slots[i];
-        let base = self.base_of(line);
-        self.slots.copy_within(base..i, base + 1);
-        self.slots[base] = hit;
+        self.push_front(set * self.assoc, i + 1, hit);
         Some(hit.state)
     }
 
-    /// Update the state of a resident line; returns false if not present.
-    /// Does not touch LRU order.
-    pub fn set_state(&mut self, line: LineNum, state: S) -> bool {
-        match self.find(line) {
-            Some(i) => {
-                self.slots[i].state = state;
-                true
-            }
-            None => false,
-        }
+    /// The state of a resident line, for in-place update. Does not touch
+    /// LRU order.
+    #[inline]
+    pub fn state_mut(&mut self, line: LineNum, set: usize) -> Option<&mut S> {
+        let i = self.find(line, set)?;
+        Some(&mut self.slots[i].state)
     }
 
     /// Remove a line; returns its state if it was present. The stride is
     /// shifted up (not swap-removed) so the survivors keep their recency
     /// order.
-    pub fn remove(&mut self, line: LineNum) -> Option<S> {
-        let i = self.find(line)?;
-        let state = self.slots[i].state;
-        let base = self.base_of(line);
-        let last = base + self.assoc - 1;
-        self.slots.copy_within(i + 1..last + 1, i);
-        self.slots[last].key = EMPTY;
+    pub fn remove(&mut self, line: LineNum, set: usize) -> Option<S> {
+        let i = self.find(line, set)?;
+        let end = (set + 1) * self.assoc;
+        let mut carry = Slot::empty();
+        for slot in self.slots[i..end].iter_mut().rev() {
+            std::mem::swap(slot, &mut carry);
+        }
         self.len -= 1;
-        Some(state)
-    }
-
-    /// Does the line's set have a free slot?
-    #[inline]
-    pub fn has_free_slot(&self, line: LineNum) -> bool {
-        let base = self.base_of(line);
-        self.slots[base + self.assoc - 1].key == EMPTY
+        Some(carry.state)
     }
 
     /// Insert a line known to be absent. Panics (debug) if the set is full
     /// or the line already resident — callers must evict first.
-    pub fn insert(&mut self, line: LineNum, state: S) {
-        assert!(line.0 <= MAX_LINE, "line number exceeds u32 key range");
-        debug_assert!(self.find(line).is_none(), "duplicate insert");
-        let base = self.base_of(line);
-        let last = base + self.assoc - 1;
-        debug_assert_eq!(self.slots[last].key, EMPTY, "insert into full set");
-        self.slots.copy_within(base..last, base + 1);
-        self.slots[base] = Slot {
-            key: line.0 as u32 + 1,
-            state,
-        };
+    pub fn insert(&mut self, line: LineNum, set: usize, state: S) {
+        debug_assert!(self.find(line, set).is_none(), "duplicate insert");
+        let base = self.base(line, set);
+        let out = self.push_front(base, base + self.assoc, Slot::new(line, state));
+        debug_assert_eq!(out.key, EMPTY, "insert into full set");
         self.len += 1;
     }
 
@@ -222,60 +216,40 @@ impl<S: Copy + Default> SetAssoc<S> {
     /// most-recently-used, evicting the set's true-LRU entry — the last
     /// valid slot — if the set is full; the evicted `(line, state)` is
     /// returned.
-    pub fn insert_evicting(&mut self, line: LineNum, state: S) -> Option<(LineNum, S)> {
-        assert!(line.0 <= MAX_LINE, "line number exceeds u32 key range");
-        let key = line.0 as u32 + 1;
-        let base = self.base_of(line);
-        let last = base + self.assoc - 1;
-        for i in base..base + self.assoc {
-            if self.slots[i].key == key {
+    pub fn insert_evicting(&mut self, line: LineNum, set: usize, state: S) -> Option<(LineNum, S)> {
+        let fresh = Slot::new(line, state);
+        let base = self.base(line, set);
+        let end = base + self.assoc;
+        for i in base..end {
+            if self.slots[i].key == fresh.key {
                 self.slots[i].state = state;
                 return None;
             }
-        }
-        let evicted = match self.slots[last].key {
-            EMPTY => {
+            if self.slots[i].key == EMPTY {
+                self.push_front(base, i + 1, fresh);
                 self.len += 1;
-                None
+                return None;
             }
-            _ => Some((self.slots[last].line(), self.slots[last].state)),
-        };
-        self.slots.copy_within(base..last, base + 1);
-        self.slots[base] = Slot { key, state };
-        evicted
+        }
+        let out = self.push_front(base, end, fresh);
+        Some((out.line(), out.state))
     }
 
-    /// Visit every valid entry of the set that `line` maps to, in recency
-    /// order: most-recently-used first, the LRU victim last. One
-    /// contiguous pass — callers that need several facts about a set
-    /// (occupancy, LRU victim under a predicate, residency) fold them out
-    /// of a single scan, taking the *last* matching visit where they want
-    /// the least-recent entry.
+    /// Visit every valid entry of `line`'s set `set`, in recency order:
+    /// most-recently-used first, the LRU victim last. One contiguous
+    /// pass — callers that need several facts about a set (occupancy,
+    /// LRU victim under a predicate, residency) fold them out of a
+    /// single scan, taking the *last* matching visit where they want the
+    /// least-recent entry.
     #[inline]
-    pub fn scan_set(&self, line: LineNum, mut visit: impl FnMut(LineNum, S)) {
-        let base = self.base_of(line);
+    pub fn scan_set(&self, line: LineNum, set: usize, mut visit: impl FnMut(LineNum, S)) {
+        let base = self.base(line, set);
         for slot in &self.slots[base..base + self.assoc] {
             if slot.key == EMPTY {
                 break;
             }
             visit(slot.line(), slot.state);
         }
-    }
-
-    /// Least-recently-used entry of `line`'s set among entries matching
-    /// `pred`, or `None` if none match.
-    pub fn lru_matching(
-        &self,
-        line: LineNum,
-        mut pred: impl FnMut(LineNum, S) -> bool,
-    ) -> Option<(LineNum, S)> {
-        let mut best = None;
-        self.scan_set(line, |l, s| {
-            if pred(l, s) {
-                best = Some((l, s));
-            }
-        });
-        best
     }
 
     /// Iterate over all valid entries (diagnostics / invariant checks).
@@ -289,6 +263,26 @@ impl<S: Copy + Default> SetAssoc<S> {
     }
 }
 
+impl<S: Default> Slot<S> {
+    #[inline]
+    fn empty() -> Self {
+        Slot {
+            key: EMPTY,
+            state: S::default(),
+        }
+    }
+
+    /// An occupied slot; `line` must fit the `u32` key.
+    #[inline]
+    fn new(line: LineNum, state: S) -> Self {
+        assert!(line.0 <= MAX_LINE, "line number exceeds u32 key range");
+        Slot {
+            key: line.0 as u32 + 1,
+            state,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,138 +291,162 @@ mod tests {
         SetAssoc::new(n_sets, assoc)
     }
 
+    // Line-keyed shorthands: each computes the set and calls the
+    // set-taking operation.
+    fn ins(c: &mut SetAssoc<u8>, l: u64, s: u8) {
+        c.insert(LineNum(l), c.set_of(LineNum(l)), s)
+    }
+    fn look(c: &mut SetAssoc<u8>, l: u64) -> Option<u8> {
+        c.lookup(LineNum(l), c.set_of(LineNum(l)))
+    }
+    fn peek(c: &SetAssoc<u8>, l: u64) -> Option<u8> {
+        c.peek(LineNum(l), c.set_of(LineNum(l)))
+    }
+    fn rm(c: &mut SetAssoc<u8>, l: u64) -> Option<u8> {
+        c.remove(LineNum(l), c.set_of(LineNum(l)))
+    }
+    fn fill(c: &mut SetAssoc<u8>, l: u64, s: u8) -> Option<(LineNum, u8)> {
+        c.insert_evicting(LineNum(l), c.set_of(LineNum(l)), s)
+    }
+    /// `l`'s set, most-recent first.
+    fn set(c: &SetAssoc<u8>, l: u64) -> Vec<(u64, u8)> {
+        let mut seen = Vec::new();
+        c.scan_set(LineNum(l), c.set_of(LineNum(l)), |x, s| seen.push((x.0, s)));
+        seen
+    }
+    /// The LRU entry of `l`'s set (the scan's last visit).
+    fn lru(c: &SetAssoc<u8>, l: u64) -> Option<u64> {
+        set(c, l).last().map(|&(x, _)| x)
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut c = arr(4, 2);
-        c.insert(LineNum(5), 1);
-        assert_eq!(c.lookup(LineNum(5)), Some(1));
-        assert!(c.lookup(LineNum(9)).is_none()); // same set (9 % 4 == 1), absent
+        ins(&mut c, 5, 1);
+        assert_eq!(look(&mut c, 5), Some(1));
+        assert!(look(&mut c, 9).is_none()); // same set (9 % 4 == 1), absent
     }
 
     #[test]
     fn free_slot_tracking() {
         let mut c = arr(4, 2);
-        assert!(c.has_free_slot(LineNum(0)));
-        c.insert(LineNum(0), 0);
-        assert!(c.has_free_slot(LineNum(0)));
-        c.insert(LineNum(4), 0); // same set
-        assert!(!c.has_free_slot(LineNum(0)));
-        assert!(c.has_free_slot(LineNum(1))); // different set untouched
+        ins(&mut c, 0, 0);
+        assert_eq!(set(&c, 0).len(), 1);
+        ins(&mut c, 4, 0); // same set: now full
+        assert_eq!(set(&c, 0).len(), 2);
+        assert!(set(&c, 1).is_empty()); // different set untouched
     }
 
     #[test]
     fn lru_order_follows_access() {
         let mut c = arr(1, 3);
-        c.insert(LineNum(0), 0);
-        c.insert(LineNum(1), 0);
-        c.insert(LineNum(2), 0);
+        ins(&mut c, 0, 0);
+        ins(&mut c, 1, 0);
+        ins(&mut c, 2, 0);
         // Touch 0, making 1 the LRU.
-        c.lookup(LineNum(0));
-        let (lru, _) = c.lru_matching(LineNum(0), |_, _| true).unwrap();
-        assert_eq!(lru, LineNum(1));
+        look(&mut c, 0);
+        assert_eq!(lru(&c, 0), Some(1));
     }
 
     #[test]
     fn lru_matching_respects_predicate() {
+        // The last matching visit of a scan is the LRU match (how the AM
+        // picks its least-recent Shared victim).
         let mut c = arr(1, 3);
-        c.insert(LineNum(0), 10);
-        c.insert(LineNum(1), 20);
-        c.insert(LineNum(2), 10);
-        let (lru20, _) = c.lru_matching(LineNum(0), |_, s| s == 20).unwrap();
-        assert_eq!(lru20, LineNum(1));
-        assert!(c.lru_matching(LineNum(0), |_, s| s == 99).is_none());
+        ins(&mut c, 0, 10);
+        ins(&mut c, 1, 20);
+        ins(&mut c, 2, 10);
+        let lru_of = |want: u8| set(&c, 0).into_iter().rfind(|&(_, s)| s == want);
+        assert_eq!(lru_of(10), Some((0, 10)));
+        assert_eq!(lru_of(20), Some((1, 20)));
+        assert_eq!(lru_of(99), None);
     }
 
     #[test]
     fn remove_returns_state_and_compacts() {
         let mut c = arr(2, 2);
-        c.insert(LineNum(3), 7);
-        assert_eq!(c.remove(LineNum(3)), Some(7));
-        assert_eq!(c.remove(LineNum(3)), None);
+        ins(&mut c, 3, 7);
+        assert_eq!(rm(&mut c, 3), Some(7));
+        assert_eq!(rm(&mut c, 3), None);
         assert_eq!(c.len(), 0);
         // Removing the front of a full stride keeps the survivor findable.
-        c.insert(LineNum(1), 1);
-        c.insert(LineNum(3), 3);
-        assert_eq!(c.remove(LineNum(1)), Some(1));
-        assert_eq!(c.peek(LineNum(3)), Some(3));
-        assert!(c.has_free_slot(LineNum(3)));
+        ins(&mut c, 1, 1);
+        ins(&mut c, 3, 3);
+        assert_eq!(rm(&mut c, 1), Some(1));
+        assert_eq!(peek(&c, 3), Some(3));
+        assert_eq!(set(&c, 3), vec![(3, 3)]);
     }
 
     #[test]
     fn remove_preserves_recency_of_survivors() {
         let mut c = arr(1, 3);
-        c.insert(LineNum(0), 0);
-        c.insert(LineNum(1), 1);
-        c.insert(LineNum(2), 2);
+        ins(&mut c, 0, 0);
+        ins(&mut c, 1, 1);
+        ins(&mut c, 2, 2);
         // Recency: 2 > 1 > 0. Removing 1 must keep 0 as the LRU.
-        c.remove(LineNum(1));
-        assert_eq!(
-            c.lru_matching(LineNum(0), |_, _| true).unwrap().0,
-            LineNum(0)
-        );
+        rm(&mut c, 1);
+        assert_eq!(set(&c, 0), vec![(2, 2), (0, 0)]);
     }
 
     #[test]
     fn set_state_in_place() {
         let mut c = arr(2, 2);
-        c.insert(LineNum(3), 7);
-        assert!(c.set_state(LineNum(3), 9));
-        assert_eq!(c.peek(LineNum(3)), Some(9));
-        assert!(!c.set_state(LineNum(5), 1));
+        ins(&mut c, 3, 7);
+        ins(&mut c, 1, 1);
+        *c.state_mut(LineNum(3), 1).unwrap() = 9;
+        assert_eq!(set(&c, 3), vec![(1, 1), (3, 9)]); // recency untouched
+        assert!(c.state_mut(LineNum(5), 1).is_none());
     }
 
     #[test]
     fn peek_does_not_touch_lru() {
         let mut c = arr(1, 2);
-        c.insert(LineNum(0), 0);
-        c.insert(LineNum(1), 0);
-        c.peek(LineNum(0));
+        ins(&mut c, 0, 0);
+        ins(&mut c, 1, 0);
+        peek(&c, 0);
         // 0 was inserted first and peek didn't refresh it: still LRU.
-        assert_eq!(
-            c.lru_matching(LineNum(0), |_, _| true).unwrap().0,
-            LineNum(0)
-        );
+        assert_eq!(lru(&c, 0), Some(0));
     }
 
     #[test]
     fn insert_evicting_updates_resident_in_place() {
         let mut c = arr(1, 1);
-        c.insert(LineNum(0), 1);
-        assert_eq!(c.insert_evicting(LineNum(0), 2), None);
-        assert_eq!(c.peek(LineNum(0)), Some(2));
+        ins(&mut c, 0, 1);
+        assert_eq!(fill(&mut c, 0, 2), None);
+        assert_eq!(peek(&c, 0), Some(2));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn insert_evicting_evicts_true_lru() {
         let mut c = arr(1, 2);
-        c.insert(LineNum(0), 10);
-        c.insert(LineNum(1), 11);
-        c.lookup(LineNum(0)); // 1 becomes LRU
-        assert_eq!(c.insert_evicting(LineNum(2), 12), Some((LineNum(1), 11)));
-        assert_eq!(c.peek(LineNum(2)), Some(12));
-        assert_eq!(c.peek(LineNum(0)), Some(10));
+        ins(&mut c, 0, 10);
+        ins(&mut c, 1, 11);
+        look(&mut c, 0); // 1 becomes LRU
+        assert_eq!(fill(&mut c, 2, 12), Some((LineNum(1), 11)));
+        assert_eq!(peek(&c, 2), Some(12));
+        assert_eq!(peek(&c, 0), Some(10));
         assert_eq!(c.len(), 2);
         // The fresh insert is MRU: next eviction takes line 0.
-        assert_eq!(c.insert_evicting(LineNum(3), 13), Some((LineNum(0), 10)));
+        assert_eq!(fill(&mut c, 3, 13), Some((LineNum(0), 10)));
     }
 
     #[test]
     fn insert_evicting_uses_free_slot_first() {
         let mut c = arr(1, 2);
-        c.insert(LineNum(0), 1);
-        assert_eq!(c.insert_evicting(LineNum(1), 2), None);
+        ins(&mut c, 0, 1);
+        assert_eq!(fill(&mut c, 1, 2), None);
         assert_eq!(c.len(), 2);
+        assert_eq!(set(&c, 0), vec![(1, 2), (0, 1)]);
     }
 
     #[test]
     fn scan_set_sees_only_own_set() {
         let mut c = arr(2, 2);
-        c.insert(LineNum(0), 1);
-        c.insert(LineNum(1), 2);
-        c.insert(LineNum(2), 3);
-        let mut seen = Vec::new();
-        c.scan_set(LineNum(0), |l, s| seen.push((l.0, s)));
+        ins(&mut c, 0, 1);
+        ins(&mut c, 1, 2);
+        ins(&mut c, 2, 3);
+        let mut seen = set(&c, 0);
         seen.sort_unstable();
         assert_eq!(seen, vec![(0, 1), (2, 3)]);
     }
@@ -436,44 +454,43 @@ mod tests {
     #[test]
     fn scan_set_visits_mru_first() {
         let mut c = arr(1, 3);
-        c.insert(LineNum(0), 0);
-        c.insert(LineNum(1), 1);
-        c.insert(LineNum(2), 2);
-        c.lookup(LineNum(1));
-        let mut order = Vec::new();
-        c.scan_set(LineNum(0), |l, _| order.push(l.0));
+        ins(&mut c, 0, 0);
+        ins(&mut c, 1, 1);
+        ins(&mut c, 2, 2);
+        look(&mut c, 1);
+        let order: Vec<u64> = set(&c, 0).into_iter().map(|(l, _)| l).collect();
         assert_eq!(order, vec![1, 2, 0]);
     }
 
     #[test]
     fn non_power_of_two_set_count() {
         let mut c = arr(13, 2);
-        c.insert(LineNum(5), 1);
-        c.insert(LineNum(18), 2); // 18 % 13 == 5: same set
-        assert!(!c.has_free_slot(LineNum(5)));
-        assert_eq!(c.peek(LineNum(18)), Some(2));
-        assert_eq!(c.peek(LineNum(31)), None);
+        ins(&mut c, 5, 1);
+        ins(&mut c, 18, 2); // 18 % 13 == 5: same set
+        assert_eq!(set(&c, 5).len(), 2);
+        assert_eq!(peek(&c, 18), Some(2));
+        assert_eq!(peek(&c, 31), None);
     }
 
     #[test]
     fn out_of_range_probe_misses_without_aliasing() {
         let mut c = arr(4, 2);
-        c.insert(LineNum(3), 1);
+        ins(&mut c, 3, 1);
         // (2^32 + 3) mod 4 == 3: same set, and the narrowed key would
         // alias line 3 without the probe-key guard.
-        let huge = LineNum((1u64 << 32) + 3);
-        assert_eq!(c.peek(huge), None);
-        assert_eq!(c.lookup(huge), None);
-        assert_eq!(c.remove(huge), None);
-        assert!(!c.set_state(huge, 9));
-        assert_eq!(c.peek(LineNum(3)), Some(1));
+        let huge = (1u64 << 32) + 3;
+        assert_eq!(peek(&c, huge), None);
+        assert_eq!(look(&mut c, huge), None);
+        assert_eq!(rm(&mut c, huge), None);
+        assert!(c.state_mut(LineNum(huge), 3).is_none());
+        assert_eq!(peek(&c, 3), Some(1));
     }
 
     #[test]
     #[should_panic(expected = "u32 key range")]
     fn oversized_line_insert_panics() {
         let mut c = arr(4, 2);
-        c.insert(LineNum(u64::MAX - 1), 0);
+        ins(&mut c, u64::MAX - 1, 0);
     }
 
     #[test]
@@ -481,7 +498,15 @@ mod tests {
     #[cfg(debug_assertions)]
     fn duplicate_insert_panics_in_debug() {
         let mut c = arr(2, 2);
-        c.insert(LineNum(0), 0);
-        c.insert(LineNum(0), 0);
+        ins(&mut c, 0, 0);
+        ins(&mut c, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not")]
+    #[cfg(debug_assertions)]
+    fn foreign_set_index_panics_in_debug() {
+        let c = arr(4, 2);
+        c.peek(LineNum(5), 2);
     }
 }

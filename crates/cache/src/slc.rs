@@ -8,6 +8,7 @@
 //! already has a slot for them, so SLC evictions never trigger AM
 //! replacements).
 
+use crate::index::LineIndex;
 use crate::set_assoc::SetAssoc;
 use crate::state::SlcState;
 use coma_types::LineNum;
@@ -26,43 +27,44 @@ impl Slc {
     }
 
     /// State of a resident line (Invalid if absent). Touches LRU.
-    pub fn lookup(&mut self, line: LineNum) -> SlcState {
-        self.array.lookup(line).unwrap_or(SlcState::Invalid)
+    #[inline]
+    pub fn lookup(&mut self, ix: LineIndex) -> SlcState {
+        self.array
+            .lookup(ix.line, ix.slc)
+            .unwrap_or(SlcState::Invalid)
     }
 
     /// State without touching LRU.
-    pub fn peek(&self, line: LineNum) -> SlcState {
-        self.array.peek(line).unwrap_or(SlcState::Invalid)
+    #[inline]
+    pub fn peek(&self, ix: LineIndex) -> SlcState {
+        self.array
+            .peek(ix.line, ix.slc)
+            .unwrap_or(SlcState::Invalid)
     }
 
     /// Insert a line, evicting the set's LRU entry if the set is full.
     /// Returns the evicted `(line, state)` if any; a `Modified` eviction
     /// must be written back to the AM by the caller.
-    pub fn insert(&mut self, line: LineNum, state: SlcState) -> Option<(LineNum, SlcState)> {
+    pub fn insert(&mut self, ix: LineIndex, state: SlcState) -> Option<(LineNum, SlcState)> {
         debug_assert!(state.is_valid());
-        self.array.insert_evicting(line, state)
-    }
-
-    /// Change the state of a resident line; no-op if absent.
-    pub fn set_state(&mut self, line: LineNum, state: SlcState) {
-        if state.is_valid() {
-            self.array.set_state(line, state);
-        } else {
-            self.array.remove(line);
-        }
+        self.array.insert_evicting(ix.line, ix.slc, state)
     }
 
     /// Invalidate (coherence or AM-inclusion). Returns the previous state.
-    pub fn invalidate(&mut self, line: LineNum) -> SlcState {
-        self.array.remove(line).unwrap_or(SlcState::Invalid)
+    #[inline]
+    pub fn invalidate(&mut self, ix: LineIndex) -> SlcState {
+        self.array
+            .remove(ix.line, ix.slc)
+            .unwrap_or(SlcState::Invalid)
     }
 
     /// Downgrade Modified → Shared (another reader appeared). Returns true
     /// if the line was Modified (i.e. a writeback of current data occurs).
-    pub fn downgrade(&mut self, line: LineNum) -> bool {
-        match self.array.peek(line) {
-            Some(SlcState::Modified) => {
-                self.array.set_state(line, SlcState::Shared);
+    #[inline]
+    pub fn downgrade(&mut self, ix: LineIndex) -> bool {
+        match self.array.state_mut(ix.line, ix.slc) {
+            Some(s) if *s == SlcState::Modified => {
+                *s = SlcState::Shared;
                 true
             }
             _ => false,
@@ -88,67 +90,69 @@ impl Slc {
 mod tests {
     use super::*;
 
+    /// `l`'s index in `s` (the other levels' fields are unused here).
+    fn ix(s: &Slc, l: u64) -> LineIndex {
+        LineIndex {
+            line: LineNum(l),
+            am: 0,
+            slc: (l % s.array.n_sets()) as usize,
+            flc: 0,
+        }
+    }
+
     #[test]
     fn miss_then_fill_then_hit() {
         let mut s = Slc::new(4, 2);
-        assert_eq!(s.lookup(LineNum(1)), SlcState::Invalid);
-        s.insert(LineNum(1), SlcState::Shared);
-        assert_eq!(s.lookup(LineNum(1)), SlcState::Shared);
+        assert_eq!(s.lookup(ix(&s, 1)), SlcState::Invalid);
+        s.insert(ix(&s, 1), SlcState::Shared);
+        assert_eq!(s.lookup(ix(&s, 1)), SlcState::Shared);
     }
 
     #[test]
     fn eviction_returns_victim() {
         let mut s = Slc::new(1, 2);
-        s.insert(LineNum(0), SlcState::Shared);
-        s.insert(LineNum(1), SlcState::Modified);
+        s.insert(ix(&s, 0), SlcState::Shared);
+        s.insert(ix(&s, 1), SlcState::Modified);
         // Touch 1 so 0 is LRU.
-        s.lookup(LineNum(1));
-        let ev = s.insert(LineNum(2), SlcState::Shared);
+        s.lookup(ix(&s, 1));
+        let ev = s.insert(ix(&s, 2), SlcState::Shared);
         assert_eq!(ev, Some((LineNum(0), SlcState::Shared)));
-        assert_eq!(s.peek(LineNum(0)), SlcState::Invalid);
+        assert_eq!(s.peek(ix(&s, 0)), SlcState::Invalid);
     }
 
     #[test]
     fn modified_eviction_reported_for_writeback() {
         let mut s = Slc::new(1, 1);
-        s.insert(LineNum(0), SlcState::Modified);
-        let ev = s.insert(LineNum(1), SlcState::Shared);
+        s.insert(ix(&s, 0), SlcState::Modified);
+        let ev = s.insert(ix(&s, 1), SlcState::Shared);
         assert_eq!(ev, Some((LineNum(0), SlcState::Modified)));
     }
 
     #[test]
     fn reinsert_updates_state_without_eviction() {
         let mut s = Slc::new(1, 1);
-        s.insert(LineNum(0), SlcState::Shared);
-        let ev = s.insert(LineNum(0), SlcState::Modified);
+        s.insert(ix(&s, 0), SlcState::Shared);
+        let ev = s.insert(ix(&s, 0), SlcState::Modified);
         assert_eq!(ev, None);
-        assert_eq!(s.peek(LineNum(0)), SlcState::Modified);
+        assert_eq!(s.peek(ix(&s, 0)), SlcState::Modified);
     }
 
     #[test]
     fn invalidate_returns_previous() {
         let mut s = Slc::new(2, 2);
-        s.insert(LineNum(0), SlcState::Modified);
-        assert_eq!(s.invalidate(LineNum(0)), SlcState::Modified);
-        assert_eq!(s.invalidate(LineNum(0)), SlcState::Invalid);
+        s.insert(ix(&s, 0), SlcState::Modified);
+        assert_eq!(s.invalidate(ix(&s, 0)), SlcState::Modified);
+        assert_eq!(s.invalidate(ix(&s, 0)), SlcState::Invalid);
     }
 
     #[test]
     fn downgrade_only_modified() {
         let mut s = Slc::new(2, 2);
-        s.insert(LineNum(0), SlcState::Modified);
-        s.insert(LineNum(1), SlcState::Shared);
-        assert!(s.downgrade(LineNum(0)));
-        assert_eq!(s.peek(LineNum(0)), SlcState::Shared);
-        assert!(!s.downgrade(LineNum(1)));
-        assert!(!s.downgrade(LineNum(7)));
-    }
-
-    #[test]
-    fn set_state_invalid_removes() {
-        let mut s = Slc::new(2, 2);
-        s.insert(LineNum(0), SlcState::Shared);
-        s.set_state(LineNum(0), SlcState::Invalid);
-        assert_eq!(s.len(), 0);
+        s.insert(ix(&s, 0), SlcState::Modified);
+        s.insert(ix(&s, 1), SlcState::Shared);
+        assert!(s.downgrade(ix(&s, 0)));
+        assert_eq!(s.peek(ix(&s, 0)), SlcState::Shared);
+        assert!(!s.downgrade(ix(&s, 1)));
+        assert!(!s.downgrade(ix(&s, 7)));
     }
 }

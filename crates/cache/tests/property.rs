@@ -5,9 +5,10 @@
 //! victim/accept decisions against their specifications.
 
 use coma_cache::{
-    AcceptPolicy, AcceptSlot, AmState, AttractionMemory, SetAssoc, Victim, VictimPolicy,
+    AcceptPolicy, AcceptSlot, AmState, AttractionMemory, Indexer, LineIndex, SetAssoc, Victim,
+    VictimPolicy,
 };
-use coma_types::{LineNum, Rng64};
+use coma_types::{LineNum, MachineGeometry, Rng64, Topology};
 
 /// Reference model: a vector of (line, state) per set with LRU order
 /// (front = LRU).
@@ -19,6 +20,7 @@ struct RefSet {
 #[derive(Clone, Copy, Debug)]
 enum ArrOp {
     Lookup(u64),
+    Peek(u64),
     Insert(u64, u8),
     Remove(u64),
     SetState(u64, u8),
@@ -29,110 +31,120 @@ enum ArrOp {
 
 fn random_op(rng: &mut Rng64, max_line: u64) -> ArrOp {
     let l = rng.below(max_line);
-    match rng.below(5) {
+    match rng.below(6) {
         0 => ArrOp::Lookup(l),
-        1 => ArrOp::Insert(l, rng.below(256) as u8),
-        2 => ArrOp::Remove(l),
-        3 => ArrOp::SetState(l, rng.below(256) as u8),
+        1 => ArrOp::Peek(l),
+        2 => ArrOp::Insert(l, rng.below(256) as u8),
+        3 => ArrOp::Remove(l),
+        4 => ArrOp::SetState(l, rng.below(256) as u8),
         _ => ArrOp::InsertEvicting(l, rng.below(256) as u8),
     }
 }
 
-/// The flat structure-of-arrays SetAssoc is observationally equivalent to
-/// a naive per-set-vector reference model (the shape of the pre-flattening
+/// The flat recency-ordered SetAssoc is observationally equivalent to a
+/// naive per-set-vector reference model (the shape of the pre-flattening
 /// implementation) under arbitrary op sequences, including LRU victim
-/// identity and the fused insert path.
+/// identity and the fused insert path. Every op goes through the
+/// set-taking form with the set index a caller would precompute, at
+/// associativities 1–8 (Figure 4's 8-way AM included) and set counts
+/// 1–13, powers of two or not.
 #[test]
 fn set_assoc_matches_reference_model() {
     let mut rng = Rng64::new(0xCACE);
-    for _case in 0..64 {
-        let n_sets = rng.range(1, 8);
-        let assoc = rng.range(1, 5) as usize;
-        let n_ops = rng.range(1, 400);
+    for _case in 0..256 {
+        let n_sets = rng.range(1, 14);
+        let assoc = rng.range(1, 9) as usize;
+        let n_ops = rng.range(1, 600);
+        // Twice the capacity in distinct lines: sets fill and evict.
+        let max_line = 2 * n_sets * assoc as u64;
         let mut arr: SetAssoc<u8> = SetAssoc::new(n_sets, assoc);
         let mut model: Vec<RefSet> = vec![RefSet::default(); n_sets as usize];
         for _ in 0..n_ops {
-            match random_op(&mut rng, 64) {
-                ArrOp::Lookup(l) => {
-                    let set = (l % n_sets) as usize;
-                    let got = arr.lookup(LineNum(l));
-                    let want = model[set]
-                        .entries
-                        .iter()
-                        .find(|(x, _)| *x == l)
-                        .map(|(_, s)| *s);
-                    assert_eq!(got, want);
-                    if want.is_some() {
+            let op = random_op(&mut rng, max_line);
+            let (ArrOp::Lookup(l)
+            | ArrOp::Peek(l)
+            | ArrOp::Insert(l, _)
+            | ArrOp::Remove(l)
+            | ArrOp::SetState(l, _)
+            | ArrOp::InsertEvicting(l, _)) = op;
+            let (line, set) = (LineNum(l), (l % n_sets) as usize);
+            let m = &mut model[set].entries;
+            let pos = m.iter().position(|(x, _)| *x == l);
+            match op {
+                ArrOp::Lookup(_) => {
+                    assert_eq!(arr.lookup(line, set), pos.map(|p| m[p].1));
+                    if let Some(p) = pos {
                         // Move to MRU position in the model.
-                        let pos = model[set]
-                            .entries
-                            .iter()
-                            .position(|(x, _)| *x == l)
-                            .unwrap();
-                        let e = model[set].entries.remove(pos);
-                        model[set].entries.push(e);
+                        let e = m.remove(p);
+                        m.push(e);
                     }
                 }
-                ArrOp::Insert(l, s) => {
-                    let set = (l % n_sets) as usize;
-                    let present = model[set].entries.iter().any(|(x, _)| *x == l);
-                    if !present && model[set].entries.len() < assoc {
-                        arr.insert(LineNum(l), s);
-                        model[set].entries.push((l, s));
+                ArrOp::Peek(_) => assert_eq!(arr.peek(line, set), pos.map(|p| m[p].1)),
+                ArrOp::Insert(_, s) => {
+                    if pos.is_none() && m.len() < assoc {
+                        arr.insert(line, set, s);
+                        m.push((l, s));
                     }
                 }
-                ArrOp::Remove(l) => {
-                    let set = (l % n_sets) as usize;
-                    let got = arr.remove(LineNum(l));
-                    let pos = model[set].entries.iter().position(|(x, _)| *x == l);
-                    assert_eq!(got, pos.map(|p| model[set].entries[p].1));
+                ArrOp::Remove(_) => {
+                    assert_eq!(arr.remove(line, set), pos.map(|p| m[p].1));
                     if let Some(p) = pos {
-                        model[set].entries.remove(p);
+                        m.remove(p);
                     }
                 }
-                ArrOp::SetState(l, s) => {
-                    let set = (l % n_sets) as usize;
-                    let ok = arr.set_state(LineNum(l), s);
-                    let pos = model[set].entries.iter().position(|(x, _)| *x == l);
-                    assert_eq!(ok, pos.is_some());
+                ArrOp::SetState(_, s) => {
+                    let got = arr.state_mut(line, set).map(|st| *st = s);
+                    assert_eq!(got.is_some(), pos.is_some());
                     if let Some(p) = pos {
-                        model[set].entries[p].1 = s;
+                        m[p].1 = s;
                     }
                 }
-                ArrOp::InsertEvicting(l, s) => {
-                    let set = (l % n_sets) as usize;
-                    let got = arr.insert_evicting(LineNum(l), s);
-                    let pos = model[set].entries.iter().position(|(x, _)| *x == l);
+                ArrOp::InsertEvicting(_, s) => {
+                    let got = arr.insert_evicting(line, set, s);
                     let want = if let Some(p) = pos {
                         // Present: state updated in place, no LRU refresh.
-                        model[set].entries[p].1 = s;
+                        m[p].1 = s;
                         None
-                    } else if model[set].entries.len() < assoc {
-                        model[set].entries.push((l, s));
+                    } else if m.len() < assoc {
+                        m.push((l, s));
                         None
                     } else {
                         // Full: the front of the model vec is the LRU.
-                        let victim = model[set].entries.remove(0);
-                        model[set].entries.push((l, s));
+                        let victim = m.remove(0);
+                        m.push((l, s));
                         Some(victim)
                     };
                     assert_eq!(got.map(|(l, s)| (l.0, s)), want);
                 }
             }
-            // Structural agreement after every op.
+            // Structural agreement after every op: the whole set, in
+            // recency order (MRU first), and the total count.
+            let mut seen = Vec::new();
+            arr.scan_set(line, set, |x, st| seen.push((x.0, st)));
+            let want: Vec<(u64, u8)> = model[set].entries.iter().rev().copied().collect();
+            assert_eq!(seen, want, "set {set} after {op:?}");
             assert_eq!(
                 arr.len(),
                 model.iter().map(|m| m.entries.len()).sum::<usize>()
             );
         }
-        // LRU victims agree set by set.
-        for s in 0..n_sets {
-            let line = LineNum(s);
-            let got = arr.lru_matching(line, |_, _| true).map(|(l, _)| l.0);
-            let want = model[s as usize].entries.first().map(|(l, _)| *l);
-            assert_eq!(got, want, "LRU mismatch in set {s}");
-        }
     }
+}
+
+/// `line`'s index on a machine whose AMs have `am_sets` sets.
+fn am_ix(line: u64, am_sets: u64) -> LineIndex {
+    let geom = MachineGeometry {
+        n_procs: 1,
+        n_nodes: 1,
+        procs_per_node: 1,
+        flc_sets: 1,
+        slc_sets: 1,
+        slc_assoc: 1,
+        am_sets,
+        am_assoc: 4,
+        topology: Topology::flat(),
+    };
+    Indexer::new(&geom).index(LineNum(line))
 }
 
 /// The AM never chooses to inject while a Shared replica is available
@@ -148,13 +160,13 @@ fn am_victim_priority_specification() {
             if am.state(LineNum(l)).is_valid() {
                 continue;
             }
-            if let Victim::FreeSlot = am.make_room(LineNum(l)) {
+            if let Victim::FreeSlot = am.make_room(am_ix(l, 8)) {
                 let st = match rng.below(3) {
                     0 => AmState::Shared,
                     1 => AmState::Owner,
                     _ => AmState::Exclusive,
                 };
-                am.insert(LineNum(l), st);
+                am.insert(am_ix(l, 8), st);
             }
         }
         let probe = rng.below(32);
@@ -167,7 +179,7 @@ fn am_victim_priority_specification() {
             .map(|l| am.state(LineNum(l)))
             .filter(|s| s.is_valid())
             .collect();
-        match am.make_room(line) {
+        match am.make_room(am_ix(probe, 8)) {
             Victim::FreeSlot => assert!(set_states.len() < 4),
             Victim::DropShared(_) => {
                 assert!(set_states.contains(&AmState::Shared));
@@ -193,19 +205,19 @@ fn am_accept_specification() {
         let mut am = AttractionMemory::new(1, 4, VictimPolicy::SharedFirst);
         let mut l = 1u64;
         for _ in 0..n_shared.min(4) {
-            if am.make_room(LineNum(l)) == Victim::FreeSlot {
-                am.insert(LineNum(l), AmState::Shared);
+            if am.make_room(am_ix(l, 1)) == Victim::FreeSlot {
+                am.insert(am_ix(l, 1), AmState::Shared);
             }
             l += 1;
         }
         for _ in 0..n_owned {
-            if am.make_room(LineNum(l)) != Victim::FreeSlot {
+            if am.make_room(am_ix(l, 1)) != Victim::FreeSlot {
                 break;
             }
-            am.insert(LineNum(l), AmState::Owner);
+            am.insert(am_ix(l, 1), AmState::Owner);
             l += 1;
         }
-        let slot = am.accept_slot(LineNum(0), AcceptPolicy::InvalidThenShared);
+        let slot = am.accept_slot(am_ix(0, 1), AcceptPolicy::InvalidThenShared);
         let occupied = am.len();
         if occupied < 4 {
             assert_eq!(slot, Some(AcceptSlot::Invalid));
@@ -217,7 +229,10 @@ fn am_accept_specification() {
         // A holder never accepts its own line.
         let first = am.lines().next().map(|(line, _)| line);
         if let Some(line) = first {
-            assert_eq!(am.accept_slot(line, AcceptPolicy::InvalidThenShared), None);
+            assert_eq!(
+                am.accept_slot(am_ix(line.0, 1), AcceptPolicy::InvalidThenShared),
+                None
+            );
         }
     }
 }

@@ -31,7 +31,9 @@ use crate::memory::MemorySystem;
 use crate::node::NodeState;
 use crate::outcome::Outcome;
 use crate::table::{LineTable, PageHomes};
-use coma_cache::{AcceptPolicy, AcceptSlot, AmState, SlcState, Victim, VictimPolicy};
+use coma_cache::{
+    AcceptPolicy, AcceptSlot, AmState, Indexer, LineIndex, SlcState, Victim, VictimPolicy,
+};
 use coma_stats::{EventLog, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, Placement, ProcId};
 use std::any::Any;
@@ -44,6 +46,9 @@ use std::any::Any;
 #[derive(Clone)]
 pub struct CoherenceEngine {
     geom: MachineGeometry,
+    /// Every node's caches share one geometry: each access reduces its
+    /// line once, for all of them.
+    ix: Indexer,
     nodes: Vec<NodeState>,
     dir: Directory,
     /// On-demand page table: page number → first-touching (home) node.
@@ -95,6 +100,7 @@ impl CoherenceEngine {
             .collect();
         CoherenceEngine {
             geom,
+            ix: Indexer::new(&geom),
             nodes,
             dir: Directory::default(),
             pages: PageHomes::default(),
@@ -144,6 +150,12 @@ impl CoherenceEngine {
     /// must never call it.
     pub fn node_mut(&mut self, n: usize) -> &mut NodeState {
         &mut self.nodes[n]
+    }
+
+    /// `line`'s set in every cache of this machine, for probing a node's
+    /// caches from outside the engine.
+    pub fn index(&self, line: LineNum) -> LineIndex {
+        self.ix.index(line)
     }
 
     pub fn directory(&self) -> &Directory {
@@ -213,8 +225,9 @@ impl MemorySystem for CoherenceEngine {
     fn check_invariants(&self) -> Result<(), String> {
         // Directory ↔ AM consistency.
         for (line, info) in self.dir.iter() {
+            let ix = self.ix.index(line);
             let owner = info.owner.as_usize();
-            let ostate = self.nodes[owner].am.state(line);
+            let ostate = self.nodes[owner].am.peek(ix);
             if !ostate.is_responsible() {
                 return Err(format!("{line:?}: owner {owner} has state {ostate}"));
             }
@@ -222,15 +235,14 @@ impl MemorySystem for CoherenceEngine {
                 return Err(format!("{line:?}: Exclusive with sharers"));
             }
             for sh in info.sharer_nodes() {
-                let s = self.nodes[sh.as_usize()].am.state(line);
-                let slc_only =
-                    !self.inclusive_hierarchy && self.nodes[sh.as_usize()].slc_holds(line);
+                let s = self.nodes[sh.as_usize()].am.peek(ix);
+                let slc_only = !self.inclusive_hierarchy && self.nodes[sh.as_usize()].slc_holds(ix);
                 if s != AmState::Shared && !(s == AmState::Invalid && slc_only) {
                     return Err(format!("{line:?}: sharer {sh} has state {s}"));
                 }
             }
             for (k, node) in self.nodes.iter().enumerate() {
-                let st = node.am.state(line);
+                let st = node.am.peek(ix);
                 let is_registered = k == owner || info.sharers.contains(k as u16);
                 if st.is_valid() && !is_registered {
                     return Err(format!(

@@ -9,71 +9,74 @@ impl CoherenceEngine {
     pub(super) fn read_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let n = self.place.node_of(proc).as_usize();
         let pidx = self.place.index_in_node(proc);
+        let ix = self.ix.index(line);
 
-        if self.nodes[n].flcs[pidx].read_hit(line) {
+        if self.nodes[n].flcs[pidx].read_hit(ix) {
             return Outcome::at(Level::Flc);
         }
-        let slc_state = self.nodes[n].slcs[pidx].lookup(line);
+        let slc_state = self.nodes[n].slcs[pidx].lookup(ix);
         if slc_state.is_valid() {
-            self.nodes[n].flcs[pidx].fill(line, slc_state == SlcState::Modified);
+            self.nodes[n].flcs[pidx].fill(ix, slc_state == SlcState::Modified);
             return Outcome::at(Level::Slc);
         }
 
         let mut out;
-        if let Some(peer) = self.nodes[n].dirty_peer(line, pidx) {
+        if let Some(peer) = self.nodes[n].dirty_peer(ix, pidx) {
             // The dirty peer downgrades, its data written back into the
             // AM (which must hold the line Exclusive). With intra-node
             // transfers the peer supplies; without, the AM does below —
             // functionally identical, timed as an AM hit.
-            self.nodes[n].slcs[peer].downgrade(line);
-            self.nodes[n].flcs[peer].downgrade(line);
+            self.nodes[n].slcs[peer].downgrade(ix);
+            self.nodes[n].flcs[peer].downgrade(ix);
             if self.intra_node_transfers {
-                debug_assert_eq!(self.nodes[n].am.state(line), AmState::Exclusive);
+                debug_assert_eq!(self.nodes[n].am.peek(ix), AmState::Exclusive);
                 out = Outcome::at(Level::PeerSlc);
                 out.peer_slc = Some(peer);
-                self.fill_private_read(n, pidx, line, &mut out);
+                self.fill_private_read(n, pidx, ix, &mut out);
                 return out;
             }
         }
 
-        if self.nodes[n].am.touch(line).is_valid() {
+        if self.nodes[n].am.touch(ix).is_valid() {
             out = Outcome::at(Level::Am);
-            self.fill_private_read(n, pidx, line, &mut out);
+            self.fill_private_read(n, pidx, ix, &mut out);
             return out;
         }
 
         // Node miss: the access goes on the global bus.
-        out = self.global_read(n, line);
-        self.fill_private_read(n, pidx, line, &mut out);
+        out = self.global_read(n, ix);
+        self.fill_private_read(n, pidx, ix, &mut out);
         out
     }
 
     /// Fill SLC (Shared) + FLC after a read serviced at/under the AM.
-    fn fill_private_read(&mut self, n: usize, pidx: usize, line: LineNum, out: &mut Outcome) {
-        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, line, SlcState::Shared) {
+    fn fill_private_read(&mut self, n: usize, pidx: usize, ix: LineIndex, out: &mut Outcome) {
+        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, ix, SlcState::Shared) {
             if st == SlcState::Modified {
                 // Write-back into the AM (data only; AM keeps Exclusive).
                 out.slc_writeback = true;
             }
-            self.nodes[n].flcs[pidx].invalidate(evicted);
-            self.retire_slc_only_sharer(n, evicted);
+            let ex = self.ix.slc_neighbour(ix, evicted);
+            self.nodes[n].flcs[pidx].invalidate(ex);
+            self.retire_slc_only_sharer(n, ex);
         }
-        self.nodes[n].flcs[pidx].fill(line, false);
+        self.nodes[n].flcs[pidx].fill(ix, false);
     }
 
     /// Remote read: supply a Shared copy into node `n`.
-    fn global_read(&mut self, n: usize, line: LineNum) -> Outcome {
+    fn global_read(&mut self, n: usize, ix: LineIndex) -> Outcome {
+        let line = ix.line();
         let mut out = Outcome::at(Level::Remote);
         match self.dir.get(line) {
             Some(info) => {
                 let owner = info.owner.as_usize();
                 debug_assert_ne!(owner, n, "node-missing line owned locally");
                 // Any dirty private copy in the owner node is written back.
-                self.nodes[owner].downgrade_private(line);
-                if self.nodes[owner].am.state(line) == AmState::Exclusive {
-                    self.nodes[owner].am.set_state(line, AmState::Owner);
+                self.nodes[owner].downgrade_private(ix);
+                if self.nodes[owner].am.peek(ix) == AmState::Exclusive {
+                    self.nodes[owner].am.set_state(ix, AmState::Owner);
                 }
-                self.fill_am(n, line, AmState::Shared, &mut out);
+                self.fill_am(n, ix, AmState::Shared, &mut out);
                 self.dir.add_sharer(line, NodeId(n as u16));
                 out.remote_node = Some(NodeId(owner as u16));
                 self.log.emit(ProtocolEvent::ReadFill);
@@ -86,16 +89,16 @@ impl CoherenceEngine {
                 }
                 if home == n {
                     // Local on-demand materialization: no bus traffic.
-                    self.fill_am(n, line, AmState::Exclusive, &mut out);
+                    self.fill_am(n, ix, AmState::Exclusive, &mut out);
                     self.dir.insert_sole(line, NodeId(n as u16));
                     self.log.emit(ProtocolEvent::ColdAlloc);
                     out.level = Level::Am;
                 } else {
                     // The page frame lives at `home`: materialize the
                     // responsible copy there and supply a replica here.
-                    self.fill_am(home, line, AmState::Owner, &mut out);
+                    self.fill_am(home, ix, AmState::Owner, &mut out);
                     self.dir.insert_sole(line, NodeId(home as u16));
-                    self.fill_am(n, line, AmState::Shared, &mut out);
+                    self.fill_am(n, ix, AmState::Shared, &mut out);
                     self.dir.add_sharer(line, NodeId(n as u16));
                     self.log.emit(ProtocolEvent::ColdAlloc);
                     out.remote_node = Some(NodeId(home as u16));

@@ -11,61 +11,64 @@ impl CoherenceEngine {
     /// inclusion the private copies die with it; without inclusion clean
     /// SLC replicas survive and the node remains a sharer. Returns true
     /// if the node keeps (SLC-only) copies.
-    fn displace_private(&mut self, node_idx: usize, line: LineNum) -> bool {
+    fn displace_private(&mut self, node_idx: usize, vx: LineIndex) -> bool {
         if self.inclusive_hierarchy {
-            self.nodes[node_idx].invalidate_private(line);
+            self.nodes[node_idx].invalidate_private(vx);
             return false;
         }
         // Dirty data must not be lost: fold it back before the AM entry
         // goes (the write-back is part of the replacement).
-        self.nodes[node_idx].downgrade_private(line);
-        self.nodes[node_idx].slc_holds(line)
+        self.nodes[node_idx].downgrade_private(vx);
+        self.nodes[node_idx].slc_holds(vx)
     }
 
     /// An SLC eviction may have destroyed a node's last copy of a line it
     /// held only in its private caches (non-inclusive hierarchies): the
     /// node then stops being a sharer.
-    pub(super) fn retire_slc_only_sharer(&mut self, n: usize, line: LineNum) {
+    pub(super) fn retire_slc_only_sharer(&mut self, n: usize, ex: LineIndex) {
         if !self.inclusive_hierarchy
-            && !self.nodes[n].am.state(line).is_valid()
-            && !self.nodes[n].slc_holds(line)
+            && !self.nodes[n].am.peek(ex).is_valid()
+            && !self.nodes[n].slc_holds(ex)
         {
-            self.dir.remove_sharer(line, NodeId(n as u16));
+            self.dir.remove_sharer(ex.line(), NodeId(n as u16));
         }
     }
 
-    /// Make room for and insert `line` into node `node_idx`'s AM.
+    /// Make room for and insert `ix`'s line into node `node_idx`'s AM.
     pub(super) fn fill_am(
         &mut self,
         node_idx: usize,
-        line: LineNum,
+        ix: LineIndex,
         state: AmState,
         out: &mut Outcome,
     ) {
-        match self.nodes[node_idx].am.make_room(line) {
+        match self.nodes[node_idx].am.make_room(ix) {
             Victim::FreeSlot => {}
             Victim::DropShared(l) => {
-                self.nodes[node_idx].am.remove(l);
-                let keeps = self.displace_private(node_idx, l);
+                let vx = self.ix.am_neighbour(ix, l);
+                self.nodes[node_idx].am.remove(vx);
+                let keeps = self.displace_private(node_idx, vx);
                 if !keeps {
                     self.dir.remove_sharer(l, NodeId(node_idx as u16));
                 }
                 self.log.emit(ProtocolEvent::SharedDrop);
             }
             Victim::Inject(l, _) => {
-                self.nodes[node_idx].am.remove(l);
-                let keeps = self.displace_private(node_idx, l);
-                self.inject(node_idx, l, keeps, out);
+                let vx = self.ix.am_neighbour(ix, l);
+                self.nodes[node_idx].am.remove(vx);
+                let keeps = self.displace_private(node_idx, vx);
+                self.inject(node_idx, vx, keeps, out);
             }
         }
-        self.nodes[node_idx].am.insert(line, state);
+        self.nodes[node_idx].am.insert(ix, state);
         out.am_filled = true;
     }
 
     /// Relocate a displaced responsible copy (the accept-based strategy).
     /// `from_keeps_slc` marks that the displacing node retains SLC-only
     /// replicas (non-inclusive hierarchies).
-    fn inject(&mut self, from: usize, line: LineNum, from_keeps_slc: bool, out: &mut Outcome) {
+    fn inject(&mut self, from: usize, vx: LineIndex, from_keeps_slc: bool, out: &mut Outcome) {
+        let line = vx.line();
         // 1. Ownership migration: a Shared replica anywhere can simply
         //    take over responsibility — no data slot is consumed. Only an
         //    AM replica can; a sharer holding SLC-only copies
@@ -74,11 +77,11 @@ impl CoherenceEngine {
         debug_assert_eq!(info.owner.as_usize(), from, "injecting non-owned line");
         let replica = info
             .sharer_nodes()
-            .find(|s| self.nodes[s.as_usize()].am.state(line) == AmState::Shared);
+            .find(|s| self.nodes[s.as_usize()].am.peek(vx) == AmState::Shared);
         if let Some(new_owner) = replica {
             self.nodes[new_owner.as_usize()]
                 .am
-                .set_state(line, AmState::Owner);
+                .set_state(vx, AmState::Owner);
             self.dir.set_owner(line, new_owner);
             if from_keeps_slc {
                 self.dir.add_sharer(line, NodeId(from as u16));
@@ -96,7 +99,7 @@ impl CoherenceEngine {
         let mut invalid_slot: Option<usize> = None;
         let mut shared_slot: Option<(usize, LineNum)> = None;
         for k in order {
-            match self.nodes[k].am.accept_slot(line, self.accept_policy) {
+            match self.nodes[k].am.accept_slot(vx, self.accept_policy) {
                 Some(AcceptSlot::Invalid) if invalid_slot.is_none() => invalid_slot = Some(k),
                 Some(AcceptSlot::Shared(v)) if shared_slot.is_none() => shared_slot = Some((k, v)),
                 _ => {}
@@ -117,8 +120,9 @@ impl CoherenceEngine {
         match choice {
             Some((acceptor, sacrificed)) => {
                 if let Some(v) = sacrificed {
-                    self.nodes[acceptor].am.remove(v);
-                    let keeps = self.displace_private(acceptor, v);
+                    let sx = self.ix.am_neighbour(vx, v);
+                    self.nodes[acceptor].am.remove(sx);
+                    let keeps = self.displace_private(acceptor, sx);
                     if !keeps {
                         self.dir.remove_sharer(v, NodeId(acceptor as u16));
                     }
@@ -135,7 +139,7 @@ impl CoherenceEngine {
                     Some(info) if !info.sharers.is_empty() => AmState::Owner,
                     _ => AmState::Exclusive,
                 };
-                self.nodes[acceptor].am.insert(line, state);
+                self.nodes[acceptor].am.insert(vx, state);
                 self.log.emit(ProtocolEvent::Injection);
                 out.injected_to = Some(NodeId(acceptor as u16));
             }
@@ -143,10 +147,10 @@ impl CoherenceEngine {
                 // Every slot machine-wide is responsible: OS page-out.
                 // The line dies, and with it every SLC-only copy.
                 if from_keeps_slc {
-                    self.nodes[from].invalidate_private(line);
+                    self.nodes[from].invalidate_private(vx);
                 }
                 for s in info.sharer_nodes() {
-                    self.nodes[s.as_usize()].invalidate_private(line);
+                    self.nodes[s.as_usize()].invalidate_private(vx);
                 }
                 self.dir.remove(line);
                 *self.paged_out.entry(line.0) = true;

@@ -12,42 +12,45 @@ impl CoherenceEngine {
     pub(super) fn write_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let n = self.place.node_of(proc).as_usize();
         let pidx = self.place.index_in_node(proc);
+        let ix = self.ix.index(line);
 
-        if self.nodes[n].flcs[pidx].write_hit(line) {
+        if self.nodes[n].flcs[pidx].write_hit(ix) {
             return Outcome::at(Level::Flc);
         }
-        if self.nodes[n].slcs[pidx].lookup(line) == SlcState::Modified {
-            self.nodes[n].flcs[pidx].fill(line, true);
+        if self.nodes[n].slcs[pidx].lookup(ix) == SlcState::Modified {
+            self.nodes[n].flcs[pidx].fill(ix, true);
             return Outcome::at(Level::Slc);
         }
 
         // Ownership must be obtained: first silence the node-local peers.
-        self.nodes[n].invalidate_peers(line, pidx);
+        self.nodes[n].invalidate_peers(ix, pidx);
 
-        let mut out = match self.nodes[n].am.touch(line) {
+        let mut out = match self.nodes[n].am.touch(ix) {
             AmState::Exclusive => Outcome::at(Level::Am),
-            AmState::Owner | AmState::Shared => self.global_upgrade(n, line),
-            AmState::Invalid => self.global_read_exclusive(n, line),
+            AmState::Owner | AmState::Shared => self.global_upgrade(n, ix),
+            AmState::Invalid => self.global_read_exclusive(n, ix),
         };
-        self.fill_private_write(n, pidx, line, &mut out);
+        self.fill_private_write(n, pidx, ix, &mut out);
         out
     }
 
     /// Fill SLC (Modified) + FLC after a write obtained ownership.
-    fn fill_private_write(&mut self, n: usize, pidx: usize, line: LineNum, out: &mut Outcome) {
-        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, line, SlcState::Modified) {
+    fn fill_private_write(&mut self, n: usize, pidx: usize, ix: LineIndex, out: &mut Outcome) {
+        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, ix, SlcState::Modified) {
             if st == SlcState::Modified {
                 out.slc_writeback = true;
             }
-            self.nodes[n].flcs[pidx].invalidate(evicted);
-            self.retire_slc_only_sharer(n, evicted);
+            let ex = self.ix.slc_neighbour(ix, evicted);
+            self.nodes[n].flcs[pidx].invalidate(ex);
+            self.retire_slc_only_sharer(n, ex);
         }
-        self.nodes[n].flcs[pidx].fill(line, true);
+        self.nodes[n].flcs[pidx].fill(ix, true);
     }
 
     /// Write upgrade: the node already holds the line (Owner or Shared);
     /// invalidate every other copy and end Exclusive.
-    fn global_upgrade(&mut self, n: usize, line: LineNum) -> Outcome {
+    fn global_upgrade(&mut self, n: usize, ix: LineIndex) -> Outcome {
+        let line = ix.line();
         let mut out = Outcome::at(Level::Remote);
         let info = self.dir.get(line).expect("valid AM line not in directory");
         // How far the invalidation must climb: to the group holding the
@@ -59,18 +62,18 @@ impl CoherenceEngine {
         for sh in info.sharer_nodes() {
             let s = sh.as_usize();
             if s != n {
-                self.nodes[s].am.remove(line);
-                self.nodes[s].invalidate_private(line);
+                self.nodes[s].am.remove(ix);
+                self.nodes[s].invalidate_private(ix);
             }
         }
         let owner = info.owner.as_usize();
         if owner != n {
-            self.nodes[owner].am.remove(line);
-            self.nodes[owner].invalidate_private(line);
+            self.nodes[owner].am.remove(ix);
+            self.nodes[owner].invalidate_private(ix);
         }
         self.dir.set_owner(line, NodeId(n as u16));
         self.dir.clear_sharers(line);
-        self.nodes[n].am.set_state(line, AmState::Exclusive);
+        self.nodes[n].am.set_state(ix, AmState::Exclusive);
         out.upgrade = true;
         self.log.emit(ProtocolEvent::Upgrade);
         out
@@ -78,21 +81,22 @@ impl CoherenceEngine {
 
     /// Write miss: fetch the line with ownership (read-exclusive),
     /// invalidating every existing copy.
-    fn global_read_exclusive(&mut self, n: usize, line: LineNum) -> Outcome {
+    fn global_read_exclusive(&mut self, n: usize, ix: LineIndex) -> Outcome {
+        let line = ix.line();
         let mut out = Outcome::at(Level::Remote);
         match self.dir.get(line) {
             Some(info) => {
                 for sh in info.sharer_nodes() {
                     let s = sh.as_usize();
-                    self.nodes[s].am.remove(line);
-                    self.nodes[s].invalidate_private(line);
+                    self.nodes[s].am.remove(ix);
+                    self.nodes[s].invalidate_private(ix);
                 }
                 let owner = info.owner.as_usize();
                 debug_assert_ne!(owner, n);
-                self.nodes[owner].am.remove(line);
-                self.nodes[owner].invalidate_private(line);
+                self.nodes[owner].am.remove(ix);
+                self.nodes[owner].invalidate_private(ix);
                 self.dir.remove(line);
-                self.fill_am(n, line, AmState::Exclusive, &mut out);
+                self.fill_am(n, ix, AmState::Exclusive, &mut out);
                 self.dir.insert_sole(line, NodeId(n as u16));
                 out.read_exclusive = true;
                 out.remote_node = Some(NodeId(owner as u16));
@@ -101,7 +105,7 @@ impl CoherenceEngine {
             None => {
                 let home = self.pages.home_of(line, NodeId(n as u16)).as_usize();
                 out.pagein = self.paged_out.get_mut(line.0).is_some_and(std::mem::take);
-                self.fill_am(n, line, AmState::Exclusive, &mut out);
+                self.fill_am(n, ix, AmState::Exclusive, &mut out);
                 self.dir.insert_sole(line, NodeId(n as u16));
                 self.log.emit(ProtocolEvent::ColdAlloc);
                 if home == n {

@@ -16,7 +16,7 @@
 //! either way. The filter pays for itself at 4 processors per node
 //! (DESIGN.md §9 has the measurement without it).
 
-use coma_cache::{AttractionMemory, Flc, Slc, SlcState, VictimPolicy};
+use coma_cache::{AttractionMemory, Flc, LineIndex, Slc, SlcState, VictimPolicy};
 use coma_types::{LineNum, MachineGeometry};
 
 /// Knuth's multiplicative constant (2^64 / φ): a Fibonacci hash of the
@@ -107,23 +107,23 @@ impl NodeState {
         }
     }
 
-    /// Insert `line` into processor `pidx`'s SLC, keeping the residency
-    /// filter exact. Same contract as [`Slc::insert`]: returns the
-    /// evicted `(line, state)` if the set was full.
+    /// Insert `ix`'s line into processor `pidx`'s SLC, keeping the
+    /// residency filter exact. Same contract as [`Slc::insert`]: returns
+    /// the evicted `(line, state)` if the set was full.
     pub fn slc_fill(
         &mut self,
         pidx: usize,
-        line: LineNum,
+        ix: LineIndex,
         state: SlcState,
     ) -> Option<(LineNum, SlcState)> {
         let slc = &mut self.slcs[pidx];
         let before = slc.len();
-        let evicted = slc.insert(line, state);
+        let evicted = slc.insert(ix, state);
         // Three cases: update-in-place (no membership change), fill of a
         // free slot (line joins), evicting fill (line joins, victim
         // leaves).
         if evicted.is_some() || slc.len() > before {
-            self.filter.add(line);
+            self.filter.add(ix.line());
         }
         if let Some((victim, _)) = evicted {
             self.filter.remove(victim);
@@ -133,62 +133,62 @@ impl NodeState {
 
     /// Does some SLC of this node actually hold `line` (valid state)?
     #[inline]
-    pub fn slc_holds(&self, line: LineNum) -> bool {
-        self.filter.may_hold(line) && self.slcs.iter().any(|s| s.peek(line).is_valid())
+    pub fn slc_holds(&self, ix: LineIndex) -> bool {
+        self.filter.may_hold(ix.line()) && self.slcs.iter().any(|s| s.peek(ix).is_valid())
     }
 
     /// Enforce inclusion: the AM lost `line`, so every private cache in
     /// the node must drop it too.
-    pub fn invalidate_private(&mut self, line: LineNum) {
-        if !self.filter.may_hold(line) {
+    pub fn invalidate_private(&mut self, ix: LineIndex) {
+        if !self.filter.may_hold(ix.line()) {
             return; // no SLC holds it, hence (FLC ⊆ SLC) no FLC either
         }
         let NodeState {
             slcs, flcs, filter, ..
         } = self;
         for slc in slcs.iter_mut() {
-            if slc.invalidate(line).is_valid() {
-                filter.remove(line);
+            if slc.invalidate(ix).is_valid() {
+                filter.remove(ix.line());
             }
         }
         for flc in flcs.iter_mut() {
-            flc.invalidate(line);
+            flc.invalidate(ix);
         }
     }
 
     /// Downgrade every private copy to read-only (a reader appeared
     /// elsewhere). Returns true if some SLC held the line Modified.
-    pub fn downgrade_private(&mut self, line: LineNum) -> bool {
-        if !self.filter.may_hold(line) {
+    pub fn downgrade_private(&mut self, ix: LineIndex) -> bool {
+        if !self.filter.may_hold(ix.line()) {
             return false;
         }
         let mut had_dirty = false;
         for slc in &mut self.slcs {
-            had_dirty |= slc.downgrade(line);
+            had_dirty |= slc.downgrade(ix);
         }
         for flc in &mut self.flcs {
-            flc.downgrade(line);
+            flc.downgrade(ix);
         }
         had_dirty
     }
 
     /// Index of a peer SLC (≠ `except`) holding `line` Modified, if any.
-    pub fn dirty_peer(&self, line: LineNum, except: usize) -> Option<usize> {
-        if !self.filter.may_hold(line) {
+    pub fn dirty_peer(&self, ix: LineIndex, except: usize) -> Option<usize> {
+        if !self.filter.may_hold(ix.line()) {
             return None;
         }
         self.slcs
             .iter()
             .enumerate()
-            .find(|(i, s)| *i != except && s.peek(line) == SlcState::Modified)
+            .find(|(i, s)| *i != except && s.peek(ix) == SlcState::Modified)
             .map(|(i, _)| i)
     }
 
     /// Invalidate `line` in every private cache except processor `except`
     /// (intra-node write invalidation). Returns true if a dirty peer copy
     /// was destroyed-by-upgrade (its data first merged via the AM).
-    pub fn invalidate_peers(&mut self, line: LineNum, except: usize) -> bool {
-        if !self.filter.may_hold(line) {
+    pub fn invalidate_peers(&mut self, ix: LineIndex, except: usize) -> bool {
+        if !self.filter.may_hold(ix.line()) {
             return false;
         }
         let mut had_dirty = false;
@@ -197,16 +197,16 @@ impl NodeState {
         } = self;
         for (i, slc) in slcs.iter_mut().enumerate() {
             if i != except {
-                let prev = slc.invalidate(line);
+                let prev = slc.invalidate(ix);
                 if prev.is_valid() {
-                    filter.remove(line);
+                    filter.remove(ix.line());
                 }
                 had_dirty |= prev == SlcState::Modified;
             }
         }
         for (i, flc) in flcs.iter_mut().enumerate() {
             if i != except {
-                flc.invalidate(line);
+                flc.invalidate(ix);
             }
         }
         had_dirty
@@ -240,17 +240,22 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coma_cache::Indexer;
     use coma_types::{MachineConfig, MemoryPressure};
 
-    fn node() -> NodeState {
+    /// A 4-processor node and its machine's indexer.
+    fn node() -> (NodeState, Indexer) {
         let cfg = MachineConfig::paper(4, MemoryPressure::MP_50);
         let geom = cfg.geometry(1 << 20).unwrap();
-        NodeState::new(&geom, VictimPolicy::SharedFirst)
+        (
+            NodeState::new(&geom, VictimPolicy::SharedFirst),
+            Indexer::new(&geom),
+        )
     }
 
     #[test]
     fn construction_matches_geometry() {
-        let n = node();
+        let (n, _) = node();
         assert_eq!(n.slcs.len(), 4);
         assert_eq!(n.flcs.len(), 4);
         assert!(n.am.capacity() > 0);
@@ -258,54 +263,59 @@ mod tests {
 
     #[test]
     fn invalidate_private_clears_all_levels() {
-        let mut n = node();
-        n.slc_fill(1, LineNum(5), SlcState::Shared);
-        n.flcs[1].fill(LineNum(5), false);
-        n.invalidate_private(LineNum(5));
-        assert_eq!(n.slcs[1].peek(LineNum(5)), SlcState::Invalid);
-        assert!(!n.flcs[1].read_hit(LineNum(5)));
+        let (mut n, ixr) = node();
+        let l = ixr.index(LineNum(5));
+        n.slc_fill(1, l, SlcState::Shared);
+        n.flcs[1].fill(l, false);
+        n.invalidate_private(l);
+        assert_eq!(n.slcs[1].peek(l), SlcState::Invalid);
+        assert!(!n.flcs[1].read_hit(l));
         n.filter_consistent().unwrap();
     }
 
     #[test]
     fn dirty_peer_found_and_excluded() {
-        let mut n = node();
-        n.slc_fill(2, LineNum(9), SlcState::Modified);
-        assert_eq!(n.dirty_peer(LineNum(9), 0), Some(2));
-        assert_eq!(n.dirty_peer(LineNum(9), 2), None);
+        let (mut n, ixr) = node();
+        let l = ixr.index(LineNum(9));
+        n.slc_fill(2, l, SlcState::Modified);
+        assert_eq!(n.dirty_peer(l, 0), Some(2));
+        assert_eq!(n.dirty_peer(l, 2), None);
     }
 
     #[test]
     fn downgrade_reports_dirty() {
-        let mut n = node();
-        n.slc_fill(0, LineNum(3), SlcState::Modified);
-        n.slc_fill(1, LineNum(3), SlcState::Shared);
-        assert!(n.downgrade_private(LineNum(3)));
-        assert_eq!(n.slcs[0].peek(LineNum(3)), SlcState::Shared);
-        assert!(!n.downgrade_private(LineNum(3)));
+        let (mut n, ixr) = node();
+        let l = ixr.index(LineNum(3));
+        n.slc_fill(0, l, SlcState::Modified);
+        n.slc_fill(1, l, SlcState::Shared);
+        assert!(n.downgrade_private(l));
+        assert_eq!(n.slcs[0].peek(l), SlcState::Shared);
+        assert!(!n.downgrade_private(l));
         n.filter_consistent().unwrap();
     }
 
     #[test]
     fn invalidate_peers_spares_writer() {
-        let mut n = node();
-        n.slc_fill(0, LineNum(4), SlcState::Shared);
-        n.slc_fill(1, LineNum(4), SlcState::Shared);
-        let dirty = n.invalidate_peers(LineNum(4), 0);
+        let (mut n, ixr) = node();
+        let l = ixr.index(LineNum(4));
+        n.slc_fill(0, l, SlcState::Shared);
+        n.slc_fill(1, l, SlcState::Shared);
+        let dirty = n.invalidate_peers(l, 0);
         assert!(!dirty);
-        assert_eq!(n.slcs[0].peek(LineNum(4)), SlcState::Shared);
-        assert_eq!(n.slcs[1].peek(LineNum(4)), SlcState::Invalid);
+        assert_eq!(n.slcs[0].peek(l), SlcState::Shared);
+        assert_eq!(n.slcs[1].peek(l), SlcState::Invalid);
         n.filter_consistent().unwrap();
     }
 
     #[test]
     fn filter_tracks_fill_update_and_eviction() {
-        let mut n = node();
+        let (mut n, ixr) = node();
         // Fresh fill: filter sees the line.
-        assert!(n.slc_fill(0, LineNum(10), SlcState::Shared).is_none());
+        let l = ixr.index(LineNum(10));
+        assert!(n.slc_fill(0, l, SlcState::Shared).is_none());
         assert!(n.filter.may_hold(LineNum(10)));
         // Update in place: count unchanged (still consistent).
-        assert!(n.slc_fill(0, LineNum(10), SlcState::Modified).is_none());
+        assert!(n.slc_fill(0, l, SlcState::Modified).is_none());
         n.filter_consistent().unwrap();
         // Fill the set until line 10's set evicts it; whatever is evicted
         // must leave the filter.
@@ -313,7 +323,7 @@ mod tests {
         assert_eq!(assoc, 1);
         let mut evicted = Vec::new();
         for k in 1..100_000u64 {
-            if let Some((l, _)) = n.slc_fill(0, LineNum(k), SlcState::Shared) {
+            if let Some((l, _)) = n.slc_fill(0, ixr.index(LineNum(k)), SlcState::Shared) {
                 evicted.push(l);
                 break;
             }
@@ -324,21 +334,22 @@ mod tests {
 
     #[test]
     fn zero_count_is_exact_absence() {
-        let mut n = node();
-        n.slc_fill(3, LineNum(77), SlcState::Shared);
-        n.invalidate_private(LineNum(77));
-        assert!(!n.slc_holds(LineNum(77)));
+        let (mut n, ixr) = node();
+        let l = ixr.index(LineNum(77));
+        n.slc_fill(3, l, SlcState::Shared);
+        n.invalidate_private(l);
+        assert!(!n.slc_holds(l));
         n.filter_consistent().unwrap();
         // slc_holds on a never-seen line must not probe wrongly either.
-        assert!(!n.slc_holds(LineNum(123_456)));
+        assert!(!n.slc_holds(ixr.index(LineNum(123_456))));
     }
 
     #[test]
     fn filter_consistency_catches_bypass() {
-        let mut n = node();
+        let (mut n, ixr) = node();
         // Mutating the SLC directly (bypassing slc_fill) desynchronizes
         // the filter, and the checker must say so.
-        n.slcs[0].insert(LineNum(42), SlcState::Shared);
+        n.slcs[0].insert(ixr.index(LineNum(42)), SlcState::Shared);
         assert!(n.filter_consistent().is_err());
     }
 }

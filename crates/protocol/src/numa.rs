@@ -22,7 +22,7 @@ use crate::memory::MemorySystem;
 use crate::outcome::Outcome;
 use crate::sharers::{SharerSet, SpillTable};
 use crate::table::{LineTable, PageHomes};
-use coma_cache::{Flc, Slc, SlcState};
+use coma_cache::{Flc, Indexer, LineIndex, Slc, SlcState};
 use coma_stats::{EventLog, Level, ProtocolCounters, ProtocolEvent, Traffic};
 use coma_types::{LineNum, MachineGeometry, NodeId, Placement, ProcId};
 use std::any::Any;
@@ -74,6 +74,8 @@ pub enum BaselineKind {
 pub struct BaselineEngine {
     geom: MachineGeometry,
     kind: BaselineKind,
+    /// One reduction per access serves every processor's caches.
+    ix: Indexer,
     slcs: Vec<Slc>,
     flcs: Vec<Flc>,
     pages: PageHomes,
@@ -95,6 +97,7 @@ impl BaselineEngine {
         BaselineEngine {
             geom,
             kind,
+            ix: Indexer::new(&geom),
             slcs: (0..geom.n_procs)
                 .map(|_| Slc::new(geom.slc_sets, geom.slc_assoc))
                 .collect(),
@@ -148,9 +151,9 @@ impl BaselineEngine {
     }
 
     /// Handle the SLC fill bookkeeping (possible dirty victim).
-    fn fill_slc(&mut self, p: usize, line: LineNum, state: SlcState, out: &mut Outcome) {
-        if let Some((victim, st)) = self.slcs[p].insert(line, state) {
-            self.flcs[p].invalidate(victim);
+    fn fill_slc(&mut self, p: usize, ix: LineIndex, state: SlcState, out: &mut Outcome) {
+        if let Some((victim, st)) = self.slcs[p].insert(ix, state) {
+            self.flcs[p].invalidate(self.ix.slc_neighbour(ix, victim));
             // Remove from the directory.
             let me = ProcId(p as u16);
             if let Some(e) = self.dir.get_mut(victim.0) {
@@ -172,7 +175,8 @@ impl BaselineEngine {
     }
 
     /// Invalidate every cached copy except processor `keep`.
-    fn invalidate_others(&mut self, line: LineNum, keep: ProcId) -> bool {
+    fn invalidate_others(&mut self, ix: LineIndex, keep: ProcId) -> bool {
+        let line = ix.line();
         let e = self.dir.entry(line.0);
         let mut had_any = false;
         let readers = e.readers.take(&mut self.spill, line.0);
@@ -180,15 +184,15 @@ impl BaselineEngine {
         e.set_writer(None);
         for p in readers.iter() {
             if p != keep.0 {
-                self.slcs[p as usize].invalidate(line);
-                self.flcs[p as usize].invalidate(line);
+                self.slcs[p as usize].invalidate(ix);
+                self.flcs[p as usize].invalidate(ix);
                 had_any = true;
             }
         }
         if let Some(w) = writer {
             if w != keep {
-                self.slcs[w.as_usize()].invalidate(line);
-                self.flcs[w.as_usize()].invalidate(line);
+                self.slcs[w.as_usize()].invalidate(ix);
+                self.flcs[w.as_usize()].invalidate(ix);
                 had_any = true;
             }
         }
@@ -197,12 +201,13 @@ impl BaselineEngine {
 
     fn read_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let p = proc.as_usize();
-        if self.flcs[p].read_hit(line) {
+        let ix = self.ix.index(line);
+        if self.flcs[p].read_hit(ix) {
             return Outcome::at(Level::Flc);
         }
-        let held = self.slcs[p].lookup(line);
+        let held = self.slcs[p].lookup(ix);
         if held.is_valid() {
-            self.flcs[p].fill(line, held == SlcState::Modified);
+            self.flcs[p].fill(ix, held == SlcState::Modified);
             return Outcome::at(Level::Slc);
         }
 
@@ -212,8 +217,8 @@ impl BaselineEngine {
         // home first (we charge one remote transfer when the home is far).
         let e = self.dir.entry(line.0);
         if let Some(w) = e.writer() {
-            self.slcs[w.as_usize()].downgrade(line);
-            self.flcs[w.as_usize()].downgrade(line);
+            self.slcs[w.as_usize()].downgrade(ix);
+            self.flcs[w.as_usize()].downgrade(ix);
             e.set_writer(None);
             e.readers.insert(&mut self.spill, line.0, w.0);
         }
@@ -225,26 +230,27 @@ impl BaselineEngine {
             out.remote_node = Some(home);
             self.log.emit(ProtocolEvent::ReadFill);
         }
-        self.fill_slc(p, line, SlcState::Shared, &mut out);
-        self.flcs[p].fill(line, false);
+        self.fill_slc(p, ix, SlcState::Shared, &mut out);
+        self.flcs[p].fill(ix, false);
         out
     }
 
     fn write_inner(&mut self, proc: ProcId, line: LineNum) -> Outcome {
         let p = proc.as_usize();
-        if self.flcs[p].write_hit(line) {
+        let ix = self.ix.index(line);
+        if self.flcs[p].write_hit(ix) {
             return Outcome::at(Level::Flc);
         }
-        let held = self.slcs[p].lookup(line);
+        let held = self.slcs[p].lookup(ix);
         if held == SlcState::Modified {
-            self.flcs[p].fill(line, true);
+            self.flcs[p].fill(ix, true);
             return Outcome::at(Level::Slc);
         }
 
         let me = self.place.node_of(proc);
         let home = self.pages.home_of(line, me);
         let had_copy = held == SlcState::Shared;
-        let had_others = self.invalidate_others(line, proc);
+        let had_others = self.invalidate_others(ix, proc);
 
         let level = self.supply_level(home, me);
         let mut out = Outcome::at(level);
@@ -265,8 +271,8 @@ impl BaselineEngine {
         let e = self.dir.entry(line.0);
         e.set_writer(Some(proc));
         e.readers.clear(&mut self.spill, line.0);
-        self.fill_slc(p, line, SlcState::Modified, &mut out);
-        self.flcs[p].fill(line, true);
+        self.fill_slc(p, ix, SlcState::Modified, &mut out);
+        self.flcs[p].fill(ix, true);
         out
     }
 }
@@ -316,9 +322,10 @@ impl MemorySystem for BaselineEngine {
     fn check_invariants(&self) -> Result<(), String> {
         for (l, e) in self.dir.iter() {
             let line = LineNum(l);
+            let ix = self.ix.index(line);
             let readers = e.readers.members(&self.spill, l);
             if let Some(w) = e.writer() {
-                if self.slcs[w.as_usize()].peek(line) != SlcState::Modified {
+                if self.slcs[w.as_usize()].peek(ix) != SlcState::Modified {
                     return Err(format!("{line:?}: writer {w} not Modified"));
                 }
                 let mut others = readers;
@@ -328,7 +335,7 @@ impl MemorySystem for BaselineEngine {
                 }
             }
             for p in readers.iter() {
-                if !self.slcs[p as usize].peek(line).is_valid() {
+                if !self.slcs[p as usize].peek(ix).is_valid() {
                     return Err(format!("{line:?}: reader P{p} has no copy"));
                 }
             }

@@ -29,8 +29,9 @@ fn run_check(name: &str, cfg: &CheckConfig) -> bool {
     }
 }
 
-fn run_fuzz(name: &str, cfg: &FuzzConfig) -> bool {
-    let r = fuzz(cfg, &|| cfg.build_engine());
+/// Fuzz the clean engine, with (`inclusive`) or without SLC ⊆ AM.
+fn run_fuzz(name: &str, cfg: &FuzzConfig, inclusive: bool) -> bool {
+    let r = fuzz(cfg, &|| crate::clean_engine(cfg.geom, inclusive));
     match &r.failure {
         Some(f) => {
             eprintln!("fuzz {name}: FAILED after {} ops\n{f}", r.ops_run);
@@ -92,6 +93,32 @@ fn run_mutants_inner() -> bool {
     ok
 }
 
+/// The non-inclusive hierarchy (SLC replicas outlive AM replacements):
+/// the pressured model check to `depth` and both pressured fuzz
+/// configurations for `n_ops`.
+fn run_non_inclusive(depth: usize, n_ops: u64, seed: u64) -> bool {
+    let mut ok = run_check(
+        &format!("2n×1p×3line depth {depth} (pressured, non-inclusive)"),
+        &CheckConfig {
+            depth: Some(depth),
+            inclusive: false,
+            ..CheckConfig::pressured(2, 1, 3)
+        },
+    );
+    let k = n_ops / 1000;
+    ok &= run_fuzz(
+        &format!("2×2 pressured {k}k non-inclusive"),
+        &FuzzConfig::pressured(n_ops, seed),
+        false,
+    );
+    ok &= run_fuzz(
+        &format!("2g×2n pressured {k}k non-inclusive"),
+        &FuzzConfig::pressured_two_level(n_ops, seed),
+        false,
+    );
+    ok
+}
+
 /// Run the verification campaign; returns true when everything passed.
 /// `smoke` selects the CI-sized subset (bounded model check + 10k fuzz
 /// ops); otherwise the full campaign runs (larger closures, pressured
@@ -105,11 +132,17 @@ pub fn run(smoke: bool, seed: u64) -> bool {
             "2n×1p×3line depth 5 (pressured)",
             &CheckConfig::pressured(2, 1, 3),
         );
-        ok &= run_fuzz("2×2 pressured 10k", &FuzzConfig::pressured(10_000, seed));
+        ok &= run_fuzz(
+            "2×2 pressured 10k",
+            &FuzzConfig::pressured(10_000, seed),
+            true,
+        );
         ok &= run_fuzz(
             "2g×2n pressured 10k",
             &FuzzConfig::pressured_two_level(10_000, seed),
+            true,
         );
+        ok &= run_non_inclusive(5, 10_000, seed);
     } else {
         let mut two_line = CheckConfig::two_node_one_line();
         two_line.n_lines = 2;
@@ -134,14 +167,17 @@ pub fn run(smoke: bool, seed: u64) -> bool {
             ok &= run_fuzz(
                 &format!("2×2 pressured 100k #{i}"),
                 &FuzzConfig::pressured(100_000, s),
+                true,
             );
         }
         for (i, s) in [seed, 0x5EED].into_iter().enumerate() {
             ok &= run_fuzz(
                 &format!("2g×2n pressured 100k #{i}"),
                 &FuzzConfig::pressured_two_level(100_000, s),
+                true,
             );
         }
+        ok &= run_non_inclusive(6, 100_000, seed);
     }
     ok &= run_mutants();
 

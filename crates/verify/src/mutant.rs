@@ -53,11 +53,10 @@ impl MutantEngine {
                 // The stale replica survives in the victim's AM. Only
                 // re-insert when the set has room — a lost invalidation
                 // cannot displace anything.
+                let ix = self.inner.index(line);
                 let am = &mut self.inner.node_mut(victim as usize).am;
-                if am.state(line) == AmState::Invalid
-                    && matches!(am.make_room(line), Victim::FreeSlot)
-                {
-                    am.insert(line, AmState::Shared);
+                if am.peek(ix) == AmState::Invalid && am.make_room(ix) == Victim::FreeSlot {
+                    am.insert(ix, AmState::Shared);
                 }
             }
             Mutation::ForgetDirectoryUpdate => {

@@ -339,7 +339,8 @@ mod tests {
         let mut e = tiny_engine();
         e.write(ProcId(0), LineNum(1));
         // Corrupt: a second responsible copy appears in node 1.
-        e.node_mut(1).am.insert(LineNum(1), AmState::Owner);
+        let ix = e.index(LineNum(1));
+        e.node_mut(1).am.insert(ix, AmState::Owner);
         let err = Snapshot::capture(&e).check(true).unwrap_err();
         assert!(err.contains("responsible"), "unexpected message: {err}");
     }
