@@ -32,35 +32,21 @@ impl CoherenceEngine {
                 debug_assert_eq!(self.nodes[n].am.peek(ix), AmState::Exclusive);
                 out = Outcome::at(Level::PeerSlc);
                 out.peer_slc = Some(peer);
-                self.fill_private_read(n, pidx, ix, &mut out);
+                self.fill_private(n, pidx, ix, SlcState::Shared, &mut out);
                 return out;
             }
         }
 
         if self.nodes[n].am.touch(ix).is_valid() {
             out = Outcome::at(Level::Am);
-            self.fill_private_read(n, pidx, ix, &mut out);
+            self.fill_private(n, pidx, ix, SlcState::Shared, &mut out);
             return out;
         }
 
         // Node miss: the access goes on the global bus.
         out = self.global_read(n, ix);
-        self.fill_private_read(n, pidx, ix, &mut out);
+        self.fill_private(n, pidx, ix, SlcState::Shared, &mut out);
         out
-    }
-
-    /// Fill SLC (Shared) + FLC after a read serviced at/under the AM.
-    fn fill_private_read(&mut self, n: usize, pidx: usize, ix: LineIndex, out: &mut Outcome) {
-        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, ix, SlcState::Shared) {
-            if st == SlcState::Modified {
-                // Write-back into the AM (data only; AM keeps Exclusive).
-                out.slc_writeback = true;
-            }
-            let ex = self.ix.slc_neighbour(ix, evicted);
-            self.nodes[n].flcs[pidx].invalidate(ex);
-            self.retire_slc_only_sharer(n, ex);
-        }
-        self.nodes[n].flcs[pidx].fill(ix, false);
     }
 
     /// Remote read: supply a Shared copy into node `n`.

@@ -25,13 +25,36 @@ impl CoherenceEngine {
     /// An SLC eviction may have destroyed a node's last copy of a line it
     /// held only in its private caches (non-inclusive hierarchies): the
     /// node then stops being a sharer.
-    pub(super) fn retire_slc_only_sharer(&mut self, n: usize, ex: LineIndex) {
+    fn retire_slc_only_sharer(&mut self, n: usize, ex: LineIndex) {
         if !self.inclusive_hierarchy
             && !self.nodes[n].am.peek(ex).is_valid()
             && !self.nodes[n].slc_holds(ex)
         {
             self.dir.remove_sharer(ex.line(), NodeId(n as u16));
         }
+    }
+
+    /// Fill processor `pidx`'s SLC (in `state`: Shared after a read
+    /// serviced at or under the AM, Modified after a write obtained
+    /// ownership) and its FLC, writable iff Modified.
+    pub(super) fn fill_private(
+        &mut self,
+        n: usize,
+        pidx: usize,
+        ix: LineIndex,
+        state: SlcState,
+        out: &mut Outcome,
+    ) {
+        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, ix, state) {
+            if st == SlcState::Modified {
+                // Write-back into the AM (data only; AM keeps Exclusive).
+                out.slc_writeback = true;
+            }
+            let ex = self.ix.slc_neighbour(ix, evicted);
+            self.nodes[n].flcs[pidx].invalidate(ex);
+            self.retire_slc_only_sharer(n, ex);
+        }
+        self.nodes[n].flcs[pidx].fill(ix, state == SlcState::Modified);
     }
 
     /// Make room for and insert `ix`'s line into node `node_idx`'s AM.

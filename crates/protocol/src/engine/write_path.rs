@@ -30,21 +30,8 @@ impl CoherenceEngine {
             AmState::Owner | AmState::Shared => self.global_upgrade(n, ix),
             AmState::Invalid => self.global_read_exclusive(n, ix),
         };
-        self.fill_private_write(n, pidx, ix, &mut out);
+        self.fill_private(n, pidx, ix, SlcState::Modified, &mut out);
         out
-    }
-
-    /// Fill SLC (Modified) + FLC after a write obtained ownership.
-    fn fill_private_write(&mut self, n: usize, pidx: usize, ix: LineIndex, out: &mut Outcome) {
-        if let Some((evicted, st)) = self.nodes[n].slc_fill(pidx, ix, SlcState::Modified) {
-            if st == SlcState::Modified {
-                out.slc_writeback = true;
-            }
-            let ex = self.ix.slc_neighbour(ix, evicted);
-            self.nodes[n].flcs[pidx].invalidate(ex);
-            self.retire_slc_only_sharer(n, ex);
-        }
-        self.nodes[n].flcs[pidx].fill(ix, true);
     }
 
     /// Write upgrade: the node already holds the line (Owner or Shared);

@@ -59,10 +59,12 @@ impl Rng64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw with probability `p`.
+    /// Bernoulli draw with probability `p`: exactly `self.f64_unit() < p`,
+    /// decided on the draw's 53 integer bits. `f64_unit` is `k·2⁻⁵³` for
+    /// an integer `k`, so `k·2⁻⁵³ < p` holds iff `k < ⌈p·2⁵³⌉`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        self.f64_unit() < p
+        (self.next_u64() >> 11) < unit_threshold(p)
     }
 
     /// Fisher–Yates shuffle.
@@ -79,18 +81,43 @@ impl Rng64 {
     }
 }
 
+/// `⌈p·2⁵³⌉` clamped to `[0, 2⁵³]`: the number of 53-bit draws `k` with
+/// `k·2⁻⁵³ < p`. Scaling by a power of two is exact (subnormals included),
+/// the saturating cast sends NaN and negatives to 0, and the ceiling is a
+/// compare, not a libm call.
+#[inline]
+fn unit_threshold(p: f64) -> u64 {
+    const ONE: u64 = 1 << 53;
+    let x = p * ONE as f64;
+    let t = x as u64;
+    if t >= ONE {
+        ONE
+    } else {
+        t + u64::from((t as f64) < x)
+    }
+}
+
 /// Zipf-distributed sampler over `0..n` with exponent `s`, built once and
-/// sampled in O(log n) via binary search on the precomputed CDF.
+/// sampled in expected O(1) by indexed search (Chen & Asau's guide table)
+/// on the precomputed CDF.
 ///
 /// Workload models use this for hot-spot access patterns (e.g. upper
 /// octree levels in Barnes, popular scene objects in Raytrace), where a
 /// small set of lines is touched far more often than the tail.
 ///
-/// A clone shares the CDF (one `f64` per element), so handing each
+/// The guide table splits `[0, 1)` into `M` equal buckets, `M` the largest
+/// power of two ≤ n, so `u·M` and `b/M` are exact. Entry `b` counts the
+/// CDF entries below `b/M`: a draw in bucket `b` starts its scan there,
+/// and since every bucket is hit with probability `1/M`, the expected scan
+/// is at most `1 + n/M ≤ 3` entries.
+///
+/// A clone shares the CDF (one `f64` per element) and the guide table (one
+/// `u32` per bucket, at most half the CDF's bytes), so handing each
 /// processor its own sampler costs O(1).
 #[derive(Clone, Debug)]
 pub struct ZipfSampler {
     cdf: Arc<[f64]>,
+    guide: Arc<[u32]>,
 }
 
 impl ZipfSampler {
@@ -109,7 +136,23 @@ impl ZipfSampler {
         for v in &mut cdf {
             *v /= total;
         }
-        ZipfSampler { cdf: cdf.into() }
+        // The last entry is `total / total = 1.0`, above every draw, so a
+        // scan from any bucket stops inside the table.
+        debug_assert_eq!(cdf[n - 1], 1.0);
+        let buckets = 1usize << n.ilog2();
+        let mut guide = Vec::with_capacity(buckets);
+        let mut below = 0usize;
+        for b in 0..buckets {
+            let edge = b as f64 / buckets as f64;
+            while cdf[below] < edge {
+                below += 1;
+            }
+            guide.push(u32::try_from(below).expect("ZipfSampler support exceeds u32"));
+        }
+        ZipfSampler {
+            cdf: cdf.into(),
+            guide: guide.into(),
+        }
     }
 
     /// Number of elements in the support.
@@ -122,8 +165,31 @@ impl ZipfSampler {
     }
 
     /// Draw an index in `0..n`; index 0 is the most popular.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng64) -> usize {
-        let u = rng.f64_unit();
+        self.index_of(rng.f64_unit())
+    }
+
+    /// The index a draw `u ∈ [0, 1)` selects: the first CDF entry not
+    /// below `u`, found by a forward scan from `u`'s guide bucket. On an
+    /// exact tie (`cdf[j] == u`) the binary search decides, since its pick
+    /// among equal entries is the one every generated stream was built on.
+    #[inline]
+    fn index_of(&self, u: f64) -> usize {
+        let cdf = &*self.cdf;
+        let bucket = (u * self.guide.len() as f64) as usize;
+        let mut j = self.guide[bucket] as usize;
+        while cdf[j] < u {
+            j += 1;
+        }
+        if cdf[j] == u {
+            return self.binary_search(u);
+        }
+        j
+    }
+
+    /// The reference lookup: binary search over the whole CDF.
+    fn binary_search(&self, u: f64) -> usize {
         match self
             .cdf
             .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite"))
@@ -228,6 +294,92 @@ mod tests {
         for &c in &counts {
             assert!((3500..6500).contains(&c), "not uniform: {counts:?}");
         }
+    }
+
+    /// The probes at which a guide lookup could part from the binary
+    /// search: every CDF value and its two neighbours, both ends of
+    /// `[0, 1)`, and random draws.
+    fn probes(z: &ZipfSampler, rng: &mut Rng64) -> Vec<f64> {
+        let mut us = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        for &c in z.cdf.iter() {
+            us.extend([c.next_down(), c, c.next_up()]);
+        }
+        us.extend((0..100_000).map(|_| rng.f64_unit()));
+        us.retain(|u| (0.0..1.0).contains(u));
+        us
+    }
+
+    #[test]
+    fn zipf_guide_lookup_matches_binary_search() {
+        let mut rng = Rng64::new(29);
+        for n in [1usize, 2, 3, 1000, 4097] {
+            for s in [0.0, 1.0, 1.25, 40.0] {
+                let z = ZipfSampler::new(n, s);
+                let m = z.guide.len();
+                assert!(m.is_power_of_two() && m <= n, "n {n}: {m} buckets");
+                for u in probes(&z, &mut rng) {
+                    assert_eq!(z.index_of(u), z.binary_search(u), "n {n} s {s} u {u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_steep_exponent_has_tied_cdf_runs() {
+        // s = 40 pushes the tail below the head's rounding, so the probe
+        // test above meets runs of equal CDF entries; a draw equal to an
+        // entry is the tie the guide lookup defers to the binary search.
+        let z = ZipfSampler::new(1000, 40.0);
+        assert!(z.cdf.windows(2).any(|w| w[0] == w[1]));
+        assert_eq!(z.index_of(z.cdf[0]), 0);
+    }
+
+    /// Every p the integer Bernoulli test must agree with `f64_unit() < p` on.
+    const CHANCE_PS: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        f64::EPSILON / 2.0,
+        0.1,
+        0.25,
+        1.0 - f64::EPSILON / 2.0,
+        1.0,
+        1.5,
+        f64::INFINITY,
+        -1.0,
+        f64::NAN,
+    ];
+
+    #[test]
+    fn chance_matches_float_compare_on_cloned_streams() {
+        for (i, &p) in CHANCE_PS.iter().enumerate() {
+            let mut a = Rng64::new(1000 + i as u64);
+            let mut b = a.clone();
+            for _ in 0..10_000 {
+                assert_eq!(a.chance(p), b.f64_unit() < p, "p {p:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn chance_threshold_is_exact_at_its_boundary() {
+        // Each 53-bit draw k stands for f64_unit() = k·2⁻⁵³; the threshold
+        // must split the k's exactly where the float compare does.
+        const ONE: u64 = 1 << 53;
+        let unit = |k: u64| k as f64 / ONE as f64;
+        for &p in &CHANCE_PS {
+            let t = unit_threshold(p);
+            assert!(t <= ONE, "p {p:e}");
+            let ks = [0, 1, t.saturating_sub(1), t, t + 1, ONE - 1];
+            for k in ks.into_iter().filter(|&k| k < ONE) {
+                assert_eq!(k < t, unit(k) < p, "p {p:e} k {k}");
+            }
+        }
+        assert_eq!(unit_threshold(f64::from_bits(1)), 1);
+        assert_eq!(unit_threshold(0.25), ONE / 4);
+        assert_eq!(unit_threshold(1.0 - f64::EPSILON / 2.0), ONE - 1);
+        assert_eq!(unit_threshold(f64::INFINITY), ONE);
+        assert_eq!(unit_threshold(f64::NAN), 0);
     }
 
     #[test]

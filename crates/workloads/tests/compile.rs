@@ -191,3 +191,86 @@ fn chunk_boundary_spans_stay_separated() {
         assert_eq!(got_tail, want_tail, "stream {p} trailing gap");
     }
 }
+
+/// FNV-1a 64-bit over the little-endian bytes of `v`.
+fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Digest of a compiled arena: every span, then every record's kind,
+/// inline gap and payload, in order.
+fn arena_digest(arena: &OpArena) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for p in 0..arena.n_streams() {
+        let (start, end) = arena.span(p);
+        h = fnv1a_u64(h, start as u64);
+        h = fnv1a_u64(h, end as u64);
+    }
+    for r in arena.records() {
+        h = fnv1a_u64(h, r.kind() as u64);
+        h = fnv1a_u64(h, r.gap_ns());
+        h = fnv1a_u64(h, r.payload());
+    }
+    h
+}
+
+/// Every catalog app's generated streams at smoke scale, seed 42, on 4 and
+/// 16 processors, pinned by digest. A generator change that moves a single
+/// draw — an address, a sync id or a compute gap — moves its digest.
+#[test]
+fn generated_streams_are_pinned() {
+    const PINS: [(&str, usize, u64); 32] = [
+        ("Barnes", 4, 0xd54c12f461a18808),
+        ("Barnes", 16, 0x3ebfab227677eb0e),
+        ("Cholesky", 4, 0x6abf883edd8d1d13),
+        ("Cholesky", 16, 0x60d1dfb3fd953885),
+        ("FFT", 4, 0x501a13ec2712e026),
+        ("FFT", 16, 0x5aba0e8e201bcbeb),
+        ("FMM", 4, 0xb618623768d27552),
+        ("FMM", 16, 0x192f786f230cb70c),
+        ("LU cont", 4, 0xa96d0aded5a8d32f),
+        ("LU cont", 16, 0xa6888908476ff18b),
+        ("LU non", 4, 0xa7b248454ae4ac8a),
+        ("LU non", 16, 0xecf9ba09e511a9de),
+        ("Ocean cont", 4, 0xf0e5ab3c6e4912c8),
+        ("Ocean cont", 16, 0xd9c9c943e25fd027),
+        ("Ocean non", 4, 0x9c62fe4ae50c3d72),
+        ("Ocean non", 16, 0x9f6deb924ff6174d),
+        ("Radiosity", 4, 0xf86a3103653ef9e5),
+        ("Radiosity", 16, 0x3734cea1c806498e),
+        ("Radix", 4, 0xcf1bc50dae772b9b),
+        ("Radix", 16, 0xb7e7d22de333f52c),
+        ("Raytrace", 4, 0x57cf474293dd03b2),
+        ("Raytrace", 16, 0x1f82861dbba49a46),
+        ("Volrend", 4, 0xe504c22305648b0a),
+        ("Volrend", 16, 0xe41443b06e511836),
+        ("Water n2", 4, 0x30ea56393d5d8ce1),
+        ("Water n2", 16, 0xae3c8266bd46d781),
+        ("Water sp", 4, 0x72723ecf718be8e1),
+        ("Water sp", 16, 0xa2311de9355caf8a),
+        ("KV Zipf", 4, 0x2652c1dd8ac9852e),
+        ("KV Zipf", 16, 0x10e6660de04a1705),
+        ("Graph BFS", 4, 0xf242e8aa971f77b6),
+        ("Graph BFS", 16, 0x3a9cbed663a6e7b4),
+    ];
+    let mut got = Vec::new();
+    for app in AppId::ALL.into_iter().chain(AppId::TRAFFIC) {
+        for procs in [4, 16] {
+            let arena = OpArena::compile(app.build(procs, 42, Scale::SMOKE).streams);
+            got.push((app.name(), procs, arena_digest(&arena)));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, procs, d)| format!("        ({name:?}, {procs}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got.as_slice(),
+        PINS.as_slice(),
+        "stream digests moved:\n{table}"
+    );
+}

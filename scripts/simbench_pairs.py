@@ -17,10 +17,17 @@ directory. Builds are offline and use only what the checkouts hold.
 Pair i runs both binaries with the same arguments, base first in odd
 pairs and change first in even ones, so a drift of the host's speed
 falls on both sides alike. Every run's JSON line is printed as it
-arrives. Then, for each metric: both sides' median and quartiles
+arrives, after the run's minor page faults (the `ru_minflt` delta of
+`getrusage(RUSAGE_CHILDREN)` across the run). Then, for each metric:
+both sides' median and quartiles
 (`statistics.quantiles(..., method="inclusive")`, i.e. linear
 interpolation) and the number of pairs the change won, in the direction
 `BENCHMARK.json` declares for the metric (ties count for neither side).
+The minor faults get two rows of the same table, without wins: per run,
+and per attempted operation (a run repeats its cells for as long as
+`--seconds` allows, so the faster side attempts more and faults more).
+The heap's page-fault count moves `setup_s` on its own, so a `setup_s`
+claim can show that the allocator did not make it.
 Then comes the verdict for `--metric`, the rule of the choosing-metrics
 guide, section 8: a gain needs the change ahead in at least nine tenths
 of all pairs, and the medians apart, in the better direction, by more
@@ -44,6 +51,7 @@ runs nothing else.
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -57,6 +65,17 @@ def quartiles(xs):
         return xs[0], xs[0]
     q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q3
+
+
+def summary(xs):
+    """`median [q1-q3]` of one side's runs."""
+    q1, q3 = quartiles(xs)
+    return f"{statistics.median(xs):.6g} [{q1:.6g}-{q3:.6g}]"
+
+
+def per_op(minflts, runs):
+    """Each run's minor faults divided by its attempted operations."""
+    return [f / r["attempted"] for f, r in zip(minflts, runs)]
 
 
 def wins(base, change, better):
@@ -135,9 +154,11 @@ def run_once(binary, args):
         "--seconds", str(args.seconds),
         "--trace", str(args.trace),
     ]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, check=True, text=True, stdout=subprocess.PIPE)
+    minflt = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     line = out.stdout.strip().splitlines()[-1]
-    return line, json.loads(line)
+    return line, json.loads(line), minflt
 
 
 def run_pairs(args):
@@ -163,12 +184,14 @@ def run_pairs(args):
             binaries[side] = build(checkout, os.path.join(workdir, f"target-{side}"))
 
         runs = {"base": [], "change": []}
+        minflts = {"base": [], "change": []}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                line, result = run_once(binaries[side], args)
+                line, result, minflt = run_once(binaries[side], args)
                 runs[side].append(result)
-                print(f"pair {i + 1} {side:<6} {line}", flush=True)
+                minflts[side].append(minflt)
+                print(f"pair {i + 1} {side:<6} minflt {minflt} {line}", flush=True)
     finally:
         for checkout in worktrees:
             git("worktree", "remove", "--force", checkout, cwd=root)
@@ -192,13 +215,18 @@ def run_pairs(args):
         for side in ("base", "change"):
             xs = [r["metrics"][name]["value"] for r in runs[side]]
             values[name, side] = xs
-            q1, q3 = quartiles(xs)
-            cols.append(f"{statistics.median(xs):.6g} [{q1:.6g}-{q3:.6g}]")
+            cols.append(summary(xs))
         won = "-"
         if name in better:
             won = wins(values[name, "base"], values[name, "change"], better[name])
             won = f"{won}/{args.pairs}"
         print(f"  {name:<32} {cols[0]:<40} {cols[1]:<40} {won}")
+    fault_rows = {
+        "minor_faults": minflts,
+        "minor_faults_per_op": {s: per_op(minflts[s], runs[s]) for s in minflts},
+    }
+    for name, xs in fault_rows.items():
+        print(f"  {name:<32} {summary(xs['base']):<40} {summary(xs['change']):<40} -")
     if (args.metric, "base") in values and args.metric in better:
         _, text = verdict(
             values[args.metric, "base"], values[args.metric, "change"], better[args.metric]
@@ -265,6 +293,14 @@ def self_test():
     assert verdict([1, 1, 1, 1], [2, 2, 2, 0], "higher")[0] is False
     assert verdict([1, 1, 1, 1], [2, 2, 2, 2], "higher")[0] is True
     assert quartiles([3.0]) == (3.0, 3.0)
+
+    # The summary column (metrics and minor faults alike): median, then
+    # the interpolated quartiles; one run is its own range.
+    assert summary(base) == "4.345 [4.1825-4.4975]", summary(base)
+    assert summary([2180, 2210, 2195, 2300]) == "2202.5 [2191.25-2232.5]"
+    assert summary([3.0]) == "3 [3-3]"
+    faults = per_op([1200, 1500], [{"attempted": 600}, {"attempted": 750}])
+    assert faults == [2.0, 2.0], faults
 
     # No regression by a 25 % bound, one case per word. Worse: the
     # change's median is 30 % below a tight base.
