@@ -166,13 +166,6 @@ impl AttractionMemory {
             } else {
                 None
             }),
-            AcceptPolicy::FirstFit => {
-                if free {
-                    Some(AcceptSlot::Invalid)
-                } else {
-                    shared
-                }
-            }
         }
     }
 
@@ -333,6 +326,36 @@ mod tests {
             a.accept_slot(ix(&a, 2), AcceptPolicy::SharedThenInvalid),
             Some(AcceptSlot::Shared(LineNum(1)))
         );
+    }
+
+    /// Every accept policy must be observable: on a set that holds both a
+    /// free slot and a Shared replica, no two policies answer alike.
+    #[test]
+    fn accept_policies_are_distinguishable() {
+        // The match is exhaustive, so a new variant does not compile until
+        // it takes a place in `ALL`.
+        const ALL: [AcceptPolicy; 2] = [
+            AcceptPolicy::InvalidThenShared,
+            AcceptPolicy::SharedThenInvalid,
+        ];
+        let place = |p: AcceptPolicy| match p {
+            AcceptPolicy::InvalidThenShared => 0,
+            AcceptPolicy::SharedThenInvalid => 1,
+        };
+        let mut a = am(1, 2);
+        a.insert(ix(&a, 1), AmState::Shared);
+        let answers: Vec<_> = ALL
+            .into_iter()
+            .map(|p| {
+                assert_eq!(ALL[place(p)], p);
+                a.accept_slot(ix(&a, 2), p)
+            })
+            .collect();
+        for (i, x) in answers.iter().enumerate() {
+            for (j, y) in answers.iter().enumerate().skip(i + 1) {
+                assert_ne!(x, y, "{:?} and {:?} accept alike", ALL[i], ALL[j]);
+            }
+        }
     }
 
     #[test]

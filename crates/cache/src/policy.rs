@@ -29,9 +29,6 @@ pub enum AcceptPolicy {
     /// Ablation: overwrite replicas before using free slots (destroys
     /// replication early; used to quantify the accept heuristic).
     SharedThenInvalid,
-    /// Ablation: any node with either kind of room, first by node index
-    /// (no snoop priority at all).
-    FirstFit,
 }
 
 #[cfg(test)]

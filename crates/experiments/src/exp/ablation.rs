@@ -2,8 +2,7 @@
 //! decisions the paper takes as given:
 //!
 //! * victim priority (Shared-first vs strict LRU),
-//! * injection accept priority (Invalid-then-Shared vs Shared-then-Invalid
-//!   vs first-fit),
+//! * injection accept priority (Invalid-then-Shared vs Shared-then-Invalid),
 //! * write-buffer depth under release consistency (0 / 2 / 10 / 64),
 //! * intra-node dirty SLC-to-SLC transfers on/off.
 
@@ -15,10 +14,9 @@ use coma_workloads::AppId;
 
 const APPS: [AppId; 4] = [AppId::Fft, AppId::OceanNon, AppId::Barnes, AppId::WaterN2];
 
-const VARIANTS: [&str; 7] = [
+const VARIANTS: [&str; 6] = [
     "victim: strict LRU",
     "accept: shared-first",
-    "accept: first-fit",
     "WB depth 0 (blocking writes)",
     "WB depth 2",
     "WB depth 64",
@@ -33,11 +31,10 @@ fn variant(app: AppId, k: usize) -> RunSpec {
     base(app).tweak(|p| match k {
         0 => p.victim_policy = VictimPolicy::StrictLru,
         1 => p.accept_policy = AcceptPolicy::SharedThenInvalid,
-        2 => p.accept_policy = AcceptPolicy::FirstFit,
-        3 => p.machine.write_buffer_entries = 0,
-        4 => p.machine.write_buffer_entries = 2,
-        5 => p.machine.write_buffer_entries = 64,
-        6 => p.machine.intra_node_transfers = false,
+        2 => p.machine.write_buffer_entries = 0,
+        3 => p.machine.write_buffer_entries = 2,
+        4 => p.machine.write_buffer_entries = 64,
+        5 => p.machine.intra_node_transfers = false,
         _ => unreachable!(),
     })
 }
@@ -45,7 +42,7 @@ fn variant(app: AppId, k: usize) -> RunSpec {
 pub fn run(ctx: &ExpCtx) {
     println!("Ablations at 4-way clustering, 81.25% MP\n");
 
-    // One matrix: per app, the baseline then the 7 variants (32 cells).
+    // One matrix: per app, the baseline then the 6 variants (28 cells).
     let mut specs: Vec<RunSpec> = Vec::new();
     for app in APPS {
         specs.push(base(app));

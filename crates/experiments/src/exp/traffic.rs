@@ -9,7 +9,7 @@
 //! NUMA is pressure- and AM-associativity-independent, so its three
 //! cells (one per clustering degree) anchor the comparison at 100 %.
 //!
-//! All cells run through the cached work-stealing sweep engine and
+//! All cells run through the cached parallel sweep engine and
 //! persist to the `traffic` columnar store; the table, chart and the
 //! printed findings are derived from the stored rows.
 

@@ -21,8 +21,8 @@
 //! `--jobs N` overrides `COMA_THREADS`, `--no-cache` overrides
 //! `COMA_NO_CACHE`.
 //!
-//! Experiment grids run on the work-stealing sweep scheduler in [`sweep`]:
-//! cells are sharded across `COMA_THREADS` workers, deduplicated through a
+//! Experiment grids run on the sweep scheduler in [`sweep`]: cells are
+//! claimed one at a time by `COMA_THREADS` workers, deduplicated through a
 //! config-hash result cache under `<out>/cache/`, and persisted once per
 //! sweep as a self-describing [`columnar`] store under `<out>/store/`:
 //! each row holds its cell's coordinates next to its results.

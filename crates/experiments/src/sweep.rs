@@ -1,14 +1,14 @@
-//! The work-stealing sweep engine: scheduler, result cache, columnar store.
+//! The sweep engine: scheduler, result cache, columnar store.
 //!
 //! The paper's full experiment matrix is hundreds of *independent*
 //! simulations. This module turns a `&[RunSpec]` into results three
 //! layers deep:
 //!
-//! 1. **Scheduler** — `run_pool` shards cell indices across
-//!    `ctx.threads` workers, each with its own deque; an idle worker
-//!    steals from the back of a victim's deque, so a handful of slow
-//!    cells (the 87.5 %-MP runs are several times costlier than the
-//!    6.25 % ones) cannot strand the other workers. Each cell runs under
+//! 1. **Scheduler** — `run_pool` runs cells on `ctx.threads` workers
+//!    that each claim the next unrun cell index from one shared counter,
+//!    so a handful of slow cells (the 87.5 %-MP runs are several times
+//!    costlier than the 6.25 % ones) cannot strand the other workers:
+//!    each holds up only the worker running it. Each cell runs under
 //!    `catch_unwind`, so one diverging simulation fails that cell — not
 //!    the sweep.
 //! 2. **Result cache** — every cell is keyed by a canonical 64-bit hash
@@ -39,7 +39,6 @@ use coma_sim::canon::{config_hash, fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
 use coma_sim::MemoryModel;
 use coma_stats::SimReport;
 use coma_types::{MemoryPressure, Topology};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,12 +54,11 @@ pub const CODE_SALT: u64 = 2;
 // ---------------------------------------------------------------------------
 
 /// Run `f(0..n)` on up to `threads` workers and return the results in
-/// index order. Work-stealing: indices are dealt block-cyclically into
-/// per-worker deques; a worker drains its own deque from the front and,
-/// when empty, steals from the back of the next non-empty victim. No cell
-/// produces further work, so a worker that finds every deque empty is
-/// done. With `threads <= 1` the pool degenerates to a serial loop on the
-/// calling thread.
+/// index order. The workers share one next-index counter: each takes the
+/// next unclaimed cell until none is left, so a slow cell holds up only
+/// its own worker. No cell produces further work, so a worker that finds
+/// the counter past `n` is done. With `threads <= 1` the pool degenerates
+/// to a serial loop on the calling thread.
 fn run_pool<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -70,30 +68,16 @@ where
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| Mutex::new((w..n).step_by(threads).collect()))
-        .collect();
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let deques = &deques;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || loop {
-                let mut task = deques[w].lock().unwrap().pop_front();
-                if task.is_none() {
-                    for off in 1..threads {
-                        let victim = (w + off) % threads;
-                        if let Some(stolen) = deques[victim].lock().unwrap().pop_back() {
-                            task = Some(stolen);
-                            break;
-                        }
-                    }
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
-                match task {
-                    Some(i) => *slots[i].lock().unwrap() = Some(f(i)),
-                    None => break,
-                }
+                *slots[i].lock().unwrap() = Some(f(i));
             });
         }
     });
@@ -268,7 +252,7 @@ pub struct SweepOutcome {
     pub failed: usize,
 }
 
-/// Schedule every spec across the work-stealing pool, consulting the
+/// Schedule every spec across the worker pool, consulting the
 /// result cache per cell. No files other than cache entries are written;
 /// [`run_sweep`] layers the columnar store on top.
 pub fn run_matrix(ctx: &ExpCtx, specs: &[RunSpec]) -> SweepOutcome {
@@ -526,7 +510,7 @@ impl Sweep {
     }
 }
 
-/// Run a named sweep end to end: schedule the matrix (work stealing +
+/// Run a named sweep end to end: schedule the matrix (worker pool +
 /// cache), persist the columnar store as `<out>/store/<name>.cols`,
 /// report cache accounting and every failed cell, and return a [`Sweep`]
 /// that reads coordinates and metrics back out of the store bytes.
@@ -562,13 +546,10 @@ mod tests {
     use super::*;
     use std::path::Path;
 
-    /// Every committed sweep store opens in the current format and holds
-    /// every coordinate and result column; its coordinates are valid in
-    /// every row and its `app` and `model` codes decode.
-    #[test]
-    fn committed_stores_carry_their_coordinates() {
+    /// Every committed sweep store under `results/store`, with its name.
+    fn committed_stores() -> Vec<(String, ColFile)> {
         let store = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/store");
-        let mut checked = Vec::new();
+        let mut stores = Vec::new();
         for entry in std::fs::read_dir(&store).expect("read results/store") {
             let path = entry.unwrap().path();
             let name = path.file_stem().unwrap().to_string_lossy().into_owned();
@@ -576,27 +557,69 @@ mod tests {
             if path.extension().is_none_or(|e| e != "cols") || name == "table1" {
                 continue;
             }
-            let what = path.display().to_string();
-            let file = ColFile::open(&path).expect(&what);
-            assert!(file.n_rows() > 0, "{what}");
+            let file = ColFile::open(&path).expect(&name);
+            stores.push((name, file));
+        }
+        stores
+    }
+
+    /// Every committed sweep store opens in the current format and holds
+    /// every coordinate and result column; its coordinates are valid in
+    /// every row and its `app` and `model` codes decode.
+    #[test]
+    fn committed_stores_carry_their_coordinates() {
+        let mut checked = Vec::new();
+        for (name, file) in committed_stores() {
+            assert!(file.n_rows() > 0, "{name}");
             for &(col, _) in COORDS {
-                assert_eq!(file.col_type(col), Some(U64), "{what}: '{col}'");
+                assert_eq!(file.col_type(col), Some(U64), "{name}: '{col}'");
                 assert!(
                     (0..file.n_rows()).all(|row| file.is_valid(col, row)),
-                    "{what}: '{col}' has a null row"
+                    "{name}: '{col}' has a null row"
                 );
             }
             for &(col, ty, _) in COLUMNS {
-                assert_eq!(file.col_type(col), Some(ty), "{what}: '{col}'");
+                assert_eq!(file.col_type(col), Some(ty), "{name}: '{col}'");
             }
             for row in 0..file.n_rows() {
                 let app = file.get_u64("app", row).unwrap();
                 let model = file.get_u64("model", row).unwrap();
-                assert!(Source::from_code(app).is_some(), "{what}: row {row}");
-                assert!(model_from_code(model).is_some(), "{what}: row {row}");
+                assert!(Source::from_code(app).is_some(), "{name}: row {row}");
+                assert!(model_from_code(model).is_some(), "{name}: row {row}");
             }
             checked.push(name);
         }
         assert!(checked.iter().any(|n| n == "thresholds"), "{checked:?}");
+    }
+
+    /// Reads and writes depend only on the workload: in every committed
+    /// store, the valid rows that run the same `(app, procs, seed_offset)`
+    /// agree on `total_reads` and `total_writes`, whatever the machine,
+    /// memory model or pressure.
+    #[test]
+    fn committed_stores_keep_reads_and_writes_per_workload() {
+        let mut rows = 0;
+        for (name, file) in committed_stores() {
+            let mut first = std::collections::HashMap::new();
+            for row in 0..file.n_rows() {
+                let counts = (
+                    file.get_u64("total_reads", row),
+                    file.get_u64("total_writes", row),
+                );
+                let (Some(reads), Some(writes)) = counts else {
+                    continue;
+                };
+                let coord = |col| file.get_u64(col, row).unwrap();
+                let workload = (coord("app"), coord("procs"), coord("seed_offset"));
+                let (r0, w0, row0) = *first.entry(workload).or_insert((reads, writes, row));
+                assert_eq!(
+                    (reads, writes),
+                    (r0, w0),
+                    "{name}: row {row} runs row {row0}'s workload but reads/writes differ"
+                );
+                rows += 1;
+            }
+        }
+        assert!(rows > 0);
     }
 }

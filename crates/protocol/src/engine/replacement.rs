@@ -132,7 +132,7 @@ impl CoherenceEngine {
             }
         }
         let choice = match self.accept_policy {
-            AcceptPolicy::InvalidThenShared | AcceptPolicy::FirstFit => invalid_slot
+            AcceptPolicy::InvalidThenShared => invalid_slot
                 .map(|k| (k, None))
                 .or(shared_slot.map(|(k, v)| (k, Some(v)))),
             AcceptPolicy::SharedThenInvalid => shared_slot

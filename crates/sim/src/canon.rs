@@ -105,7 +105,6 @@ fn accept_code(p: AcceptPolicy) -> u64 {
     match p {
         AcceptPolicy::InvalidThenShared => 0,
         AcceptPolicy::SharedThenInvalid => 1,
-        AcceptPolicy::FirstFit => 2,
     }
 }
 
@@ -296,7 +295,7 @@ mod tests {
                 p.victim_policy = VictimPolicy::StrictLru
             }),
             ("accept_policy", |p| {
-                p.accept_policy = AcceptPolicy::FirstFit
+                p.accept_policy = AcceptPolicy::SharedThenInvalid
             }),
             ("memory_model", |p| p.memory_model = MemoryModel::Numa),
             ("audit", |p| p.audit = true),

@@ -100,12 +100,6 @@ pub enum ConfigError {
     LevelsOutOfRange { n_groups: usize, levels: usize },
     /// A workload must supply exactly one reference stream per processor.
     StreamCount { streams: usize, procs: usize },
-    /// A workload generator was configured with an empty object universe
-    /// (zero keys, zero vertices, …).
-    EmptyWorkload {
-        family: &'static str,
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -141,9 +135,6 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::StreamCount { streams, procs } => {
                 write!(f, "workload has {streams} streams for {procs} processors")
-            }
-            ConfigError::EmptyWorkload { family, what } => {
-                write!(f, "{family}: {what} must be non-zero")
             }
         }
     }

@@ -18,10 +18,10 @@
 //!   vertex line machine-wide; unvisited neighbours (a per-level
 //!   claim probability that decays as the visited set grows) are claimed
 //!   with a write — scattered invalidations with no locality.
-//! * Edge endpoints are drawn either **uniformly** or with an
-//!   **R-MAT-style skew** (each target id bit is 1 with probability 1/4,
-//!   concentrating edges on low-id hub vertices whose degrees also grow
-//!   as 1/√id — the heavy-tailed degree profile of R-MAT graphs).
+//! * Edge endpoints are drawn with an **R-MAT-style skew** (each target
+//!   id bit is 1 with probability 1/4, concentrating edges on low-id hub
+//!   vertices whose degrees also grow as 1/√id — the heavy-tailed degree
+//!   profile of R-MAT graphs).
 //! * After the BFS, a **pointer-chasing** phase walks `hash(v)` chains
 //!   through the vertex array — dependent random reads, the pattern with
 //!   the least locality a memory system can face — then a final barrier.
@@ -29,7 +29,7 @@
 use crate::region::{Layout, Region};
 use crate::stream::{OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
-use coma_types::{ConfigError, Rng64, LINE_BYTES};
+use coma_types::{Rng64, LINE_BYTES};
 
 const SALT: u64 = 0x6BF5_11C3;
 /// BFS roots at `Scale::PAPER` (one root per outer iteration).
@@ -46,53 +46,20 @@ const CLAIM_FRAC: [f64; 8] = [0.9, 0.8, 0.6, 0.4, 0.25, 0.12, 0.05, 0.02];
 /// Dependent reads per processor in each pointer-chasing phase.
 const CHASE_REFS: u64 = 1500;
 
-/// Tunable shape of the graph traffic.
-#[derive(Clone, Debug)]
-pub struct GraphSpec {
-    /// Vertices in the graph.
-    pub n_vertices: u64,
-    /// Mean out-degree (CSR row length).
-    pub avg_degree: u64,
-    /// Skewed (R-MAT-style) edge targets and degrees instead of uniform.
-    pub rmat: bool,
+/// Mean out-degree (CSR row length).
+const AVG_DEGREE: u64 = 8;
+
+/// Vertices in a graph sized to `ws_bytes`: the vertex array plus the
+/// edge array fill the working set.
+pub(crate) fn vertices_for(ws_bytes: u64) -> u64 {
+    // lines = n/VERTS_PER_LINE + n·AVG_DEGREE/EDGES_PER_LINE = 9n/8, so
+    // n = lines · 8/9.
+    (ws_bytes / LINE_BYTES) * VERTS_PER_LINE * EDGES_PER_LINE
+        / (EDGES_PER_LINE + AVG_DEGREE * VERTS_PER_LINE)
 }
 
-impl GraphSpec {
-    /// Default shape for a graph sized to `ws_bytes`: R-MAT skew with
-    /// mean degree 8 (vertex array + edge array = ws).
-    pub fn from_ws(ws_bytes: u64) -> Self {
-        // lines = n/VERTS_PER_LINE + n·deg/EDGES_PER_LINE; with deg = 8
-        // that is 9n/8, so n = lines · 8/9.
-        const DEG: u64 = 8;
-        let n_vertices = (ws_bytes / LINE_BYTES) * VERTS_PER_LINE * EDGES_PER_LINE
-            / (EDGES_PER_LINE + DEG * VERTS_PER_LINE);
-        GraphSpec {
-            n_vertices,
-            avg_degree: DEG,
-            rmat: true,
-        }
-    }
-
-    /// Reject degenerate configurations before any region is allocated.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.n_vertices == 0 {
-            return Err(ConfigError::EmptyWorkload {
-                family: "graph_bfs",
-                what: "n_vertices",
-            });
-        }
-        if self.avg_degree == 0 {
-            return Err(ConfigError::EmptyWorkload {
-                family: "graph_bfs",
-                what: "avg_degree",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// SplitMix64 finalizer as a pure hash (pointer-chase successor, degree
-/// jitter) — deterministic in its argument, no RNG state consumed.
+/// SplitMix64 finalizer as a pure hash (the pointer-chase successor) —
+/// deterministic in its argument, no RNG state consumed.
 fn mix(v: u64) -> u64 {
     let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -105,34 +72,24 @@ struct GraphBfs {
     nprocs: usize,
     roots: u32,
     n_vertices: u64,
-    avg_degree: u64,
-    rmat: bool,
     verts: Region,
     adj: Region,
 }
 
 impl GraphBfs {
-    /// Deterministic degree of vertex `v`: uniform graphs jitter around
-    /// the mean; R-MAT graphs give low-id hubs degrees growing as 1/√id,
-    /// normalized so the mean over the graph stays ≈ `avg_degree`.
+    /// Deterministic degree of vertex `v`: low-id hubs get degrees
+    /// growing as 1/√id, normalized so the mean over the graph stays
+    /// ≈ `AVG_DEGREE`.
     fn degree_of(&self, v: u64) -> u64 {
-        if self.rmat {
-            let scale = (self.n_vertices as f64).sqrt() / (2.0 * ((v + 1) as f64).sqrt());
-            let d = (self.avg_degree as f64 * scale).round() as u64;
-            d.clamp(1, 32 * self.avg_degree)
-        } else {
-            let jitter = mix(v) % (self.avg_degree / 2 + 1);
-            (self.avg_degree - self.avg_degree / 4 + jitter).max(1)
-        }
+        let scale = (self.n_vertices as f64).sqrt() / (2.0 * ((v + 1) as f64).sqrt());
+        let d = (AVG_DEGREE as f64 * scale).round() as u64;
+        d.clamp(1, 32 * AVG_DEGREE)
     }
 
-    /// One edge endpoint: uniform, or R-MAT-style (each id bit set with
-    /// probability 1/4, biasing targets toward low-id hubs). Out-of-range
-    /// draws for non-power-of-two graphs are rejected and redrawn.
+    /// One R-MAT-style edge endpoint: each id bit is set with probability
+    /// 1/4, biasing targets toward low-id hubs. Out-of-range draws for
+    /// non-power-of-two graphs are rejected and redrawn.
     fn target(&self, rng: &mut Rng64) -> u64 {
-        if !self.rmat {
-            return rng.below(self.n_vertices);
-        }
         let bits = 64 - (self.n_vertices - 1).max(1).leading_zeros();
         loop {
             let mut v = 0u64;
@@ -163,7 +120,7 @@ impl PhaseGen for GraphBfs {
                 buf.read(self.verts.line(v / VERTS_PER_LINE));
                 let deg = self.degree_of(v);
                 // Stream the CSR row (consecutive edge lines).
-                let row = v * self.avg_degree / EDGES_PER_LINE;
+                let row = v * AVG_DEGREE / EDGES_PER_LINE;
                 for j in 0..deg.div_ceil(EDGES_PER_LINE) {
                     buf.read(self.adj.line(row + j));
                 }
@@ -190,41 +147,26 @@ impl PhaseGen for GraphBfs {
     }
 }
 
-/// Build with the default spec derived from the catalog working set.
+/// Build a graph sized to the catalog working set `ws_bytes`.
 pub fn build(nprocs: usize, seed: u64, scale: Scale, ws_bytes: u64) -> Workload {
-    build_spec(&GraphSpec::from_ws(ws_bytes), nprocs, seed, scale)
-        .expect("catalog graph_bfs spec is valid")
-}
-
-/// Build from an explicit spec; rejects empty graphs instead of
-/// panicking inside the generator.
-pub fn build_spec(
-    spec: &GraphSpec,
-    nprocs: usize,
-    seed: u64,
-    scale: Scale,
-) -> Result<Workload, ConfigError> {
-    spec.validate()?;
-    let (n_vertices, avg_degree, rmat) = (spec.n_vertices, spec.avg_degree, spec.rmat);
+    let n_vertices = vertices_for(ws_bytes);
     let mut layout = Layout::new();
     let verts = layout.alloc_lines(n_vertices.div_ceil(VERTS_PER_LINE));
-    let adj = layout.alloc_lines((n_vertices * avg_degree).div_ceil(EDGES_PER_LINE).max(1));
+    let adj = layout.alloc_lines((n_vertices * AVG_DEGREE).div_ceil(EDGES_PER_LINE).max(1));
     let streams = super::build_streams(nprocs, seed, SALT, (1, 3), |me| GraphBfs {
         me,
         nprocs,
         roots: scale.iters(BASE_ROOTS),
         n_vertices,
-        avg_degree,
-        rmat,
         verts,
         adj,
     });
-    Ok(Workload {
+    Workload {
         name: "Graph BFS",
         ws_bytes: layout.total_bytes(),
         n_locks: 0,
         streams,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -233,43 +175,12 @@ mod tests {
     use crate::op::{Op, OpStream};
 
     #[test]
-    fn zero_vertices_rejected() {
-        let bad = GraphSpec {
-            n_vertices: 0,
-            avg_degree: 8,
-            rmat: true,
-        };
-        assert_eq!(
-            bad.validate(),
-            Err(ConfigError::EmptyWorkload {
-                family: "graph_bfs",
-                what: "n_vertices",
-            })
-        );
-        assert!(build_spec(&bad, 4, 1, Scale::SMOKE).is_err());
-        let bad_deg = GraphSpec {
-            n_vertices: 100,
-            avg_degree: 0,
-            rmat: false,
-        };
-        assert!(matches!(
-            bad_deg.validate(),
-            Err(ConfigError::EmptyWorkload {
-                what: "avg_degree",
-                ..
-            })
-        ));
-    }
-
-    #[test]
     fn rmat_targets_skew_toward_hubs() {
         let g = GraphBfs {
             me: 0,
             nprocs: 1,
             roots: 1,
             n_vertices: 4096,
-            avg_degree: 8,
-            rmat: true,
             verts: Region::new(0, 512),
             adj: Region::new(512 * 64, 4096),
         };
@@ -284,23 +195,6 @@ mod tests {
         // 256/4096 = 6.25% of ids; with bit-probability 1/4 the lowest
         // 256 ids carry (3/4)^4 ≈ 32% of the endpoints.
         assert!(low * 4 > N, "hub mass too small: {low}/{N}");
-    }
-
-    #[test]
-    fn uniform_targets_do_not_skew() {
-        let g = GraphBfs {
-            me: 0,
-            nprocs: 1,
-            roots: 1,
-            n_vertices: 4096,
-            avg_degree: 8,
-            rmat: false,
-            verts: Region::new(0, 512),
-            adj: Region::new(512 * 64, 4096),
-        };
-        let mut rng = Rng64::new(9);
-        let low = (0..20_000).filter(|_| g.target(&mut rng) < 256).count();
-        assert!((500..2000).contains(&low), "uniform low mass: {low}");
     }
 
     #[test]
@@ -349,8 +243,6 @@ mod tests {
             nprocs: 1,
             roots: 1,
             n_vertices: 32768,
-            avg_degree: 8,
-            rmat: true,
             verts: Region::new(0, 4096),
             adj: Region::new(4096 * 64, 32768),
         };

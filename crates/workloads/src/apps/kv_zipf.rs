@@ -8,14 +8,14 @@
 //!   B-tree / hash-directory page for that key) and then touches the
 //!   key's **value line**. Hot index pages are the best case for
 //!   attraction-memory replication: read-mostly, touched by everyone.
-//! * A configurable fraction of requests are **updates**: the request
-//!   acquires the key's shard lock, re-reads the index, and
+//! * A fixed fraction of requests (`WRITE_FRAC`) are **updates**: the
+//!   request acquires the key's shard lock, re-reads the index, and
 //!   read-modify-writes the value line — the write-invalidation storm
 //!   that erodes replicas under COMA.
 //! * **Client skew** models clients pinned to front-end processors: a
-//!   fraction of each processor's requests are redirected to a
-//!   processor-private rotation of the popularity ranking, giving every
-//!   node its own secondary hot set.
+//!   fraction (`CLIENT_SKEW`) of each processor's requests are
+//!   redirected to a processor-private rotation of the popularity
+//!   ranking, giving every node its own secondary hot set.
 //! * Requests are grouped into epochs closed by a barrier (stats flush /
 //!   checkpoint), so the trace has the same global synchronization
 //!   skeleton as the rest of the catalog.
@@ -27,7 +27,7 @@
 use crate::region::{Layout, Region};
 use crate::stream::{shared_rng, OpBuf, PhaseGen, Scale};
 use crate::workload::Workload;
-use coma_types::{ConfigError, ZipfSampler, LINE_BYTES};
+use coma_types::{ZipfSampler, LINE_BYTES};
 use std::sync::Arc;
 
 const SALT: u64 = 0x5EE6_4B1A;
@@ -41,51 +41,24 @@ const KEYS_PER_INDEX_LINE: u64 = 8;
 /// Store shards; each update locks its key's shard.
 const N_SHARD_LOCKS: u32 = 8;
 
-/// Tunable shape of the key-value traffic.
-#[derive(Clone, Debug)]
-pub struct KvSpec {
-    /// Distinct keys in the store (each key owns one value line).
-    pub n_keys: u64,
-    /// Zipf popularity exponent (0 = uniform; 1 ≈ classic web traffic).
-    pub zipf_s: f64,
-    /// Fraction of requests that update their key.
-    pub write_frac: f64,
-    /// Fraction of requests redirected to the processor-private hot set.
-    pub client_skew: f64,
-}
+/// Zipf popularity exponent (1 ≈ classic web traffic).
+const ZIPF_S: f64 = 1.0;
+/// Fraction of requests that update their key.
+const WRITE_FRAC: f64 = 0.10;
+/// Fraction of requests redirected to the processor-private hot set.
+const CLIENT_SKEW: f64 = 0.10;
 
-impl KvSpec {
-    /// Default traffic shape for a store sized to `ws_bytes`: read-hot
-    /// (10 % updates), s = 1.0, mild client pinning.
-    pub fn from_ws(ws_bytes: u64) -> Self {
-        // index (1 line per 8 keys) + values (1 line per key) = ws.
-        let n_keys = (ws_bytes / LINE_BYTES) * KEYS_PER_INDEX_LINE / (KEYS_PER_INDEX_LINE + 1);
-        KvSpec {
-            n_keys,
-            zipf_s: 1.0,
-            write_frac: 0.10,
-            client_skew: 0.10,
-        }
-    }
-
-    /// Reject degenerate configurations before any region is allocated.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.n_keys == 0 {
-            return Err(ConfigError::EmptyWorkload {
-                family: "kv_zipf",
-                what: "n_keys",
-            });
-        }
-        Ok(())
-    }
+/// Distinct keys in a store sized to `ws_bytes`: the index (one line per
+/// [`KEYS_PER_INDEX_LINE`] keys) plus the values (one line per key) fill
+/// the working set.
+pub(crate) fn keys_for(ws_bytes: u64) -> u64 {
+    (ws_bytes / LINE_BYTES) * KEYS_PER_INDEX_LINE / (KEYS_PER_INDEX_LINE + 1)
 }
 
 struct KvZipf {
     me: usize,
     nprocs: usize,
     rounds: u32,
-    write_frac: f64,
-    client_skew: f64,
     zipf: ZipfSampler,
     /// Popularity rank → key id (shared seeded permutation).
     perm: Arc<Vec<u32>>,
@@ -103,14 +76,14 @@ impl PhaseGen for KvZipf {
         for _ in 0..REQS_PER_ROUND {
             let rank = self.zipf.sample(buf.rng());
             let mut key = self.perm[rank] as u64;
-            if self.client_skew > 0.0 && buf.rng().chance(self.client_skew) {
+            if buf.rng().chance(CLIENT_SKEW) {
                 // Redirect to this front-end's private rotation of the
                 // ranking: same popularity law, disjoint hot keys.
                 key = (key + self.me as u64 * self.n_keys / self.nprocs as u64) % self.n_keys;
             }
             let idx = self.index.line(key / KEYS_PER_INDEX_LINE);
             let val = self.values.line(key);
-            if buf.rng().chance(self.write_frac) {
+            if buf.rng().chance(WRITE_FRAC) {
                 let shard = (key % N_SHARD_LOCKS as u64) as u32;
                 buf.lock(shard);
                 buf.read(idx);
@@ -126,22 +99,9 @@ impl PhaseGen for KvZipf {
     }
 }
 
-/// Build with the default spec derived from the catalog working set.
+/// Build a store sized to the catalog working set `ws_bytes`.
 pub fn build(nprocs: usize, seed: u64, scale: Scale, ws_bytes: u64) -> Workload {
-    build_spec(&KvSpec::from_ws(ws_bytes), nprocs, seed, scale)
-        .expect("catalog kv_zipf spec is valid")
-}
-
-/// Build from an explicit spec; rejects empty stores instead of
-/// panicking inside the generator.
-pub fn build_spec(
-    spec: &KvSpec,
-    nprocs: usize,
-    seed: u64,
-    scale: Scale,
-) -> Result<Workload, ConfigError> {
-    spec.validate()?;
-    let n_keys = spec.n_keys;
+    let n_keys = keys_for(ws_bytes);
     assert!(n_keys <= u32::MAX as u64, "key ids are stored as u32");
     let mut layout = Layout::new();
     let index = layout.alloc_lines(n_keys.div_ceil(KEYS_PER_INDEX_LINE));
@@ -152,52 +112,30 @@ pub fn build_spec(
     let mut perm: Vec<u32> = (0..n_keys as u32).collect();
     prng.shuffle(&mut perm);
     let perm = Arc::new(perm);
-    let zipf = ZipfSampler::new(n_keys as usize, spec.zipf_s);
+    let zipf = ZipfSampler::new(n_keys as usize, ZIPF_S);
 
-    let (write_frac, client_skew) = (spec.write_frac, spec.client_skew);
     let streams = super::build_streams(nprocs, seed, SALT, (1, 4), |me| KvZipf {
         me,
         nprocs,
         rounds: scale.iters(BASE_ROUNDS),
-        write_frac,
-        client_skew,
         zipf: zipf.clone(),
         perm: perm.clone(),
         index,
         values,
         n_keys,
     });
-    Ok(Workload {
+    Workload {
         name: "KV Zipf",
         ws_bytes: layout.total_bytes(),
         n_locks: N_SHARD_LOCKS,
         streams,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::{Op, OpStream};
-
-    fn spec(n_keys: u64) -> KvSpec {
-        KvSpec {
-            n_keys,
-            ..KvSpec::from_ws(1 << 20)
-        }
-    }
-
-    #[test]
-    fn zero_keys_rejected() {
-        assert_eq!(
-            spec(0).validate(),
-            Err(ConfigError::EmptyWorkload {
-                family: "kv_zipf",
-                what: "n_keys",
-            })
-        );
-        assert!(build_spec(&spec(0), 4, 1, Scale::SMOKE).is_err());
-    }
 
     #[test]
     fn read_mostly_mix() {
@@ -261,34 +199,46 @@ mod tests {
 
     #[test]
     fn client_skew_separates_processor_hot_sets() {
-        let hot = |proc: usize| {
-            let mut wl = build_spec(
-                &KvSpec {
-                    client_skew: 0.9,
-                    ..KvSpec::from_ws(1 << 20)
-                },
-                4,
-                11,
-                Scale::SMOKE,
-            )
-            .unwrap();
-            let mut counts = std::collections::HashMap::new();
-            while let Some(op) = wl.streams[proc].next_op() {
-                if let Op::Read(a) | Op::Write(a) = op {
-                    *counts.entry(a.line().0).or_insert(0u64) += 1;
+        const PROCS: usize = 4;
+        const SEED: u64 = 11;
+        const WS: u64 = 1 << 20;
+        let mut wl = build(PROCS, SEED, Scale::SMOKE, WS);
+        // Value-line references per processor.
+        let counts: Vec<std::collections::HashMap<u64, u64>> = wl
+            .streams
+            .iter_mut()
+            .map(|s| {
+                let mut c = std::collections::HashMap::new();
+                while let Some(op) = s.next_op() {
+                    if let Op::Read(a) | Op::Write(a) = op {
+                        *c.entry(a.line().0).or_insert(0) += 1;
+                    }
                 }
-            }
-            let mut v: Vec<(u64, u64)> = counts.into_iter().map(|(l, c)| (c, l)).collect();
-            v.sort_unstable_by(|a, b| b.cmp(a));
-            v.into_iter()
-                .take(20)
-                .map(|(_, l)| l)
-                .collect::<std::collections::HashSet<u64>>()
-        };
-        let overlap = hot(0).intersection(&hot(2)).count();
-        assert!(
-            overlap < 15,
-            "strong client skew should separate hot sets (overlap {overlap}/20)"
-        );
+                c
+            })
+            .collect();
+        // Rebuild the store's layout and popularity ranking.
+        let n_keys = keys_for(WS);
+        let mut layout = Layout::new();
+        layout.alloc_lines(n_keys.div_ceil(KEYS_PER_INDEX_LINE));
+        let values = layout.alloc_lines(n_keys);
+        let mut perm: Vec<u32> = (0..n_keys as u32).collect();
+        shared_rng(SEED, SALT, 0).shuffle(&mut perm);
+        // Processor p's rotation of the hottest key (p = 0's rotation is
+        // the hottest key itself, which every processor shares).
+        for p in 1..PROCS {
+            let key = (perm[0] as u64 + p as u64 * n_keys / PROCS as u64) % n_keys;
+            let line = values.line(key).line().0;
+            let mine = counts[p].get(&line).copied().unwrap_or(0);
+            let others = (0..PROCS)
+                .filter(|&q| q != p)
+                .map(|q| counts[q].get(&line).copied().unwrap_or(0))
+                .max()
+                .unwrap();
+            assert!(
+                mine > 4 * others.max(1),
+                "processor {p} touches its hot key {mine} times, another processor {others}"
+            );
+        }
     }
 }

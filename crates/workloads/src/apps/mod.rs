@@ -22,7 +22,6 @@ pub mod ocean;
 pub mod radiosity;
 pub mod radix;
 pub mod raytrace;
-pub mod synth;
 pub mod volrend;
 pub mod water;
 

@@ -325,41 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn kv_zipf_rejects_zero_keys() {
-        use crate::apps::kv_zipf::{build_spec, KvSpec};
-        let mut spec = KvSpec::from_ws(AppId::KvZipf.ws_bytes());
-        spec.n_keys = 0;
-        let err = build_spec(&spec, 4, 1, Scale::SMOKE).err().unwrap();
-        assert_eq!(
-            err,
-            coma_types::ConfigError::EmptyWorkload {
-                family: "kv_zipf",
-                what: "n_keys",
-            }
-        );
-    }
-
-    #[test]
-    fn graph_bfs_rejects_zero_vertices() {
-        use crate::apps::graph_bfs::{build_spec, GraphSpec};
-        let mut spec = GraphSpec::from_ws(AppId::GraphBfs.ws_bytes());
-        spec.n_vertices = 0;
-        let err = build_spec(&spec, 4, 1, Scale::SMOKE).err().unwrap();
-        assert_eq!(
-            err,
-            coma_types::ConfigError::EmptyWorkload {
-                family: "graph_bfs",
-                what: "n_vertices",
-            }
-        );
-    }
-
-    #[test]
     fn traffic_default_specs_hold_round_universes() {
-        use crate::apps::{graph_bfs::GraphSpec, kv_zipf::KvSpec};
-        assert_eq!(KvSpec::from_ws(AppId::KvZipf.ws_bytes()).n_keys, 16 * 1024);
+        use crate::apps::{graph_bfs, kv_zipf};
+        assert_eq!(kv_zipf::keys_for(AppId::KvZipf.ws_bytes()), 16 * 1024);
         assert_eq!(
-            GraphSpec::from_ws(AppId::GraphBfs.ws_bytes()).n_vertices,
+            graph_bfs::vertices_for(AppId::GraphBfs.ws_bytes()),
             32 * 1024
         );
     }

@@ -34,9 +34,6 @@ pub mod stream;
 pub mod trace;
 pub mod workload;
 
-pub use apps::graph_bfs::GraphSpec;
-pub use apps::kv_zipf::KvSpec;
-pub use apps::synth::{build as build_synth, SynthSpec};
 pub use catalog::AppId;
 pub use compiled::{FlatKind, FlatOp, OpArena};
 pub use op::{Op, OpStream};
