@@ -258,6 +258,9 @@ impl BaselineEngine {
             out.remote_node = Some(home);
             if had_copy {
                 out.upgrade = true;
+                // The upgrade must reach the home directory: on a tree,
+                // it climbs to the home's group (flat: the one broadcast).
+                out.inval_scope = (!self.geom.topology.is_flat()).then_some(home);
                 self.log.emit(ProtocolEvent::Upgrade);
             } else {
                 out.read_exclusive = true;

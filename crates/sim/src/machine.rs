@@ -514,7 +514,7 @@ impl Simulation {
             ownership_migrations: counters.ownership_migrations,
             shared_drops: counters.shared_drops,
             cold_allocs: counters.cold_allocs,
-            bus_busy_ns: self.res.bus.busy_ns(),
+            bus_busy_ns: self.res.bus_busy_ns(),
             dram_busy_ns: self.res.dram_busy_ns(),
             read_latency: self.read_latency,
         }

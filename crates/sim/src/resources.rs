@@ -1,9 +1,10 @@
 //! The machine's contended resources and the timing walk.
 //!
-//! One [`Resource`] per node controller, per AM DRAM, per SLC port, plus
-//! the global bus (paper §3.2: "the memory system simulator models
-//! contention effects for the node controllers, attraction memory DRAMs,
-//! second-level caches and the shared bus").
+//! One [`Resource`] per SLC port, per node controller and per AM DRAM,
+//! plus the fabric's group buses and links (paper §3.2: "the memory
+//! system simulator models contention effects for the node controllers,
+//! attraction memory DRAMs, second-level caches and the shared bus"),
+//! all in one table addressed by id.
 //!
 //! [`MachineResources::time_access`] converts a protocol [`Outcome`] into
 //! a completion time by walking the affected resources in path order.
@@ -12,30 +13,36 @@
 
 use coma_protocol::Outcome;
 use coma_stats::Level;
-use coma_timing::{HierarchicalFabric, Resource};
-use coma_types::{LatencyConfig, MachineGeometry, Nanos, NodeId, Placement, ProcId};
+use coma_timing::{Fabric, Resource};
+use coma_types::{LatencyConfig, MachineGeometry, Nanos, Placement, ProcId};
 
 /// All contended hardware of the machine.
 pub struct MachineResources {
-    /// The interconnect fabric (the paper's snooping bus is the
-    /// degenerate flat instance).
-    pub bus: HierarchicalFabric,
-    /// Node controller / AM state+tag pipeline, per node.
-    pub ctrl: Vec<Resource>,
-    /// Attraction-memory DRAM, per node.
-    pub dram: Vec<Resource>,
-    /// SLC port, per processor.
-    pub slc: Vec<Resource>,
+    /// Every contended server, by id: the SLC ports (id = processor),
+    /// the node controllers, the AM DRAMs, then the fabric's group buses
+    /// and links.
+    table: Vec<Resource>,
+    /// Id of node 0's controller; node `n`'s is `ctrl0 + n`.
+    ctrl0: usize,
+    /// Id of node 0's DRAM; node `n`'s is `dram0 + n`.
+    dram0: usize,
+    /// The fabric's ids (the paper's flat snooping bus is one id).
+    fabric: Fabric,
     place: Placement,
 }
 
 impl MachineResources {
-    pub fn new(geom: &MachineGeometry, lat: &LatencyConfig) -> Self {
+    /// Idle resources for `geom`. Bookings read their costs from
+    /// [`Self::time_access`]'s `lat`.
+    pub fn new(geom: &MachineGeometry, _lat: &LatencyConfig) -> Self {
+        let ctrl0 = geom.n_procs;
+        let dram0 = ctrl0 + geom.n_nodes;
+        let fabric = Fabric::new(geom.topology, dram0 + geom.n_nodes);
         MachineResources {
-            bus: HierarchicalFabric::new(geom.topology, lat.link_ns, lat.link_occ_ns),
-            ctrl: (0..geom.n_nodes).map(|_| Resource::new()).collect(),
-            dram: (0..geom.n_nodes).map(|_| Resource::new()).collect(),
-            slc: (0..geom.n_procs).map(|_| Resource::new()).collect(),
+            table: vec![Resource::new(); fabric.ids().end],
+            ctrl0,
+            dram0,
+            fabric,
             place: Placement::new(geom),
         }
     }
@@ -51,9 +58,10 @@ impl MachineResources {
         out: &Outcome,
         lat: &LatencyConfig,
     ) -> Nanos {
-        let p = proc.as_usize();
+        let slc = proc.as_usize();
         let node = self.place.node_of(proc);
         let n = node.as_usize();
+        let (ctrl, dram) = (self.ctrl0 + n, self.dram0 + n);
 
         // A node-controller pass costs `ctrl_ns` of latency; the lookup
         // and return passes of one access are queued as a single
@@ -63,48 +71,46 @@ impl MachineResources {
         let ctrl2 = 2 * lat.ctrl_occ_ns;
         let mut t = match out.level {
             Level::Flc => now,
-            Level::Slc => self.slc[p].serve(now, lat.slc_occ_ns, lat.slc_ns),
+            Level::Slc => self.table[slc].serve(now, lat.slc_occ_ns, lat.slc_ns),
             Level::PeerSlc => {
                 // Own SLC miss check runs in parallel with the controller
                 // lookup; the peer's SLC port supplies the data.
-                self.slc[p].acquire(now, lat.slc_occ_ns);
-                let t = self.ctrl[n].serve(now, ctrl2, lat.ctrl_ns);
-                let peer_proc = self.place.proc_at(node, out.peer_slc.unwrap_or(0));
-                let t = self.slc[peer_proc].serve(t, lat.slc_occ_ns, lat.slc_ns);
+                self.table[slc].acquire(now, lat.slc_occ_ns);
+                let t = self.table[ctrl].serve(now, ctrl2, lat.ctrl_ns);
+                let peer = self.place.proc_at(node, out.peer_slc.unwrap_or(0));
+                let t = self.table[peer].serve(t, lat.slc_occ_ns, lat.slc_ns);
                 t + lat.ctrl_ns
             }
             Level::Am => {
                 // SLC checked in parallel; AM hit = ctrl + DRAM + ctrl.
-                self.slc[p].acquire(now, lat.slc_occ_ns);
-                let t = self.ctrl[n].serve(now, ctrl2, lat.ctrl_ns);
-                let t = self.dram[n].serve(t, lat.dram_occ_ns, lat.dram_ns);
+                self.table[slc].acquire(now, lat.slc_occ_ns);
+                let t = self.table[ctrl].serve(now, ctrl2, lat.ctrl_ns);
+                let t = self.table[dram].serve(t, lat.dram_occ_ns, lat.dram_ns);
                 t + lat.ctrl_ns
             }
             Level::Remote => {
-                self.slc[p].acquire(now, lat.slc_occ_ns);
+                self.table[slc].acquire(now, lat.slc_occ_ns);
                 let g = self.place.group_of(node);
                 if out.upgrade && !out.read_exclusive {
                     // Invalidation: climbs only as high as the farthest
                     // copy's group (flat: the one broadcast).
                     let scope = out.inval_scope.map_or(g, |k| self.place.group_of(k));
-                    let t = self.ctrl[n].serve(now, ctrl2, lat.ctrl_ns);
-                    let t = self.bus.transfer(t, g, scope, lat.bus_occ_ns, lat.bus_ns);
+                    let t = self.table[ctrl].serve(now, ctrl2, lat.ctrl_ns);
+                    let t = self.transfer(t, g, scope, lat, false);
                     t + lat.ctrl_ns
                 } else {
                     // Data fetch from the remote (owner/home) node,
                     // request and response each routed through the levels
                     // between the two groups.
-                    let remote = out
-                        .remote_node
-                        .unwrap_or(NodeId(((n + 1) % self.ctrl.len()) as u16));
+                    let remote = out.remote_node.expect("a remote fetch names its node");
                     let r = remote.as_usize();
                     let gr = self.place.group_of(remote);
-                    let t = self.ctrl[n].serve(now, ctrl2, lat.ctrl_ns);
-                    let t = self.bus.transfer(t, g, gr, lat.bus_occ_ns, lat.bus_ns);
-                    let t = self.ctrl[r].serve(t, ctrl2, lat.ctrl_ns);
-                    let t = self.dram[r].serve(t, lat.dram_occ_ns, lat.dram_ns);
+                    let t = self.table[ctrl].serve(now, ctrl2, lat.ctrl_ns);
+                    let t = self.transfer(t, g, gr, lat, false);
+                    let t = self.table[self.ctrl0 + r].serve(t, ctrl2, lat.ctrl_ns);
+                    let t = self.table[self.dram0 + r].serve(t, lat.dram_occ_ns, lat.dram_ns);
                     let t = t + lat.ctrl_ns; // remote controller return pass
-                    let t = self.bus.transfer(t, gr, g, lat.bus_occ_ns, lat.bus_ns);
+                    let t = self.transfer(t, gr, g, lat, false);
                     let t = t + lat.ctrl_ns; // local controller return pass
                     t + lat.remote_extra_ns
                 }
@@ -115,25 +121,24 @@ impl MachineResources {
         if out.am_filled && out.level == Level::Remote {
             // The incoming line is written into the local AM DRAM,
             // overlapped with the data return to the processor.
-            self.dram[n].acquire(t, lat.dram_occ_ns);
+            self.table[dram].acquire(t, lat.dram_occ_ns);
         }
         if out.slc_writeback {
-            self.dram[n].acquire(t, lat.dram_occ_ns);
+            self.table[dram].acquire(t, lat.dram_occ_ns);
         }
         if let Some(k) = out.injected_to {
             // Injection: one more fabric transfer plus the acceptor's
             // controller and DRAM time (replacements are buffered, so the
             // requester does not wait for them).
             let g = self.place.group_of(node);
-            self.bus.post(t, g, self.place.group_of(k), lat.bus_occ_ns);
-            self.ctrl[k.as_usize()].acquire(t, lat.ctrl_occ_ns);
-            self.dram[k.as_usize()].acquire(t, lat.dram_occ_ns);
+            self.transfer(t, g, self.place.group_of(k), lat, true);
+            self.table[self.ctrl0 + k.as_usize()].acquire(t, lat.ctrl_occ_ns);
+            self.table[self.dram0 + k.as_usize()].acquire(t, lat.dram_occ_ns);
         }
         if out.ownership_migrated {
             let dst = out.migrated_to.unwrap_or(node);
             let g = self.place.group_of(node);
-            self.bus
-                .post(t, g, self.place.group_of(dst), lat.bus_occ_ns);
+            self.transfer(t, g, self.place.group_of(dst), lat, true);
         }
         if out.pageout || out.pagein {
             // OS involvement: dominates everything else on this access.
@@ -142,33 +147,79 @@ impl MachineResources {
         t
     }
 
+    /// Book every medium from group `src` to group `dst`: `src`'s bus,
+    /// then the links between the groups and `dst`'s bus. A critical-path
+    /// transfer (read fills, upgrades, read-exclusives) starts each medium
+    /// when the previous one is done and returns the completion time. A
+    /// `posted` one (injections, ownership migrations: replacements are
+    /// buffered, §3.1) only consumes bandwidth: it books every medium at
+    /// `now`, and the poster does not wait for it.
+    #[inline]
+    fn transfer(
+        &mut self,
+        now: Nanos,
+        src: usize,
+        dst: usize,
+        lat: &LatencyConfig,
+        posted: bool,
+    ) -> Nanos {
+        let bus = self.fabric.bus(src);
+        let mut t = self.table[bus].serve(now, lat.bus_occ_ns, lat.bus_ns);
+        if src != dst {
+            for id in self.fabric.links(src, dst) {
+                let start = if posted { now } else { t };
+                t = self.table[id].serve(start, lat.link_occ_ns, lat.link_ns);
+            }
+            let start = if posted { now } else { t };
+            t = self.table[self.fabric.bus(dst)].serve(start, lat.bus_occ_ns, lat.bus_ns);
+        }
+        t
+    }
+
+    /// Total fabric busy time, summed over every group bus and link (on
+    /// the flat machine: the one bus's busy time; report metric).
+    pub fn bus_busy_ns(&self) -> Nanos {
+        self.table[self.fabric.ids()]
+            .iter()
+            .map(Resource::busy_ns)
+            .sum()
+    }
+
     /// Total DRAM busy time across nodes (report metric).
     pub fn dram_busy_ns(&self) -> Nanos {
-        self.dram.iter().map(Resource::busy_ns).sum()
+        let drams = self.dram0..self.fabric.ids().start;
+        self.table[drams].iter().map(Resource::busy_ns).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coma_protocol::{BaselineEngine, BaselineKind, MemorySystem};
     use coma_stats::Level;
-    use coma_types::{MachineConfig, MemoryPressure};
+    use coma_types::{LineNum, MachineConfig, MemoryPressure, NodeId, Topology};
+
+    /// The paper's machine at `ppn` processors per node in `topology`.
+    fn geometry(ppn: usize, topology: Topology) -> MachineGeometry {
+        let cfg = MachineConfig {
+            topology,
+            ..MachineConfig::paper(ppn, MemoryPressure::MP_50)
+        };
+        cfg.geometry(1 << 20).unwrap()
+    }
 
     fn setup(ppn: usize) -> (MachineResources, LatencyConfig) {
-        let cfg = MachineConfig::paper(ppn, MemoryPressure::MP_50);
-        let geom = cfg.geometry(1 << 20).unwrap();
         let lat = LatencyConfig::paper_default();
-        (MachineResources::new(&geom, &lat), lat)
+        (
+            MachineResources::new(&geometry(ppn, Topology::flat()), &lat),
+            lat,
+        )
     }
 
     /// A 16-node machine in 4 groups of 4 under one root level.
     fn setup_hierarchical() -> (MachineResources, LatencyConfig) {
-        let cfg = MachineConfig {
-            topology: coma_types::Topology::two_level(4),
-            ..MachineConfig::paper(1, MemoryPressure::MP_50)
-        };
-        let geom = cfg.geometry(1 << 20).unwrap();
         let lat = LatencyConfig::paper_default();
+        let geom = geometry(1, Topology::two_level(4));
         (MachineResources::new(&geom, &lat), lat)
     }
 
@@ -329,5 +380,70 @@ mod tests {
         // The acceptor's DRAM is now busy; its own AM hit queues.
         let t1 = r.time_access(t0, ProcId(3), &Outcome::at(Level::Am), &lat);
         assert!(t1 - t0 > 148);
+    }
+
+    #[test]
+    fn flat_fabric_serializes_transfers() {
+        let (mut r, lat) = setup(1);
+        assert_eq!(r.transfer(0, 0, 0, &lat, false), 20);
+        // A second transfer at t=0 waits for the first's occupancy, and
+        // one after a posted transfer waits for the posted occupancy.
+        assert_eq!(r.transfer(0, 0, 0, &lat, false), 40);
+        r.transfer(0, 0, 0, &lat, true);
+        assert_eq!(r.transfer(0, 0, 0, &lat, false), 80);
+        assert_eq!(r.bus_busy_ns(), 80);
+    }
+
+    #[test]
+    fn fabric_posts_occupy_the_whole_path() {
+        let lat = LatencyConfig::paper_default();
+        let mut r = MachineResources::new(&geometry(1, Topology::two_level(2)), &lat);
+        r.transfer(0, 0, 1, &lat, true);
+        // Both group buses and two links.
+        assert_eq!(r.bus_busy_ns(), 2 * lat.bus_occ_ns + 2 * lat.link_occ_ns);
+        // A transfer out of group 1 queues behind the posted occupancy.
+        assert_eq!(
+            r.transfer(0, 1, 1, &lat, false),
+            lat.bus_occ_ns + lat.bus_ns
+        );
+    }
+
+    #[test]
+    fn cross_group_fetch_fills_the_report_sums() {
+        // The table's layout, seen through the report sums: a fetch from
+        // group 3 crosses two buses and two links each way, and reads
+        // the remote DRAM once; no SLC port or controller is summed.
+        let (mut r, lat) = setup_hierarchical();
+        let mut o = Outcome::at(Level::Remote);
+        o.remote_node = Some(NodeId(12));
+        r.time_access(0, ProcId(0), &o, &lat);
+        assert_eq!(r.bus_busy_ns(), 4 * lat.bus_occ_ns + 4 * lat.link_occ_ns);
+        assert_eq!(r.dram_busy_ns(), lat.dram_occ_ns);
+    }
+
+    #[test]
+    fn baseline_upgrade_reaches_a_far_home() {
+        // P0 upgrades a line it shares with the line's home processor.
+        // The request must reach the home directory, so a home in another
+        // group costs the two link crossings plus the far bus that
+        // `upgrade_scope_bounds_the_invalidation_cost` pins for COMA.
+        let lat = LatencyConfig::paper_default();
+        let upgrade = |kind, topology, home| {
+            let geom = geometry(1, topology);
+            let mut e = BaselineEngine::new(geom, kind);
+            e.read(ProcId(home), LineNum(0)); // first touch: homed at `home`
+            e.read(ProcId(0), LineNum(0));
+            let out = e.write(ProcId(0), LineNum(0));
+            assert!(out.upgrade && !out.read_exclusive, "{out:?}");
+            let t = MachineResources::new(&geom, &lat).time_access(0, ProcId(0), &out, &lat);
+            (t, out.inval_scope)
+        };
+        for kind in [BaselineKind::Numa, BaselineKind::Uma] {
+            let (near, _) = upgrade(kind, Topology::two_level(4), 1);
+            let (far, _) = upgrade(kind, Topology::two_level(4), 12);
+            assert_eq!(far - near, 2 * lat.link_ns + lat.bus_ns, "{kind:?}");
+            // Flat outcomes keep no scope: the broadcast reaches everyone.
+            assert_eq!(upgrade(kind, Topology::flat(), 12).1, None, "{kind:?}");
+        }
     }
 }

@@ -2,10 +2,16 @@
 //!
 //! The memory-system simulator "models contention effects for the node
 //! controllers, attraction memory DRAMs, second-level caches and the
-//! shared bus". Each of those is a [`Resource`]: a FIFO server with a
-//! `free_at` horizon, an *occupancy* per use (the bandwidth knob) and a
-//! caller-visible latency. Doubling DRAM bandwidth while holding latency
-//! constant — the paper's §4.3 experiment — is just halving the occupancy.
+//! shared bus". Each of those is a [`Resource`]: a single server with a
+//! `free_at` watermark, an *occupancy* per use (the bandwidth knob) and a
+//! caller-visible latency. A request starts at `max(now, free_at)`, in
+//! the order the timing walk books it. Doubling DRAM bandwidth while
+//! holding latency constant — the paper's §4.3 experiment — is just
+//! halving the occupancy.
+//!
+//! The machine keeps all its resources in one table indexed by id; the
+//! [`Fabric`] names the ids of the group buses and tree links, and the
+//! links a transfer between two cluster groups crosses.
 //!
 //! Writes retire into per-processor write buffers ([`WriteBufferArray`],
 //! 10 entries, release consistency): the processor only stalls when the
@@ -24,6 +30,6 @@ pub mod resource;
 pub mod write_buffer;
 
 pub use event::EventQueue;
-pub use interconnect::HierarchicalFabric;
+pub use interconnect::Fabric;
 pub use resource::Resource;
 pub use write_buffer::WriteBufferArray;

@@ -1,21 +1,23 @@
-//! Contended FIFO resources.
+//! Contended single-server resources.
 //!
 //! A [`Resource`] models a unit of hardware that serves one request at a
 //! time: the node controller / AM state+tag pipeline, the AM DRAM, an SLC
-//! port, or the global shared bus. Requests are served in arrival order;
-//! a request arriving at `now` starts at `max(now, free_at)` and holds the
-//! resource for its *occupancy*. The requester usually perceives a
-//! *latency* that is ≥ the occupancy (e.g. DRAM with doubled bandwidth:
-//! occupancy 50 ns, latency still 100 ns).
+//! port, a group bus or a tree link. It keeps one watermark, `free_at`:
+//! a request booked at `now` starts at `max(now, free_at)` and holds the
+//! resource for its *occupancy*. Requests are served in the order the
+//! timing walk books them, not in simulated arrival order, so a request
+//! booked later but arriving earlier waits behind the earlier booking.
+//! The requester usually perceives a *latency* that is ≥ the occupancy
+//! (e.g. DRAM with doubled bandwidth: occupancy 50 ns, latency still
+//! 100 ns).
 
 use coma_types::Nanos;
 
-/// A single-server FIFO resource.
+/// A single server that starts each booking at its `free_at` watermark.
 #[derive(Clone, Debug, Default)]
 pub struct Resource {
     free_at: Nanos,
     busy_ns: Nanos,
-    uses: u64,
 }
 
 impl Resource {
@@ -31,7 +33,6 @@ impl Resource {
         let start = self.free_at.max(now);
         self.free_at = start + occupancy;
         self.busy_ns += occupancy;
-        self.uses += 1;
         start
     }
 
@@ -53,21 +54,6 @@ impl Resource {
     #[inline]
     pub fn busy_ns(&self) -> Nanos {
         self.busy_ns
-    }
-
-    /// Number of requests served.
-    #[inline]
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-
-    /// Utilization over an interval `[0, horizon]`.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / horizon as f64
-        }
     }
 }
 
@@ -113,8 +99,6 @@ mod tests {
         r.acquire(0, 30);
         r.acquire(100, 30);
         assert_eq!(r.busy_ns(), 60);
-        assert_eq!(r.uses(), 2);
-        assert!((r.utilization(600) - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -123,11 +107,5 @@ mod tests {
         assert_eq!(r.acquire(5, 0), 5);
         assert_eq!(r.acquire(5, 0), 5);
         assert_eq!(r.busy_ns(), 0);
-    }
-
-    #[test]
-    fn utilization_zero_horizon() {
-        let r = Resource::new();
-        assert_eq!(r.utilization(0), 0.0);
     }
 }

@@ -5,9 +5,9 @@
 use coma_timing::{EventQueue, Resource, WriteBufferArray};
 use coma_types::{ProcId, Rng64};
 
-/// Resource: service starts are FIFO-monotone, never precede the
-/// request, and total busy time equals the sum of occupancies (work
-/// conservation).
+/// Resource: for requests booked in arrival order, starts are monotone
+/// and never precede the request, and total busy time equals the sum of
+/// occupancies (work conservation).
 #[test]
 fn resource_fifo_and_work_conservation() {
     let mut rng = Rng64::new(0xF1F0);
@@ -16,7 +16,7 @@ fn resource_fifo_and_work_conservation() {
         let mut arrivals: Vec<(u64, u64)> = (0..n)
             .map(|_| (rng.below(10_000), rng.below(500)))
             .collect();
-        // Arrival times must be non-decreasing for FIFO semantics.
+        // Booked in arrival order, so starts are monotone.
         arrivals.sort_by_key(|r| r.0);
         let mut r = Resource::new();
         let mut last_start = 0u64;

@@ -74,19 +74,6 @@ impl Topology {
         r
     }
 
-    /// Directory unit covering `group` at `level` (0 = the group itself).
-    #[inline]
-    pub fn unit_of(&self, group: usize, level: usize) -> usize {
-        group / self.fanout().pow(level as u32)
-    }
-
-    /// Number of directory units at `level`.
-    #[inline]
-    pub fn units_at(&self, level: usize) -> usize {
-        let span = self.fanout().pow(level as u32);
-        self.n_groups.div_ceil(span)
-    }
-
     /// Height of the lowest common ancestor of two groups: 0 when they
     /// share a bus, otherwise the lowest level at which they fall into the
     /// same directory unit. A transaction between them crosses
@@ -123,7 +110,6 @@ mod tests {
         let t = Topology::two_level(5);
         // One level: the root must reach all 5 groups directly.
         assert_eq!(t.fanout(), 5);
-        assert_eq!(t.units_at(1), 1);
         assert_eq!(t.lca_height(0, 4), 1);
         assert_eq!(t.lca_height(3, 3), 0);
     }
@@ -133,15 +119,11 @@ mod tests {
         // 16 groups over 2 levels: fanout 4 (4² = 16).
         let t = Topology::tree(16, 2);
         assert_eq!(t.fanout(), 4);
-        assert_eq!(t.units_at(1), 4);
-        assert_eq!(t.units_at(2), 1);
         // Same 4-group cluster: meet at level 1.
         assert_eq!(t.lca_height(0, 3), 1);
         // Different clusters: climb to the root.
         assert_eq!(t.lca_height(0, 4), 2);
         assert_eq!(t.lca_height(15, 12), 1);
-        assert_eq!(t.unit_of(15, 1), 3);
-        assert_eq!(t.unit_of(15, 2), 0);
     }
 
     #[test]
@@ -149,7 +131,6 @@ mod tests {
         // 6 groups over 2 levels: fanout 3 (3² = 9 ≥ 6 > 2² = 4).
         let t = Topology::tree(6, 2);
         assert_eq!(t.fanout(), 3);
-        assert_eq!(t.units_at(1), 2);
         assert_eq!(t.lca_height(0, 2), 1);
         assert_eq!(t.lca_height(2, 3), 2);
     }

@@ -39,9 +39,12 @@ echo "==> hierarchy smoke: 64- and 256-proc tree machines end to end"
 # walk), up to the largest supported machine, and one tree-vs-flat
 # sweep cell through the cached sweep engine. The 256-node Water run
 # crosses the directory's spilled sharer sets and, at 13/16 pressure,
-# pages lines out and back in.
+# pages lines out and back in. The NUMA run puts a baseline engine on a
+# tree, where upgrades climb to the home's group.
 cargo run --release --offline -p coma-cli --bin coma -- \
   run --app fft --procs 64 --ppn 4 --groups 4 --scale smoke
+cargo run --release --offline -p coma-cli --bin coma -- \
+  run --app fft --procs 64 --ppn 4 --groups 4 --model numa --scale smoke
 cargo run --release --offline -p coma-cli --bin coma -- \
   run --app fft --procs 256 --ppn 4 --groups 16 --scale smoke
 cargo run --release --offline -p coma-cli --bin coma -- \
